@@ -26,18 +26,25 @@ from .forward import SimConfig
 from .tangent import control_to_state, transpose_step
 
 
+def tracking_weight(grid, params, variant: str):
+    """Fourier multiplier of the tracking pairing: 1 for the L2 cost ("l2"),
+    the v-map 1 + alpha1 |k|^2 for the V-norm cost ("v")."""
+    if variant == "l2":
+        return 1.0
+    if variant == "v":
+        return 1.0 + params.alpha1 * grid.k2
+    raise ValueError(f"unknown tracking variant {variant!r}")
+
+
 def tracking_residual(fields, y_d, stop, cfg: SimConfig, variant: str = "l2", dtype=complex):
     """g_n per sample: y_n - y_d(n) in the L2 pairing, or its v-image for
     the V-norm tracking cost; zero from the exit index on."""
     g = cfg.grid
+    weight = tracking_weight(g, cfg.params, variant)
     S, NT = fields.shape[0], cfg.steps
     out = np.zeros((S, NT) + (g.dim,) + g.shape, dtype=dtype)
     for n in range(NT):
-        diff = np.asarray(fields[:, n], dtype=complex) - _target_at(y_d, n, g)
-        if variant == "v":
-            diff = sp.v_apply(g, diff, cfg.params)
-        elif variant != "l2":
-            raise ValueError(f"unknown tracking variant {variant!r}")
+        diff = weight * (np.asarray(fields[:, n], dtype=complex) - _target_at(y_d, n, g))
         out[:, n] = np.where((stop > n)[(slice(None),) + (None,) * (g.dim + 1)], diff, 0.0)
     return out
 
@@ -49,7 +56,7 @@ def _target_at(y_d, n, grid):
     return y_d
 
 
-def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig, store=True):
+def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig):
     """Transpose recursion along a frozen base ensemble.
 
     Returns (p_traj, p0) with p_traj[:, n] = p_n (p_N = 0).  ``g_fields``
@@ -58,17 +65,14 @@ def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig, store=True):
     g = cfg.grid
     S = fields.shape[0]
     p = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    traj = None
-    if store:
-        traj = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
+    traj = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
     bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps - 1, -1, -1):
         active = stop > n
         yn = np.asarray(fields[:, n], dtype=complex)
         p_prev = transpose_step(yn, p, dW[:, n], n * cfg.dt, cfg) + cfg.dt * g_fields[:, n]
         p = np.where(active[bsel], p_prev, p)
-        if store:
-            traj[:, n] = p
+        traj[:, n] = p
     return traj, p
 
 

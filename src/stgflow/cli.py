@@ -9,8 +9,9 @@
     stgflow stability-probe two-control separation ratios
     stgflow stop-probe      exit-time sensitivity under control perturbation
 
-Exit codes: 0 success, 2 configuration error, 3 blow-up abort,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error, 3 a sample aborted
+(non-finite, or W^{2,4} norm above blowup_factor * M), 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -262,11 +263,7 @@ def main(argv=None):
     except (cfgmod.ConfigError, ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](args, tree, sim, y0, y_d)
-    except sp.BlowUpError as e:
-        print(f"blow-up abort: {e}", file=sys.stderr)
-        return EXIT_BLOWUP
+    return _COMMANDS[args.command](args, tree, sim, y0, y_d)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ assignments:
 
 Values are parsed as JSON where possible (numbers, booleans, null,
 quoted strings) and fall back to bare strings.  The same ``a.b = v``
-grammar drives command-line overrides.
+grammar drives command-line overrides.  Keys outside ``DEFAULTS`` and
+values outside ``CHOICES`` are rejected with ConfigError.
 
 ``config_hash`` digests the canonical JSON form of the merged mapping,
 so manifests identify runs without embedding timestamps or paths.
@@ -49,6 +50,8 @@ DEFAULTS = {
     "init": {"amplitude": 0.8, "kmax": None, "seed": 100},
     "target": {"kind": "random", "amplitude": 0.5, "kmax": None, "seed": 200},
 }
+
+CHOICES = {("target", "kind"): ("random", "zero"), ("cost", "variant"): ("l2", "v")}
 
 
 def _parse_value(text: str):
@@ -98,8 +101,22 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _check_keys(tree: dict, defaults: dict, prefix: str = ""):
+    for key, val in tree.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        if isinstance(defaults[key], dict) and not isinstance(val, dict):
+            raise ConfigError(f"config key {prefix + key!r} is a section, got {val!r}")
+        if isinstance(val, dict):
+            sub = defaults[key] if isinstance(defaults[key], dict) else {}
+            _check_keys(val, sub, prefix + key + ".")
+
+
 def load(path=None, overrides=()) -> dict:
-    """Merged mapping: defaults <- file <- key=value override strings."""
+    """Merged mapping: defaults <- file <- key=value override strings.
+
+    Raises ConfigError for a key not in DEFAULTS and for a value outside CHOICES.
+    """
     tree = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path) as f:
@@ -111,6 +128,10 @@ def load(path=None, overrides=()) -> dict:
         patch: dict = {}
         _set_dotted(patch, key, _parse_value(val))
         tree = _merge(tree, patch)
+    _check_keys(tree, DEFAULTS)
+    for (section, key), allowed in CHOICES.items():
+        if tree[section][key] not in allowed:
+            raise ConfigError(f"{section}.{key} must be one of {allowed}, got {tree[section][key]!r}")
     return tree
 
 
@@ -163,7 +184,7 @@ def initial_field(tree: dict, cfg: SimConfig):
 
 def target_field(tree: dict, cfg: SimConfig):
     block = tree["target"]
-    if block.get("kind", "random") == "zero":
+    if block["kind"] == "zero":
         return np.zeros((cfg.grid.dim,) + cfg.grid.shape, dtype=complex)
     rng = np.random.default_rng(int(block["seed"]))
     kmax = block.get("kmax")

@@ -71,18 +71,16 @@ class CostReport:
 
 
 def _tracking_samples(base, y_d, cfg: SimConfig, variant):
-    """Per-sample stopped tracking sums 1/2 sum_{n<stop} dt ||y_n - y_d||^2."""
+    """Per-sample stopped tracking sums 1/2 sum_{n<stop} dt ||y_n - y_d||^2
+    (V norm for variant "v")."""
     g = cfg.grid
+    weight = adj.tracking_weight(g, cfg.params, variant)
     S = base.n_samples
     out = np.zeros(S)
     for n in range(cfg.steps):
         live = base.stop > n
         diff = np.asarray(base.fields[:, n], dtype=complex) - adj._target_at(y_d, n, g)
-        if variant == "v":
-            val = sp.v_inner(g, diff, diff, cfg.params)
-        else:
-            val = sp.l2_inner(g, diff, diff)
-        out += np.where(live, 0.5 * cfg.dt * val, 0.0)
+        out += np.where(live, 0.5 * cfg.dt * sp.sobolev_inner(g, diff, diff, weight), 0.0)
     return out
 
 

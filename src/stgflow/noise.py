@@ -164,11 +164,3 @@ def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel):
     sf = s[(Ellipsis,) + (None,) * (grid.dim + 1)] * (fp * vp)
     return leray_project(grid, to_spec(grid, sf))
 
-
-def grad_noise_increment_T(grid: WaveGrid, t, y, w, dW, model: NoiseModel):
-    """L2 transpose of grad_noise_increment in its ``v`` slot."""
-    s = weighted_increment(model, dW) * model.time_factor(t)
-    fp = model.profile_deriv(to_phys(grid, y))
-    wp = to_phys(grid, leray_project(grid, w))
-    sf = s[(Ellipsis,) + (None,) * (grid.dim + 1)] * (fp * wp)
-    return leray_project(grid, to_spec(grid, sf))

@@ -6,21 +6,30 @@ with coefficient array ``c`` of shape ``(..., d, N, ..., N)`` satisfies
 axes (ensemble samples), so every operator here vectorises over an
 arbitrary number of Monte Carlo samples.
 
+Transform convention: ``to_phys`` maps coefficients to collocation values
+(``Re ifftn * N^d``) and ``to_spec`` maps back (``fftn / N^d``) and masks
+the result, by default to the retained modes.  Every transform in the
+package goes through these two functions.
+
+Pointwise products of collocation (or coefficient) arrays go through one
+contraction helper that merges the d trailing spatial axes into a single
+index ``x``, so one einsum subscript string serves d = 2 and d = 3.
+
 All quadratic products are dealiased by the 2/3 rule, cubic products by
 the 1/2 rule; the collocation grid has N = 2*(n_max+1) points per axis,
-which makes every masked product alias-free.
+which makes every masked product alias-free.  The drift is assembled from
+per-field collocation pieces (``Collocation``) fed to a bilinear
+convective form and the two stress forms; the tangent module reuses the
+same forms for the exact Jacobian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-
-class BlowUpError(RuntimeError):
-    """Raised when collocation values exceed the configured guard."""
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,25 @@ class WaveGrid:
 
 
 def to_phys(grid: WaveGrid, c):
+    """Collocation values of the coefficients ``c`` (real part)."""
     return np.fft.ifftn(c, axes=grid.axes).real * grid.npts
 
 
-def to_spec(grid: WaveGrid, u):
-    c = np.fft.fftn(u, axes=grid.axes) / grid.npts
-    return c * grid.retain
+def to_spec(grid: WaveGrid, u, mask=None):
+    """Coefficients of the collocation values ``u``, multiplied by ``mask``
+    (the retained modes when None)."""
+    c = np.fft.fftn(u, axes=grid.axes)
+    c /= grid.npts
+    c *= grid.retain if mask is None else mask
+    return c
+
+
+def _contract(grid: WaveGrid, subscripts, *operands):
+    """np.einsum with each operand's d trailing spatial axes merged into the
+    single index ``x``; the result gets them back."""
+    flat = [op.reshape(op.shape[: op.ndim - grid.dim] + (grid.npts,)) for op in operands]
+    out = np.einsum(subscripts, *flat)
+    return out.reshape(out.shape[:-1] + grid.shape)
 
 
 def zero_mean(grid: WaveGrid, c):
@@ -146,10 +168,7 @@ def zero_mean(grid: WaveGrid, c):
 
 def leray_project(grid: WaveGrid, c):
     """Project per mode onto k . c(k) = 0; pins the mean mode to zero."""
-    if grid.dim == 2:
-        out = np.einsum("abxy,...bxy->...axy", grid.leray_tensor, c)
-    else:
-        out = np.einsum("abxyz,...bxyz->...axyz", grid.leray_tensor, c)
+    out = _contract(grid, "abx,...bx->...ax", grid.leray_tensor, c)
     return zero_mean(grid, out * grid.retain)
 
 
@@ -200,53 +219,37 @@ def h1_norm(grid: WaveGrid, c):
 
 def jacobian_phys(grid: WaveGrid, c):
     """Collocation Jacobian J[..., a, i] = d u_a / d x_i."""
-    if grid.dim == 2:
-        dc = 1j * grid.k * c[..., :, None, :, :]
-    else:
-        dc = 1j * grid.k * c[..., :, None, :, :, :]
-    return np.fft.ifftn(dc, axes=grid.axes).real * grid.npts
+    return to_phys(grid, 1j * grid.k * np.expand_dims(c, -grid.dim - 1))
+
+
+def _symmetrize(grid: WaveGrid, J):
+    return J + np.swapaxes(J, -grid.dim - 1, -grid.dim - 2)
 
 
 def deformation_phys(grid: WaveGrid, c):
     """Symmetric deformation tensor A = grad u + (grad u)^T at collocation points."""
-    J = jacobian_phys(grid, c)
-    return J + np.swapaxes(J, -grid.dim - 1, -grid.dim - 2)
+    return _symmetrize(grid, jacobian_phys(grid, c))
 
 
-def deformation_A(grid: WaveGrid, c):
-    """Public alias used by monitors and tests."""
-    return deformation_phys(grid, c)
-
-
-def div_matrix_spec(grid: WaveGrid, M_phys):
-    """Spectral divergence of a collocation matrix field: out_a = sum_j d_j M[a, j]."""
-    Mc = np.fft.fftn(M_phys, axes=grid.axes) / grid.npts
-    if grid.dim == 2:
-        out = np.einsum("jxy,...ajxy->...axy", 1j * grid.k, Mc)
-    else:
-        out = np.einsum("jxyz,...ajxyz->...axyz", 1j * grid.k, Mc)
-    return out * grid.retain
+def div_matrix_spec(grid: WaveGrid, M_phys, mask=None):
+    """Spectral divergence of a collocation matrix field: out_a = sum_j d_j M[a, j],
+    masked like ``to_spec``."""
+    return _contract(grid, "jx,...ajx->...ax", 1j * grid.k, to_spec(grid, M_phys, mask))
 
 
 def advect(grid: WaveGrid, a_phys, J):
     """comp b = sum_i a_i J[b, i], i.e. (a . grad) u for J = jacobian of u."""
-    if grid.dim == 2:
-        return np.einsum("...ixy,...bixy->...bxy", a_phys, J)
-    return np.einsum("...ixyz,...bixyz->...bxyz", a_phys, J)
+    return _contract(grid, "...ix,...bix->...bx", a_phys, J)
 
 
 def cograd(grid: WaveGrid, a_phys, J):
     """comp i = sum_j a_j J[j, i], i.e. (grad u)^T a for J = jacobian of u."""
-    if grid.dim == 2:
-        return np.einsum("...jxy,...jixy->...ixy", a_phys, J)
-    return np.einsum("...jxyz,...jixyz->...ixyz", a_phys, J)
+    return _contract(grid, "...jx,...jix->...ix", a_phys, J)
 
 
 def outer_phys(grid: WaveGrid, a_phys, b_phys):
     """Pointwise outer product M[a, i] = a_a b_i at collocation points."""
-    if grid.dim == 2:
-        return np.einsum("...axy,...ixy->...aixy", a_phys, b_phys)
-    return np.einsum("...axyz,...ixyz->...aixyz", a_phys, b_phys)
+    return _contract(grid, "...ax,...ix->...aix", a_phys, b_phys)
 
 
 def curl_v_phys(grid: WaveGrid, c, params: PhysicalParams):
@@ -254,7 +257,7 @@ def curl_v_phys(grid: WaveGrid, c, params: PhysicalParams):
     vc = v_apply(grid, c, params)
     if grid.dim == 2:
         w = 1j * (grid.k[0] * grid.c(vc, 1) - grid.k[1] * grid.c(vc, 0))
-        return np.fft.ifftn(w, axes=grid.axes).real * grid.npts
+        return to_phys(grid, w)
     kx, ky, kz = grid.k
     cx, cy, cz = (grid.c(vc, i) for i in range(3))
     w = np.stack(
@@ -265,7 +268,7 @@ def curl_v_phys(grid: WaveGrid, c, params: PhysicalParams):
         ],
         axis=-4,
     )
-    return np.fft.ifftn(w, axes=grid.axes).real * grid.npts
+    return to_phys(grid, w)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +307,7 @@ def trilinear_b(grid: WaveGrid, u, z, w, refine: int = 1):
     up = to_phys(g, u)
     wp = to_phys(g, w)
     Jz = jacobian_phys(g, z)  # [a, i] = d z_a / d x_i
-    if g.dim == 2:
-        integrand = np.einsum("...ixy,...aixy,...axy->...xy", up, Jz, wp)
-    else:
-        integrand = np.einsum("...ixyz,...aixyz,...axyz->...xyz", up, Jz, wp)
-    return quad_integral(g, integrand)
+    return quad_integral(g, _contract(g, "...ix,...aix,...ax->...x", up, Jz, wp))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +316,13 @@ def trilinear_b(grid: WaveGrid, u, z, w, refine: int = 1):
 
 def w24_norm(grid: WaveGrid, c):
     """Collocation W^{2,4} norm, batched: (||u||_4^4 + ||grad u||_4^4 + ||grad^2 u||_4^4)^{1/4}."""
+    ci = -grid.dim - 1
     up = to_phys(grid, c)
     J = jacobian_phys(grid, c)
-    if grid.dim == 2:
-        H = 1j * grid.k * (1j * grid.k[:, None] * c[..., :, None, None, :, :])
-    else:
-        H = 1j * grid.k * (1j * grid.k[:, None] * c[..., :, None, None, :, :, :])
-    Hp = np.fft.ifftn(H, axes=grid.axes).real * grid.npts
-    s0 = np.sum(up**2, axis=-grid.dim - 1)
-    s1 = np.sum(J**2, axis=(-grid.dim - 1, -grid.dim - 2))
-    s2 = np.sum(Hp**2, axis=(-grid.dim - 1, -grid.dim - 2, -grid.dim - 3))
+    Hp = to_phys(grid, 1j * grid.k * (1j * grid.k[:, None] * np.expand_dims(c, (ci, ci - 1))))
+    s0 = np.sum(up**2, axis=ci)
+    s1 = np.sum(J**2, axis=(ci, ci - 1))
+    s2 = np.sum(Hp**2, axis=(ci, ci - 1, ci - 2))
     total = (
         quad_integral(grid, s0**2)
         + quad_integral(grid, s1**2)
@@ -372,60 +368,77 @@ def basis_eigenvalues(grid: WaveGrid, params: PhysicalParams):
 # drift assembly
 
 
-def _quadratic_terms(grid: WaveGrid, y, params: PhysicalParams):
-    """Convective and (alpha1+alpha2) stress terms from mask2-dealiased input."""
-    yq = y * grid.mask2
-    vq = v_apply(grid, yq, params)
-    yp = to_phys(grid, yq)
-    vp = to_phys(grid, vq)
-    Jy = jacobian_phys(grid, yq)
-    Jv = jacobian_phys(grid, vq)
+class Collocation:
+    """Collocation pieces of one field for the drift forms: u, J = grad u,
+    v = v(u), Jv = grad v(u) and A = J + J^T of the mask2-dealiased field,
+    and A3 = A of the mask3-dealiased one.
 
-    ci = -grid.dim - 1  # component axis of vector collocation arrays
-    # -(y . grad) v(y) - sum_j v_j grad y_j
-    conv = -advect(grid, yp, Jv) - cograd(grid, vp, Jy)
-    out = (np.fft.fftn(conv, axes=grid.axes) / grid.npts) * grid.mask2
+    Each form reads each piece once, so to keep a step's peak memory low the
+    pieces are transformed on access and freed after use; only J (read by B
+    and by A) and the coefficients of v(u) are kept.
+    """
 
+    def __init__(self, grid: WaveGrid, c, params: PhysicalParams):
+        self.grid = grid
+        self.params = params
+        self.c = c * grid.mask2
+
+    vc = cached_property(lambda self: v_apply(self.grid, self.c, self.params))
+    u = property(lambda self: to_phys(self.grid, self.c))
+    v = property(lambda self: to_phys(self.grid, self.vc))
+    J = cached_property(lambda self: jacobian_phys(self.grid, self.c))
+    Jv = property(lambda self: jacobian_phys(self.grid, self.vc))
+    A = property(lambda self: _symmetrize(self.grid, self.J))
+    A3 = property(lambda self: deformation_phys(self.grid, self.c * self.grid.mask3))
+
+
+def convective(a: Collocation, b: Collocation):
+    """Bilinear convective form B(a, b) = -(a . grad) v(b) - sum_j v(b)_j grad a_j
+    at collocation points; the drift carries B(y, y)."""
+    return -advect(a.grid, a.u, b.Jv) - cograd(a.grid, b.v, a.J)
+
+
+def stress_terms(y: Collocation, z: Collocation = None):
+    """Spectral beta div(|A|^2 A) on mask3 plus (alpha1+alpha2) div(A^2) on
+    mask2 at y; given z, their derivative at y in direction z, which is
+    self-adjoint in z."""
+    grid, params = y.grid, y.params
+    ci = -grid.dim - 1
+    out = 0.0
+    if params.beta != 0.0:
+        Ay = y.A3
+        norm2 = np.sum(Ay**2, axis=(ci, ci - 1), keepdims=True)
+        if z is None:
+            S = norm2 * Ay
+        else:
+            Az = z.A3
+            S = 2.0 * np.sum(Ay * Az, axis=(ci, ci - 1), keepdims=True) * Ay + norm2 * Az
+        out = params.beta * div_matrix_spec(grid, S, grid.mask3)
     a12 = params.alpha1 + params.alpha2
     if a12 != 0.0:
-        A = Jy + np.swapaxes(Jy, ci, ci - 1)
-        if grid.dim == 2:
-            A2 = np.einsum("...acxy,...cbxy->...abxy", A, A)
-        else:
-            A2 = np.einsum("...acxyz,...cbxyz->...abxyz", A, A)
-        out = out + a12 * div_matrix_spec(grid, A2) * grid.mask2
+        Ay = y.A
+        Az = Ay if z is None else z.A
+        S = _contract(grid, "...acx,...cbx->...abx", Ay, Az)
+        if z is not None:
+            S = S + _contract(grid, "...acx,...cbx->...abx", Az, Ay)
+        out = out + a12 * div_matrix_spec(grid, S, grid.mask2)
     return out
 
 
-def _cubic_term(grid: WaveGrid, y, params: PhysicalParams):
-    if params.beta == 0.0:
-        return 0.0
-    yc = y * grid.mask3
-    A = deformation_phys(grid, yc)
-    ci = -grid.dim - 1
-    A2 = np.sum(A**2, axis=(ci, ci - 1), keepdims=True)
-    return params.beta * div_matrix_spec(grid, A2 * A) * grid.mask3
+def drift_terms(y: Collocation, z: Collocation = None):
+    """Nonlinear drift N(y), or, given z, its derivative N'(y)[z] =
+    B(y, z) + B(z, y) + stress derivatives; spectral, dealiased, not projected."""
+    # stress first: its Jacobians are then taken while the fewest arrays are live
+    out = stress_terms(y, z)
+    conv = convective(y, y) if z is None else convective(y, z) + convective(z, y)
+    return out + to_spec(y.grid, conv, y.grid.mask2)
 
 
 def state_drift(
-    grid: WaveGrid,
-    y,
-    u=None,
-    params: PhysicalParams = None,
-    include_viscosity: bool = True,
-    guard: float | None = None,
+    grid: WaveGrid, y, u=None, params: PhysicalParams = None, include_viscosity: bool = True
 ):
-    """Leray-projected drift of the state equation (pressure eliminated).
-
-    ``guard`` bounds the pointwise collocation speed; exceeding it raises
-    BlowUpError before any stopping-time logic can fire.
-    """
-    if guard is not None:
-        sp = np.sqrt(np.sum(to_phys(grid, y) ** 2, axis=-grid.dim - 1))
-        peak = float(np.max(sp))
-        if peak > guard:
-            raise BlowUpError(f"collocation speed {peak:.3g} exceeds guard {guard:.3g}")
-    out = _quadratic_terms(grid, y, params) + _cubic_term(grid, y, params)
+    """Leray-projected drift of the state equation (pressure eliminated)."""
+    out = drift_terms(Collocation(grid, y, params))
     if include_viscosity:
         out = out - params.nu * grid.k2 * y
     if u is not None:
@@ -468,11 +481,9 @@ def _cross_field_spec(grid: WaveGrid, big: WaveGrid, y, p):
     ypb = to_phys(big, yb)
     ppb = to_phys(big, pb)
     if grid.dim == 2:
-        s = big.c(ypb, 0) * big.c(ppb, 1) - big.c(ypb, 1) * big.c(ppb, 0)
-        return np.fft.fftn(s, axes=big.axes) / big.npts
+        return to_spec(big, big.c(ypb, 0) * big.c(ppb, 1) - big.c(ypb, 1) * big.c(ppb, 0))
     cr = np.cross(np.moveaxis(ypb, -4, -1), np.moveaxis(ppb, -4, -1))
-    cr = np.moveaxis(cr, -1, -4)
-    return np.fft.fftn(cr, axes=big.axes) / big.npts
+    return to_spec(big, np.moveaxis(cr, -1, -4))
 
 
 def curl_v_of_cross(grid: WaveGrid, big: WaveGrid, y, p, params: PhysicalParams):
@@ -481,8 +492,7 @@ def curl_v_of_cross(grid: WaveGrid, big: WaveGrid, y, p, params: PhysicalParams)
     vs = s * (1.0 + params.alpha1 * big.k2)
     if grid.dim == 2:
         # curl of a scalar s: (d2 s, -d1 s)
-        out = np.stack([1j * big.k[1] * vs, -1j * big.k[0] * vs], axis=-3)
-        return np.fft.ifftn(out, axes=big.axes).real * big.npts
+        return to_phys(big, np.stack([1j * big.k[1] * vs, -1j * big.k[0] * vs], axis=-3))
     kx, ky, kz = big.k
     cx, cy, cz = (big.c(vs, i) for i in range(3))
     out = np.stack(
@@ -493,7 +503,7 @@ def curl_v_of_cross(grid: WaveGrid, big: WaveGrid, y, p, params: PhysicalParams)
         ],
         axis=-4,
     )
-    return np.fft.ifftn(out, axes=big.axes).real * big.npts
+    return to_phys(big, out)
 
 
 def verify_identities(seed: int, params: PhysicalParams, grid: WaveGrid = None, n_triples: int = 20):

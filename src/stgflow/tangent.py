@@ -1,13 +1,15 @@
 """Exact linearization of the forward scheme along a frozen trajectory.
 
 ``linearized_drift`` is the literal Jacobian of the discrete drift
-assembly (same masks, same collocation products), so the tangent
-recursion differentiates the scheme rather than discretizing a formal
-linearized equation.  ``linearized_drift_T`` is its machine-precision
-L2 transpose on the solenoidal subspace: convective terms are
-transposed operator by operator (spectral derivatives flip sign,
-collocation multipliers are symmetric), while both stress terms are
-self-adjoint and reuse the forward assembly.
+assembly: it feeds the collocation pieces of y and z to the same
+convective and stress forms that build the drift (B(y, z) + B(z, y) for
+the convective form, the stress derivatives from ``stress_terms``), so
+the tangent recursion differentiates the scheme rather than
+discretizing a formal linearized equation.  ``linearized_drift_T`` is
+its machine-precision L2 transpose on the solenoidal subspace: the
+convective pair is transposed operator by operator (spectral
+derivatives flip sign, collocation multipliers are symmetric), while
+the stress derivative is self-adjoint and is reused as it stands.
 """
 
 from __future__ import annotations
@@ -19,83 +21,23 @@ from . import spectral as sp
 from .forward import SimConfig
 
 
-def _conv_linearized(grid, y, z, params):
-    """Derivative of the convective pair in direction z, mask2-dealiased."""
-    yq = y * grid.mask2
-    zq = z * grid.mask2
-    vy = sp.v_apply(grid, yq, params)
-    vz = sp.v_apply(grid, zq, params)
-    yp = sp.to_phys(grid, yq)
-    zp = sp.to_phys(grid, zq)
-    vyp = sp.to_phys(grid, vy)
-    vzp = sp.to_phys(grid, vz)
-    Jy = sp.jacobian_phys(grid, yq)
-    Jz = sp.jacobian_phys(grid, zq)
-    Jvy = sp.jacobian_phys(grid, vy)
-    Jvz = sp.jacobian_phys(grid, vz)
-
-    t = (
-        -sp.advect(grid, yp, Jvz)
-        - sp.advect(grid, zp, Jvy)
-        - sp.cograd(grid, vzp, Jy)
-        - sp.cograd(grid, vyp, Jz)
+def _convective_T(y, w):
+    """Transpose in z of B(y, z) + B(z, y), applied to w; y, w Collocation pieces."""
+    g, m = y.grid, y.grid.mask2
+    wu = w.u
+    # -(y . grad) v(z) and -sum_j v(z)_j grad y_j reach z through the v-map
+    through_v = sp.div_matrix_spec(g, sp.outer_phys(g, wu, y.u), m) - sp.to_spec(
+        g, sp.advect(g, wu, y.J), m
     )
-    return (np.fft.fftn(t, axes=grid.axes) / grid.npts) * grid.mask2
-
-
-def _conv_linearized_T(grid, y, w, params):
-    """Exact transpose of _conv_linearized in its z slot (w solenoidal)."""
-    yq = y * grid.mask2
-    vy = sp.v_apply(grid, yq, params)
-    wq = w * grid.mask2
-    yp = sp.to_phys(grid, yq)
-    vyp = sp.to_phys(grid, vy)
-    wp = sp.to_phys(grid, wq)
-    Jy = sp.jacobian_phys(grid, yq)
-    Jvy = sp.jacobian_phys(grid, vy)
-    vmul = 1.0 + params.alpha1 * grid.k2
-
-    # transpose of -(y.grad) v(z): + v Mq div_i(w_a y_i)
-    t1 = vmul * (sp.div_matrix_spec(grid, sp.outer_phys(grid, wp, yp)) * grid.mask2)
-    # transpose of -(z.grad) v(y): comp i = - sum_a (d_i v(y)_a) w_a
-    g2 = -sp.cograd(grid, wp, Jvy)
-    t2 = (np.fft.fftn(g2, axes=grid.axes) / grid.npts) * grid.mask2
-    # transpose of -sum_j v(z)_j grad y_j: comp j = -v Mq spec((w . grad) y_j)
-    g3 = -sp.advect(grid, wp, Jy)
-    t3 = vmul * ((np.fft.fftn(g3, axes=grid.axes) / grid.npts) * grid.mask2)
-    # transpose of -sum_j v(y)_j grad z_j: comp j = + div_i(v(y)_j w_i)
-    t4 = sp.div_matrix_spec(grid, sp.outer_phys(grid, vyp, wp)) * grid.mask2
-    return t1 + t2 + t3 + t4
-
-
-def _stress_linearized(grid, y, z, params):
-    """Directional derivative of both stress terms; self-adjoint in z."""
-    out = 0.0
-    ci = -grid.dim - 1
-    a12 = params.alpha1 + params.alpha2
-    if a12 != 0.0:
-        Ay = sp.deformation_phys(grid, y * grid.mask2)
-        Az = sp.deformation_phys(grid, z * grid.mask2)
-        if grid.dim == 2:
-            S = np.einsum("...acxy,...cbxy->...abxy", Ay, Az) + np.einsum(
-                "...acxy,...cbxy->...abxy", Az, Ay
-            )
-        else:
-            S = np.einsum("...acxyz,...cbxyz->...abxyz", Ay, Az) + np.einsum(
-                "...acxyz,...cbxyz->...abxyz", Az, Ay
-            )
-        out = out + a12 * sp.div_matrix_spec(grid, S) * grid.mask2
-    if params.beta != 0.0:
-        Ay = sp.deformation_phys(grid, y * grid.mask3)
-        Az = sp.deformation_phys(grid, z * grid.mask3)
-        dot = np.sum(Ay * Az, axis=(ci, ci - 1), keepdims=True)
-        norm2 = np.sum(Ay * Ay, axis=(ci, ci - 1), keepdims=True)
-        out = out + params.beta * sp.div_matrix_spec(grid, 2.0 * dot * Ay + norm2 * Az) * grid.mask3
-    return out
+    # -(z . grad) v(y) and -sum_j v(y)_j grad z_j
+    direct = sp.div_matrix_spec(g, sp.outer_phys(g, y.v, wu), m) - sp.to_spec(
+        g, sp.cograd(g, wu, y.Jv), m
+    )
+    return sp.v_apply(g, through_v, y.params) + direct
 
 
 def linearized_drift(grid, y, z, psi, params, include_viscosity=True):
-    out = _conv_linearized(grid, y, z, params) + _stress_linearized(grid, y, z, params)
+    out = sp.drift_terms(sp.Collocation(grid, y, params), sp.Collocation(grid, z, params))
     if include_viscosity:
         out = out - params.nu * grid.k2 * z
     if psi is not None:
@@ -105,9 +47,8 @@ def linearized_drift(grid, y, z, psi, params, include_viscosity=True):
 
 def linearized_drift_T(grid, y, w, params, include_viscosity=True):
     wq = sp.leray_project(grid, w)
-    out = _conv_linearized_T(grid, y, wq, params) + _stress_linearized(
-        grid, y, wq, params
-    )
+    yc, wc = sp.Collocation(grid, y, params), sp.Collocation(grid, wq, params)
+    out = sp.stress_terms(yc, wc) + _convective_T(yc, wc)
     if include_viscosity:
         out = out - params.nu * grid.k2 * wq
     return sp.leray_project(grid, out)
@@ -135,7 +76,7 @@ def transpose_step(y, p, dW_n, t, cfg: SimConfig):
         g, y, q, cfg.params, include_viscosity=False
     )
     if cfg.model.K > 0:
-        out = out + nz.grad_noise_increment_T(g, t, y, q, dW_n, cfg.model)
+        out = out + nz.grad_noise_increment(g, t, y, q, dW_n, cfg.model)
     return out
 
 
@@ -145,20 +86,18 @@ def control_to_state(p, cfg: SimConfig):
     return sp.leray_project(g, p / cfg.implicit_denominator)
 
 
-def simulate_tangent(fields, stop, psi, dW, cfg: SimConfig, store=True):
+def simulate_tangent(fields, stop, psi, dW, cfg: SimConfig):
     """Tangent trajectory along a frozen base ensemble.
 
     ``fields`` is (S, steps+1, dim, *spatial), ``stop`` the per-sample
     exit indices, ``psi`` a deterministic direction (steps, dim, *sp),
     ``dW`` the same increments the base run consumed.  z starts at zero
-    and is frozen once the base sample has stopped.
+    and is frozen once the base sample has stopped.  Returns (z_traj, z_N).
     """
     g = cfg.grid
     S = fields.shape[0]
     z = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    out = None
-    if store:
-        out = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
+    out = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
     bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps):
         active = stop > n
@@ -167,9 +106,8 @@ def simulate_tangent(fields, stop, psi, dW, cfg: SimConfig, store=True):
             pn = None if psi is None else np.asarray(psi)[n]
             z_next = tangent_step(yn, z, pn, dW[:, n], n * cfg.dt, cfg)
             z = np.where(active[bsel], z_next, z)
-        if store:
-            out[:, n + 1] = z
-    return (out, z) if store else (None, z)
+        out[:, n + 1] = z
+    return out, z
 
 
 def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):

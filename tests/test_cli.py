@@ -139,6 +139,16 @@ class TestCli:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("override", ["noise.co=5", "stopp.M=1", "target.kind=zer0"])
+    def test_unknown_config_input_exit_code(self, small_cfg, tmp_path, override):
+        # a misspelled key or an enum value outside its choices must not be ignored
+        rc = run_cli([
+            "simulate", "--config", str(small_cfg),
+            "--set", override, "--out", str(tmp_path / "x"), "--quiet",
+        ])
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
+
     def test_blowup_exit_code(self, tmp_path):
         # gigantic initial amplitude with a tiny threshold and guard
         cfg = tmp_path / "blow.cfg"

@@ -113,6 +113,15 @@ class TestCost:
         repL = ct.eval_cost(UL, y0, y_d, cfgL, 3, lam=0.0)
         assert abs(rep.tracking - repL.tracking) < 1e-10
 
+    def test_unknown_variant(self):
+        # eval_cost and cost_gradient share one variant check
+        cfg = make_cfg(steps=4)
+        y0, y_d, U, _ = setup(cfg)
+        with pytest.raises(ValueError):
+            ct.eval_cost(U, y0, y_d, cfg, 2, lam=0.1, variant="V")
+        with pytest.raises(ValueError):
+            ct.cost_gradient(U, y0, y_d, cfg, 2, 0.1, "V")
+
     def test_deterministic_given_seed(self):
         cfg = make_cfg(steps=8)
         y0, y_d, U, _ = setup(cfg)

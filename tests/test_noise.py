@@ -132,7 +132,7 @@ class TestOperator:
         m = nz.NoiseModel(K=5, family="smooth", c0=0.4)
         dW = np.random.default_rng(3).standard_normal(5) * 0.2
         lhs = sp.l2_inner(G2, nz.grad_noise_increment(G2, 0.0, y, v, dW, m), w)
-        rhs = sp.l2_inner(G2, v, nz.grad_noise_increment_T(G2, 0.0, y, w, dW, m))
+        rhs = sp.l2_inner(G2, v, nz.grad_noise_increment(G2, 0.0, y, w, dW, m))
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
     def test_zero_family(self):

@@ -324,13 +324,6 @@ class TestDrift:
         d1 = sp.state_drift(g, y, f, PARAMS)
         assert np.max(np.abs(d1 - d0 - f)) < 1e-12
 
-    def test_blowup_guard(self):
-        g = grid2()
-        rng = np.random.default_rng(55)
-        y = sp.random_field(g, rng, amplitude=50.0)
-        with pytest.raises(sp.BlowUpError):
-            sp.state_drift(g, y, None, PARAMS, guard=1.0)
-
     def test_batched_matches_loop(self):
         g = grid2()
         rng = np.random.default_rng(56)

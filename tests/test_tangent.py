@@ -10,6 +10,14 @@ from stgflow import tangent as tg
 
 
 PARAMS = sp.PhysicalParams(nu=0.5, alpha1=0.4, alpha2=-0.1, beta=0.3)
+# alpha1 + alpha2 = 0 and beta = 0: the drift assembly skips both stress forms
+NO_STRESS = sp.PhysicalParams(nu=0.5, alpha1=0.4, alpha2=-0.4, beta=0.0)
+DRIFT_CASES = [
+    pytest.param(2, 8, PARAMS, id="2-8"),
+    pytest.param(3, 3, PARAMS, id="3-3"),
+    pytest.param(2, 8, NO_STRESS, id="2-8-no_stress"),
+    pytest.param(3, 3, NO_STRESS, id="3-3-no_stress"),
+]
 
 
 def make_cfg(**kw):
@@ -22,8 +30,8 @@ def make_cfg(**kw):
 
 
 class TestLinearizedDrift:
-    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
-    def test_jacobian_of_drift(self, dim, n_max):
+    @pytest.mark.parametrize("dim,n_max,params", DRIFT_CASES)
+    def test_jacobian_of_drift(self, dim, n_max, params):
         # central finite differences of the nonlinear assembly
         g = sp.WaveGrid(dim, n_max)
         rng = np.random.default_rng(0)
@@ -31,14 +39,15 @@ class TestLinearizedDrift:
         z = sp.random_field(g, rng)
         eps = 1e-6
         fd = (
-            sp.state_drift(g, y + eps * z, None, PARAMS)
-            - sp.state_drift(g, y - eps * z, None, PARAMS)
+            sp.state_drift(g, y + eps * z, None, params)
+            - sp.state_drift(g, y - eps * z, None, params)
         ) / (2 * eps)
-        an = tg.linearized_drift(g, y, z, None, PARAMS)
+        an = tg.linearized_drift(g, y, z, None, params)
         assert np.max(np.abs(fd - an)) < 1e-7
 
-    def test_linear_in_z(self):
-        g = sp.WaveGrid(2, 8)
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_linear_in_z(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
         rng = np.random.default_rng(1)
         y = sp.random_field(g, rng)
         z1 = sp.random_field(g, rng)
@@ -49,28 +58,30 @@ class TestLinearizedDrift:
         )
         assert np.max(np.abs(a - b)) < 1e-12
 
-    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
-    def test_exact_transpose(self, dim, n_max):
+    @pytest.mark.parametrize("dim,n_max,params", DRIFT_CASES)
+    def test_exact_transpose(self, dim, n_max, params):
         g = sp.WaveGrid(dim, n_max)
         rng = np.random.default_rng(2)
         y = sp.random_field(g, rng, amplitude=1.5)
         for trial in range(4):
             z = sp.random_field(g, rng)
             w = sp.random_field(g, rng)
-            lhs = sp.l2_inner(g, tg.linearized_drift(g, y, z, None, PARAMS), w)
-            rhs = sp.l2_inner(g, z, tg.linearized_drift_T(g, y, w, PARAMS))
+            lhs = sp.l2_inner(g, tg.linearized_drift(g, y, z, None, params), w)
+            rhs = sp.l2_inner(g, z, tg.linearized_drift_T(g, y, w, params))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
-    def test_stress_terms_self_adjoint(self):
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_stress_terms_self_adjoint(self, dim, n_max):
         # alpha and beta stress derivatives alone are symmetric bilinear forms
-        g = sp.WaveGrid(2, 8)
+        g = sp.WaveGrid(dim, n_max)
         p = sp.PhysicalParams(nu=0.5, alpha1=0.4, alpha2=0.2, beta=0.6)
         rng = np.random.default_rng(3)
         y = sp.random_field(g, rng, amplitude=1.2)
         z = sp.random_field(g, rng)
         w = sp.random_field(g, rng)
-        Lz = sp.leray_project(g, tg._stress_linearized(g, y, z, p))
-        Lw = sp.leray_project(g, tg._stress_linearized(g, y, w, p))
+        yc = sp.Collocation(g, y, p)
+        Lz = sp.leray_project(g, sp.stress_terms(yc, sp.Collocation(g, z, p)))
+        Lw = sp.leray_project(g, sp.stress_terms(yc, sp.Collocation(g, w, p)))
         assert abs(sp.l2_inner(g, Lz, w) - sp.l2_inner(g, z, Lw)) < 1e-12
 
 
