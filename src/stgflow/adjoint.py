@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig
-from .tangent import control_to_state, transpose_step
+from .forward import SimConfig, simulate_ensemble
+from .tangent import control_to_state, tangent_step, transpose_step
 
 
 def tracking_weight(grid, params, variant: str):
@@ -76,33 +77,36 @@ def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig):
     return traj, p
 
 
-def duality_gap(psi, p_traj, z_traj, g_fields, stop, cfg: SimConfig):
-    """Per-sample gap of the discrete duality identity."""
+def duality_gap(psi, p_traj, fields, stop, g_fields, dW, cfg: SimConfig):
+    """Per-sample (lhs, rhs) of the discrete duality identity for a costate
+    trajectory (pathwise p or adapted p_hat); the tangent z is advanced in
+    place along the frozen base ensemble, not stored."""
     g = cfg.grid
-    S = p_traj.shape[0]
+    S = fields.shape[0]
     lhs = np.zeros(S)
     rhs = np.zeros(S)
     psi = np.asarray(psi)
+    z = np.zeros((S, g.dim) + g.shape, dtype=complex)
+    bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps):
         live = stop > n
-        sp_n = control_to_state(p_traj[:, n + 1], cfg)
+        sp_n = control_to_state(np.asarray(p_traj[:, n + 1], dtype=complex), cfg)
         lhs += np.where(live, cfg.dt * sp.l2_inner(g, np.broadcast_to(psi[n], sp_n.shape), sp_n), 0.0)
-        rhs += np.where(live, cfg.dt * sp.l2_inner(g, g_fields[:, n], z_traj[:, n]), 0.0)
+        rhs += np.where(live, cfg.dt * sp.l2_inner(g, g_fields[:, n], z), 0.0)
+        if live.any():
+            yn = np.asarray(fields[:, n], dtype=complex)
+            z_next = tangent_step(yn, z, psi[n], dW[:, n], n * cfg.dt, cfg)
+            z = np.where(live[bsel], z_next, z)
     return lhs, rhs
 
 
 def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2"):
     """End-to-end pathwise duality report on a fresh ensemble."""
-    from . import noise as nz
-    from .forward import simulate_ensemble
-    from .tangent import simulate_tangent
-
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg)
     gf = tracking_residual(base.fields, y_d, base.stop, cfg, variant)
-    z_traj, _ = simulate_tangent(base.fields, base.stop, psi, dW, cfg)
     p_traj, _ = pathwise_adjoint(base.fields, base.stop, gf, dW, cfg)
-    lhs, rhs = duality_gap(psi, p_traj, z_traj, gf, base.stop, cfg)
+    lhs, rhs = duality_gap(psi, p_traj, base.fields, base.stop, gf, dW, cfg)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
     return {
@@ -199,33 +203,13 @@ def adapted_bsde(fields, stop, g_fields, dW, cfg: SimConfig, degree=2, store_q=F
 
 def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2", degree=2):
     """Expectation-level duality for the adapted pair, with MC error bars."""
-    from . import noise as nz
-    from .forward import simulate_ensemble
-    from .tangent import tangent_step
-
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg, store_dtype=np.complex64)
     gf = tracking_residual(base.fields, y_d, base.stop, cfg, variant, dtype=np.complex64)
     sol = adapted_bsde(base.fields, base.stop, gf, dW, cfg, degree)
     p_hat, q_norms = sol["p_hat"], sol["q_norms"]
-
-    g = cfg.grid
+    lhs, rhs = duality_gap(psi, p_hat, base.fields, base.stop, gf, dW, cfg)
     S = n_samples
-    lhs = np.zeros(S)
-    rhs = np.zeros(S)
-    psi = np.asarray(psi)
-    # tangent state advanced in place; only the running pairings are kept
-    z = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    bsel = (slice(None),) + (None,) * (g.dim + 1)
-    for n in range(cfg.steps):
-        live = base.stop > n
-        spn = control_to_state(np.asarray(p_hat[:, n + 1], dtype=complex), cfg)
-        lhs += np.where(live, cfg.dt * sp.l2_inner(g, np.broadcast_to(psi[n], spn.shape), spn), 0.0)
-        rhs += np.where(live, cfg.dt * sp.l2_inner(g, gf[:, n], z), 0.0)
-        if live.any():
-            yn = np.asarray(base.fields[:, n], dtype=complex)
-            z_next = tangent_step(yn, z, psi[n], dW[:, n], n * cfg.dt, cfg)
-            z = np.where(live[bsel], z_next, z)
     diff = lhs - rhs
     mean = float(np.mean(diff))
     se = float(np.std(diff, ddof=1) / np.sqrt(S)) if S > 1 else 0.0

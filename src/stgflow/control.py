@@ -24,7 +24,7 @@ import numpy as np
 from . import adjoint as adj
 from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig, simulate_ensemble
+from .forward import EnsembleResult, SimConfig, simulate_ensemble
 from .tangent import control_to_state
 
 
@@ -63,37 +63,32 @@ class AdmissibleSet:
 
 @dataclass
 class CostReport:
+    """Cost of one control, with the forward solve the gradient reuses."""
+
     total: float
     tracking: float
     penalty: float
     tracking_se: float
     stop: np.ndarray
-
-
-def _tracking_samples(base, y_d, cfg: SimConfig, variant):
-    """Per-sample stopped tracking sums 1/2 sum_{n<stop} dt ||y_n - y_d||^2
-    (V norm for variant "v")."""
-    g = cfg.grid
-    weight = adj.tracking_weight(g, cfg.params, variant)
-    S = base.n_samples
-    out = np.zeros(S)
-    for n in range(cfg.steps):
-        live = base.stop > n
-        diff = np.asarray(base.fields[:, n], dtype=complex) - adj._target_at(y_d, n, g)
-        out += np.where(live, 0.5 * cfg.dt * sp.sobolev_inner(g, diff, diff, weight), 0.0)
-    return out
-
-
-def penalty_value(grid, U, dt, lam, p):
-    return (lam / p) * float(np.sum(dt * h1_norms(grid, U) ** p))
+    aborted: int
+    U: np.ndarray | None
+    dW: np.ndarray
+    ensemble: EnsembleResult
+    residual: np.ndarray
 
 
 def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l2"):
-    """Sample-average cost on the frozen noise bank of cfg.seed."""
+    """Sample-average cost on the frozen noise bank of cfg.seed.  An aborted
+    sample leaves the tracking sum at its abort index; ``aborted`` counts them."""
+    g = cfg.grid
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg)
-    tr = _tracking_samples(base, y_d, cfg, variant)
-    pen = 0.0 if U is None else penalty_value(cfg.grid, U, cfg.dt, lam, cfg.p_exp)
+    res = adj.tracking_residual(base.fields, y_d, base.stop, cfg, variant)
+    # the residual is the weighted misfit w (y_n - y_d), zero from the exit
+    # on, so 1/2 ||y_n - y_d||_w^2 = 1/2 (res, res / w); one step at a time
+    unweight = 1.0 / adj.tracking_weight(g, cfg.params, variant)
+    tr = sum(0.5 * cfg.dt * sp.sobolev_inner(g, r, r, unweight) for r in res.swapaxes(0, 1))
+    pen = 0.0 if U is None else (lam / cfg.p_exp) * float(np.sum(cfg.dt * h1_norms(g, U) ** cfg.p_exp))
     se = float(np.std(tr, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return CostReport(
         total=float(np.mean(tr) + pen),
@@ -101,39 +96,37 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l
         penalty=float(pen),
         tracking_se=se,
         stop=base.stop,
+        aborted=int(np.count_nonzero(base.aborted)),
+        U=U,
+        dW=dW,
+        ensemble=base,
+        residual=res,
     )
+
+
+def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
+    """Adjoint gradient of the cost in ``rep``.  S^T is linear and the same for
+    every sample, so it acts once, on the live-weighted sample mean of p_{n+1}."""
+    g = cfg.grid
+    p_traj, _ = adj.pathwise_adjoint(rep.ensemble.fields, rep.stop, rep.residual, rep.dW, cfg)
+    live = (rep.stop[:, None] > np.arange(cfg.steps)) / rep.stop.shape[0]
+    grad = control_to_state(np.einsum("sn,sn...->n...", live, p_traj[:, 1:]), cfg)
+    if rep.U is not None and lam != 0.0:
+        Un = np.asarray(rep.U, dtype=complex)
+        hn = h1_norms(g, Un)
+        w = lam * hn ** (cfg.p_exp - 2.0)
+        grad += w[(slice(None),) + (None,) * (g.dim + 1)] * ((1.0 + g.k2) * Un)
+    return grad
 
 
 def cost_gradient(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l2"):
     """Adjoint gradient of the sample-average cost; stop indices frozen.
 
-    Returns (grad, report) with grad of shape (steps, dim, *spatial).
+    Returns (grad, report): grad of shape (steps, dim, *spatial) and the
+    CostReport of U.
     """
-    g = cfg.grid
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    base = simulate_ensemble(y0, U, dW, cfg)
-    gf = adj.tracking_residual(base.fields, y_d, base.stop, cfg, variant)
-    p_traj, _ = adj.pathwise_adjoint(base.fields, base.stop, gf, dW, cfg)
-
-    grad = np.zeros((cfg.steps, g.dim) + g.shape, dtype=complex)
-    for n in range(cfg.steps):
-        live = (base.stop > n).astype(float)
-        spn = control_to_state(p_traj[:, n + 1], cfg)
-        grad[n] = np.tensordot(live / n_samples, spn, axes=(0, 0))
-    if U is not None and lam != 0.0:
-        Un = np.asarray(U, dtype=complex)
-        hn = h1_norms(g, Un)
-        w = lam * hn ** (cfg.p_exp - 2.0)
-        grad += w[(slice(None),) + (None,) * (g.dim + 1)] * ((1.0 + g.k2) * Un)
-    tr = _tracking_samples(base, y_d, cfg, variant)
-    pen = 0.0 if U is None else penalty_value(g, U, cfg.dt, lam, cfg.p_exp)
-    report = {
-        "cost": float(np.mean(tr) + pen),
-        "tracking": float(np.mean(tr)),
-        "penalty": float(pen),
-        "stop": base.stop,
-    }
-    return grad, report
+    rep = eval_cost(U, y0, y_d, cfg, n_samples, lam, variant)
+    return _gradient(rep, lam, cfg), rep
 
 
 def gradient_pairing(grid, grad, psi, dt):
@@ -161,7 +154,10 @@ def optimize(
     """Projected gradient descent with Armijo backtracking on the SAA cost.
 
     The noise bank is frozen (cfg.seed), so the objective is a fixed
-    deterministic function of U throughout the run.
+    deterministic function of U throughout the run.  An accepted trial's
+    gradient comes from its cost report; only the iterate's cost and
+    gradient are kept across trials.  A trial with more aborted samples
+    than the current iterate is rejected: aborts end tracking sums early.
     """
     g = cfg.grid
     U = (
@@ -172,17 +168,19 @@ def optimize(
     history = []
     step = step0
     grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam, variant)
-    J = rep["cost"]
+    J, aborted = rep.total, rep.aborted
+    del rep
     for it in range(iters):
         accepted = False
         while step >= min_step:
             cand = admissible.project(g, U - step * grad, cfg.dt)
             gmap = (U - cand) / step
             gmap2 = float(np.sum(cfg.dt * sp.l2_inner(g, gmap, gmap)))
-            Jc = eval_cost(cand, y0, y_d, cfg, n_samples, lam, variant).total
-            if Jc <= J - armijo * step * gmap2:
+            trial = eval_cost(cand, y0, y_d, cfg, n_samples, lam, variant)
+            if trial.aborted <= aborted and trial.total <= J - armijo * step * gmap2:
                 accepted = True
                 break
+            del trial  # free its ensemble before the next solve
             step *= shrink
         history.append(
             {
@@ -193,19 +191,23 @@ def optimize(
                     np.sqrt(np.sum(cfg.dt * sp.l2_inner(g, grad, grad)))
                 ),
                 "accepted": accepted,
+                "aborted": aborted,
             }
         )
         if verbose:
             print(f"iter {it:3d}  J = {J:.8e}  step = {step:.2e}")
         if not accepted:
             break
-        U = cand
-        grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam, variant)
-        J = rep["cost"]
+        U, J, aborted = cand, trial.total, trial.aborted
+        grad = _gradient(trial, lam, cfg)
+        del trial
         if tol > 0.0 and np.sqrt(gmap2) * step <= tol:
             break
         step = min(step / shrink, step0)
-    history.append({"iter": iters, "cost": J, "step": step, "grad_norm": None, "accepted": True})
+    history.append(
+        {"iter": iters, "cost": J, "step": step, "grad_norm": None, "accepted": True,
+         "aborted": aborted}
+    )
     return {"U": U, "cost": J, "history": history}
 
 
@@ -251,4 +253,4 @@ def optimality_residual(
     for W in sample_directions(g, cfg.steps, admissible, cfg.dt, rng, n_dirs, U):
         val = gradient_pairing(g, grad, W - np.asarray(U), cfg.dt)
         worst = min(worst, val)
-    return {"min_pairing": float(worst), "cost": rep["cost"], "n_dirs": n_dirs}
+    return {"min_pairing": float(worst), "cost": rep.total, "n_dirs": n_dirs}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -37,16 +38,24 @@ def write_trajectory(path, fields, dim, n_max, dt, stop_index):
 
 
 def read_trajectory(path):
+    """Decode a trajectory file; ValueError unless its size is exactly the
+    header plus the payload the header describes."""
     with open(path, "rb") as f:
-        head = f.read(struct.calcsize(_HEADER))
-        magic, version, dim, n_max, steps, stop_index, dt = struct.unpack(_HEADER, head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a trajectory file")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        N = 2 * (n_max + 1)
-        shape = (steps + 1, dim) + (N,) * dim
-        data = np.frombuffer(f.read(), dtype="<c16").reshape(shape)
+        raw = f.read()
+    head = struct.calcsize(_HEADER)
+    if len(raw) < head:
+        raise ValueError(f"{path}: expected at least {head} header bytes, found {len(raw)}")
+    magic, version, dim, n_max, steps, stop_index, dt = struct.unpack_from(_HEADER, raw)
+    if magic != MAGIC:
+        raise ValueError(f"{path}: not a trajectory file")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    N = 2 * (n_max + 1)
+    shape = (steps + 1, dim) + (N,) * dim
+    expected = head + 16 * math.prod(shape)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes for shape {shape}, found {len(raw)}")
+    data = np.frombuffer(raw, dtype="<c16", offset=head).reshape(shape)
     return {
         "fields": data,
         "dim": dim,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig
+from .forward import SimConfig, simulate_ensemble
 
 
 def _convective_T(y, w):
@@ -46,11 +46,12 @@ def linearized_drift(grid, y, z, psi, params, include_viscosity=True):
 
 
 def linearized_drift_T(grid, y, w, params, include_viscosity=True):
-    wq = sp.leray_project(grid, w)
-    yc, wc = sp.Collocation(grid, y, params), sp.Collocation(grid, wq, params)
+    """Transpose of ``linearized_drift`` in z, applied to a solenoidal w
+    (``transpose_step`` passes the Leray-projected costate)."""
+    yc, wc = sp.Collocation(grid, y, params), sp.Collocation(grid, w, params)
     out = sp.stress_terms(yc, wc) + _convective_T(yc, wc)
     if include_viscosity:
-        out = out - params.nu * grid.k2 * wq
+        out = out - params.nu * grid.k2 * w
     return sp.leray_project(grid, out)
 
 
@@ -118,8 +119,6 @@ def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
     slope (2 is exact first-order consistency of the Jacobian, anything
     well above 1 witnesses the quadratic remainder).
     """
-    from .forward import simulate_ensemble
-
     g = cfg.grid
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg)

@@ -92,6 +92,18 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             sio.read_trajectory(path)
 
+    @pytest.mark.parametrize("delta", [None, -16, 3], ids=["short_header", "short_payload", "trailing_bytes"])
+    def test_size_mismatch(self, tmp_path, delta):
+        g = sp.WaveGrid(2, 4)
+        fields = np.stack([sp.random_field(g, np.random.default_rng(1))] * 3)
+        path = tmp_path / "traj.bin"
+        sio.write_trajectory(path, fields, 2, 4, 0.02, 2)
+        raw = path.read_bytes()
+        expected, found = (32, 20) if delta is None else (len(raw), len(raw) + delta)
+        path.write_bytes((raw + b"\0" * 3)[:found])
+        with pytest.raises(ValueError, match=rf"traj\.bin: expected (at least )?{expected} .*found {found}$"):
+            sio.read_trajectory(path)
+
     def test_json_writer_handles_numpy(self, tmp_path):
         path = tmp_path / "out.json"
         sio.write_json(path, {"a": np.int64(3), "b": np.array([1.5, 2.5]), "c": np.bool_(True)})

@@ -166,7 +166,7 @@ class TestGradient:
         res = fw.run_ensemble(y0, None, cfg, 1)
         y_d = np.asarray(res.fields[0, :-1], dtype=complex)
         grad, rep = ct.cost_gradient(None, y0, y_d, cfg, 1, lam=0.0)
-        assert rep["tracking"] < 1e-25
+        assert rep.tracking < 1e-25
         assert np.max(np.abs(grad)) < 1e-12
 
 
@@ -190,6 +190,40 @@ class TestOptimize:
             out["U"], y0, y_d, cfg, 0.05, adm, 3, n_dirs=24, seed=5
         )
         assert res["min_pairing"] >= -1e-4
+
+    def test_one_forward_solve_per_accepted_iteration(self, monkeypatch):
+        # the gradient of an accepted trial comes from its cost report
+        cfg = make_cfg(steps=15)
+        y0, y_d, _, _ = setup(cfg)
+        solve, calls = ct.simulate_ensemble, []
+        monkeypatch.setattr(ct, "simulate_ensemble", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        adm = ct.AdmissibleSet(radius=2.0, p_exp=cfg.p_exp)
+        out = ct.optimize(y0, y_d, cfg, lam=0.05, admissible=adm, n_samples=3, iters=3, step0=2.0)
+        iters = out["history"][:-1]
+        assert len(iters) == 3
+        assert all(h["accepted"] and h["step"] == 2.0 for h in iters)  # no backtracks
+        assert len(calls) == 1 + len(iters)
+
+    def test_aborting_trial_rejected(self):
+        # the first trial drives every sample past blowup_factor * M at step
+        # 0, which ends each tracking sum there: its cost is 0, yet it must
+        # not be accepted
+        cfg = make_cfg(steps=10, M=12.0, blowup_factor=1.01)
+        g = cfg.grid
+        rng = np.random.default_rng(31)
+        y0 = sp.random_field(g, rng, amplitude=0.8)
+        y_d = sp.random_field(g, rng, amplitude=5.0)
+        adm = ct.AdmissibleSet(radius=3000.0, p_exp=cfg.p_exp)
+        U = np.zeros((cfg.steps, g.dim) + g.shape, dtype=complex)
+        grad, _ = ct.cost_gradient(U, y0, y_d, cfg, 3, 0.0)
+        first = adm.project(g, U - 1e6 * grad, cfg.dt)
+        assert fw.run_ensemble(y0, first, cfg, 3).aborted.all()
+        assert not fw.run_ensemble(y0, U, cfg, 3).aborted.any()
+        assert ct.eval_cost(first, y0, y_d, cfg, 3, 0.0).total < ct.eval_cost(U, y0, y_d, cfg, 3, 0.0).total
+        out = ct.optimize(y0, y_d, cfg, lam=0.0, admissible=adm, n_samples=3, iters=2, step0=1e6)
+        assert not fw.run_ensemble(y0, out["U"], cfg, 3).aborted.any()
+        assert out["history"][0]["accepted"] and out["history"][0]["step"] < 1e6
+        assert all(h["aborted"] == 0 for h in out["history"])
 
     def test_directions_are_admissible(self):
         cfg = make_cfg(steps=6)
