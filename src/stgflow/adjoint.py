@@ -93,7 +93,7 @@ def duality_gap(psi, p_traj, fields, stop, g_fields, dW, cfg: SimConfig):
         sp_n = control_to_state(np.asarray(p_traj[:, n + 1], dtype=complex), cfg)
         lhs += np.where(live, cfg.dt * sp.l2_inner(g, np.broadcast_to(psi[n], sp_n.shape), sp_n), 0.0)
         rhs += np.where(live, cfg.dt * sp.l2_inner(g, g_fields[:, n], z), 0.0)
-        if live.any():
+        if n + 1 < cfg.steps and live.any():  # z_N pairs with nothing
             yn = np.asarray(fields[:, n], dtype=complex)
             z_next = tangent_step(yn, z, psi[n], dW[:, n], n * cfg.dt, cfg)
             z = np.where(live[bsel], z_next, z)

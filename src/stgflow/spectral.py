@@ -6,10 +6,18 @@ with coefficient array ``c`` of shape ``(..., d, N, ..., N)`` satisfies
 axes (ensemble samples), so every operator here vectorises over an
 arbitrary number of Monte Carlo samples.
 
-Transform convention: ``to_phys`` maps coefficients to collocation values
-(``Re ifftn * N^d``) and ``to_spec`` maps back (``fftn / N^d``) and masks
-the result, by default to the retained modes.  Every transform in the
-package goes through these two functions.
+Transform convention: every field is real, so its coefficients are
+Hermitian, ``c[-k] = conj(c[k])``, and the transforms are numpy's
+real-data ones with ``norm="forward"``.  ``to_phys`` maps coefficients to
+collocation values by ``irfftn`` of the half spectrum (last-axis index
+0..N/2); it reads nothing else, so its input must be Hermitian.
+``to_spec`` maps back (``rfftn / N^d``), masks the result, by default to
+the retained modes, and fills the upper half of the last axis with the
+conjugate mirror of the lower half, so its output is Hermitian by
+construction.  Coefficients are stored as the full spectrum.  Every
+transform in the package goes through these two functions; symmetric
+tensors (the Hessian in ``w24_norm``, the deformation tensor, the
+stress) are transformed in their entries a <= b only.
 
 Pointwise products of collocation (or coefficient) arrays go through one
 contraction helper that merges the d trailing spatial axes into a single
@@ -88,6 +96,9 @@ class WaveGrid:
         self.npts = self.N**dim
         self.vol = (2.0 * np.pi) ** dim
         self.axes = tuple(range(-dim, 0))
+        # irfftn runs its complex passes over axis -2 before axis -3: on the
+        # strided half spectrum of a 3D field numpy.fft is faster that way
+        self.irfft_axes = self.axes[-2::-1] + (-1,)
         self.dealias_cut = (2 * n_max) // 3
         self.cubic_cut = n_max // 2
 
@@ -101,10 +112,29 @@ class WaveGrid:
         self.mask2 = np.all(kabs <= self.dealias_cut, axis=0)
         self.mask3 = np.all(kabs <= self.cubic_cut, axis=0)
 
+        # Index of -k along the axes before the last, for the conjugate mirror
+        # c[-k] = conj(c[k]) of a real field's coefficients (see to_spec).
+        neg = -np.arange(self.N) % self.N
+        self.mirror = (Ellipsis,) + np.ix_(*[neg] * (dim - 1))
+
+        # Entries a <= b of a symmetric d x d tensor, packed along one axis:
+        # sym_pack selects them from the full tensor, sym_unpack[a, b] is the
+        # packed index of (a, b) and (b, a), sym_weight (broadcast over the
+        # grid) counts each packed entry's multiplicity in the full tensor,
+        # and sym_grad[p, e] maps coefficients c to the packed deformation
+        # A_ab = i (k_b c_a + k_a c_b).
+        self.sym_pairs = np.triu_indices(dim)
+        a, b = self.sym_pairs
+        self.sym_pack = (Ellipsis, a, b) + (slice(None),) * dim
+        self.sym_unpack = np.zeros((dim, dim), dtype=int)
+        self.sym_unpack[a, b] = self.sym_unpack[b, a] = np.arange(len(a))
+        self.sym_weight = np.where(a == b, 1.0, 2.0).reshape((-1,) + (1,) * dim)
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        self.sym_grad = 1j * (self.k[b, None] * eye[a] + self.k[a, None] * eye[b])
+
         # Per-mode Leray projector I - k k^T / |k|^2 (identity at k = 0;
         # the mean mode is pinned to zero separately).
         k2s = np.where(self.k2 == 0, 1.0, self.k2)
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
         self.leray_tensor = eye - self.k[:, None] * self.k[None, :] / k2s
 
     def __eq__(self, other):
@@ -139,16 +169,28 @@ class WaveGrid:
 
 
 def to_phys(grid: WaveGrid, c):
-    """Collocation values of the coefficients ``c`` (real part)."""
-    return np.fft.ifftn(c, axes=grid.axes).real * grid.npts
+    """Collocation values of the coefficients ``c``, which must be Hermitian
+    (the coefficients of a real field): only the half spectrum is read."""
+    return np.fft.irfftn(
+        c[..., : grid.N // 2 + 1], s=grid.shape, axes=grid.irfft_axes, norm="forward"
+    )
 
 
 def to_spec(grid: WaveGrid, u, mask=None):
-    """Coefficients of the collocation values ``u``, multiplied by ``mask``
-    (the retained modes when None)."""
-    c = np.fft.fftn(u, axes=grid.axes)
-    c /= grid.npts
-    c *= grid.retain if mask is None else mask
+    """Coefficients of the real collocation values ``u``, multiplied by ``mask``
+    (the retained modes when None).
+
+    The output is exactly Hermitian for masks that vanish on the Nyquist
+    planes, as all of the grid's masks do: the upper half of the last axis is
+    the conjugate mirror of the lower half, and the plane k_d = 0, its own
+    mirror, is averaged with its mirror image.
+    """
+    h = grid.N // 2 + 1
+    half = np.fft.rfftn(u, axes=grid.axes, norm="forward")
+    c = np.empty(half.shape[:-1] + (grid.N,), dtype=half.dtype)
+    np.multiply(half, (grid.retain if mask is None else mask)[..., :h], out=c[..., :h])
+    np.conjugate(c[grid.mirror + (slice(h - 2, 0, -1),)], out=c[..., h:])
+    c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[grid.mirror + (0,)]))
     return c
 
 
@@ -226,15 +268,28 @@ def _symmetrize(grid: WaveGrid, J):
     return J + np.swapaxes(J, -grid.dim - 1, -grid.dim - 2)
 
 
+def deformation_packed(grid: WaveGrid, c):
+    """Entries a <= b of the deformation tensor A = grad u + (grad u)^T at
+    collocation points, packed along one axis; only these are transformed."""
+    return to_phys(grid, _contract(grid, "pex,...ex->...px", grid.sym_grad, c))
+
+
 def deformation_phys(grid: WaveGrid, c):
     """Symmetric deformation tensor A = grad u + (grad u)^T at collocation points."""
-    return _symmetrize(grid, jacobian_phys(grid, c))
+    return np.take(deformation_packed(grid, c), grid.sym_unpack, axis=-grid.dim - 1)
 
 
 def div_matrix_spec(grid: WaveGrid, M_phys, mask=None):
     """Spectral divergence of a collocation matrix field: out_a = sum_j d_j M[a, j],
     masked like ``to_spec``."""
     return _contract(grid, "jx,...ajx->...ax", 1j * grid.k, to_spec(grid, M_phys, mask))
+
+
+def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
+    """``div_matrix_spec`` of a symmetric S given by its packed entries a <= b;
+    only these are transformed."""
+    S_spec = np.take(to_spec(grid, S_packed, mask), grid.sym_unpack, axis=-grid.dim - 1)
+    return _contract(grid, "jx,...ajx->...ax", 1j * grid.k, S_spec)
 
 
 def advect(grid: WaveGrid, a_phys, J):
@@ -315,14 +370,19 @@ def trilinear_b(grid: WaveGrid, u, z, w, refine: int = 1):
 
 
 def w24_norm(grid: WaveGrid, c):
-    """Collocation W^{2,4} norm, batched: (||u||_4^4 + ||grad u||_4^4 + ||grad^2 u||_4^4)^{1/4}."""
+    """Collocation W^{2,4} norm, batched: (||u||_4^4 + ||grad u||_4^4 + ||grad^2 u||_4^4)^{1/4}.
+
+    The Hessian of each component is symmetric, so only its entries
+    d_a d_b u, a <= b, are transformed; the off-diagonal ones count twice.
+    """
     ci = -grid.dim - 1
+    a, b = grid.sym_pairs
     up = to_phys(grid, c)
     J = jacobian_phys(grid, c)
-    Hp = to_phys(grid, 1j * grid.k * (1j * grid.k[:, None] * np.expand_dims(c, (ci, ci - 1))))
+    H = to_phys(grid, -grid.k[a] * grid.k[b] * np.expand_dims(c, ci))  # (..., comp, pair, *sp)
     s0 = np.sum(up**2, axis=ci)
     s1 = np.sum(J**2, axis=(ci, ci - 1))
-    s2 = np.sum(Hp**2, axis=(ci, ci - 1, ci - 2))
+    s2 = np.sum(grid.sym_weight * np.sum(H**2, axis=ci - 1), axis=ci)
     total = (
         quad_integral(grid, s0**2)
         + quad_integral(grid, s1**2)
@@ -371,7 +431,7 @@ def basis_eigenvalues(grid: WaveGrid, params: PhysicalParams):
 class Collocation:
     """Collocation pieces of one field for the drift forms: u, J = grad u,
     v = v(u), Jv = grad v(u) and A = J + J^T of the mask2-dealiased field,
-    and A3 = A of the mask3-dealiased one.
+    and A3 = the packed entries a <= b of A of the mask3-dealiased one.
 
     Each form reads each piece once, so to keep a step's peak memory low the
     pieces are transformed on access and freed after use; only J (read by B
@@ -389,7 +449,7 @@ class Collocation:
     J = cached_property(lambda self: jacobian_phys(self.grid, self.c))
     Jv = property(lambda self: jacobian_phys(self.grid, self.vc))
     A = property(lambda self: _symmetrize(self.grid, self.J))
-    A3 = property(lambda self: deformation_phys(self.grid, self.c * self.grid.mask3))
+    A3 = property(lambda self: deformation_packed(self.grid, self.c * self.grid.mask3))
 
 
 def convective(a: Collocation, b: Collocation):
@@ -403,17 +463,18 @@ def stress_terms(y: Collocation, z: Collocation = None):
     mask2 at y; given z, their derivative at y in direction z, which is
     self-adjoint in z."""
     grid, params = y.grid, y.params
-    ci = -grid.dim - 1
+    ci, w = -grid.dim - 1, grid.sym_weight
     out = 0.0
     if params.beta != 0.0:
+        # packed entries a <= b throughout: |A|^2 = sum of w A_p^2
         Ay = y.A3
-        norm2 = np.sum(Ay**2, axis=(ci, ci - 1), keepdims=True)
+        norm2 = np.sum(w * Ay**2, axis=ci, keepdims=True)
         if z is None:
             S = norm2 * Ay
         else:
             Az = z.A3
-            S = 2.0 * np.sum(Ay * Az, axis=(ci, ci - 1), keepdims=True) * Ay + norm2 * Az
-        out = params.beta * div_matrix_spec(grid, S, grid.mask3)
+            S = 2.0 * np.sum(w * Ay * Az, axis=ci, keepdims=True) * Ay + norm2 * Az
+        out = params.beta * div_sym_spec(grid, S, grid.mask3)
     a12 = params.alpha1 + params.alpha2
     if a12 != 0.0:
         Ay = y.A
@@ -421,7 +482,7 @@ def stress_terms(y: Collocation, z: Collocation = None):
         S = _contract(grid, "...acx,...cbx->...abx", Ay, Az)
         if z is not None:
             S = S + _contract(grid, "...acx,...cbx->...abx", Az, Ay)
-        out = out + a12 * div_matrix_spec(grid, S, grid.mask2)
+        out = out + a12 * div_sym_spec(grid, S[grid.sym_pack], grid.mask2)
     return out
 
 

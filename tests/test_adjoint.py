@@ -103,6 +103,32 @@ class TestPathwiseDuality:
         rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=4, variant="v")
         assert rep["max_rel_gap"] < 1e-10
 
+    def test_last_tangent_step_skipped(self, monkeypatch):
+        # z_N pairs with nothing, so duality_gap advances the tangent
+        # steps - 1 times (it used to take steps); rhs is unchanged to the bit
+        cfg = make_cfg(steps=12)
+        y0, U, psi, y_d = stopping_setup(cfg, force=2.0)
+        dW = nz.sample_paths(cfg.seed, 3, cfg.dt, cfg.steps, cfg.model.K)
+        base = fw.simulate_ensemble(y0, U, dW, cfg)
+        gf = adj.tracking_residual(base.fields, y_d, base.stop, cfg)
+        ptraj, _ = adj.pathwise_adjoint(base.fields, base.stop, gf, dW, cfg)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return tg.tangent_step(*args)
+
+        monkeypatch.setattr(adj, "tangent_step", counted)
+        lhs, rhs = adj.duality_gap(psi, ptraj, base.fields, base.stop, gf, dW, cfg)
+        assert len(calls) == cfg.steps - 1
+        ztraj, _ = tg.simulate_tangent(base.fields, base.stop, psi, dW, cfg)
+        rhs_ref = np.zeros(3)
+        for n in range(cfg.steps):
+            live = base.stop > n
+            rhs_ref += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, gf[:, n], ztraj[:, n]), 0.0)
+        assert np.array_equal(rhs, rhs_ref)
+        assert np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0)) < 1e-10
+
     def test_costate_zero_after_stop(self):
         cfg = make_cfg(steps=20, M=2.5)
         y0, U, psi, y_d = stopping_setup(cfg, amp=0.3, force=25.0)

@@ -210,6 +210,13 @@ class TestCli:
         rep = json.loads((out / "optimize.json").read_text())
         assert rep["optimality_min_pairing"] >= -1e-4
 
+    def test_no_scipy_import(self):
+        # the transforms are numpy.fft's: importing scipy.fft would add about
+        # 0.2 s and 27 MiB to every process
+        code = "import sys, stgflow.cli; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_console_script_installed(self, small_cfg, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "stgflow.cli", "--help"],

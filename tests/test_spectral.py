@@ -96,6 +96,89 @@ class TestTransforms:
         assert abs(quad - sp.l2_inner(g, c, c)) < 1e-11
 
 
+SEAM_GRIDS = [(2, 8), (3, 3)]
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _mirror(g, c):
+    """c[-k] for every k of the grid."""
+    neg = (-np.arange(g.N)) % g.N
+    return c[(Ellipsis,) + np.ix_(*[neg] * g.dim)]
+
+
+class TestRealTransformSeam:
+    """The real-data transforms against the full complex ones they replace."""
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    @pytest.mark.parametrize("mask", ["retain", "mask2", "mask3"])
+    def test_matches_complex_transforms(self, dim, n_max, mask):
+        g = sp.WaveGrid(dim, n_max)
+        m = getattr(g, mask)
+        u = np.random.default_rng(61).standard_normal((2, dim) + g.shape)
+        c = sp.to_spec(g, u, m)
+        assert _rel(c, np.fft.fftn(u, axes=g.axes) / g.npts * m) <= 1e-13
+        assert _rel(sp.to_phys(g, c), np.fft.ifftn(c, axes=g.axes).real * g.npts) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    @pytest.mark.parametrize("mask", ["retain", "mask2", "mask3"])
+    def test_to_spec_exactly_hermitian(self, dim, n_max, mask):
+        g = sp.WaveGrid(dim, n_max)
+        u = np.random.default_rng(62).standard_normal((2, dim) + g.shape)
+        c = sp.to_spec(g, u, getattr(g, mask))
+        assert np.array_equal(_mirror(g, c), np.conj(c))
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_l2_pairing(self, dim, n_max):
+        # to_phys and to_spec are transposes in the L2 pairing on retained modes
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(63)
+        c = sp.to_spec(g, rng.standard_normal((3, dim) + g.shape))
+        u = rng.standard_normal((3, dim) + g.shape)
+        lhs = sp.quad_integral(g, np.sum(sp.to_phys(g, c) * u, axis=-dim - 1))
+        rhs = sp.l2_inner(g, c, sp.to_spec(g, u))
+        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-12
+
+
+class TestSymmetricKernels:
+    """Kernels that transform only the entries a <= b of a symmetric tensor,
+    against the full-tensor formulas."""
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_w24_against_full_hessian(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(64)
+        c = np.stack([sp.random_field(g, rng, amplitude=a) for a in (0.5, 1.0, 2.0)])
+        ci = -dim - 1
+        up = sp.to_phys(g, c)
+        J = sp.jacobian_phys(g, c)
+        H = sp.to_phys(g, 1j * g.k * (1j * g.k[:, None] * np.expand_dims(c, (ci, ci - 1))))
+        full = (
+            sp.quad_integral(g, np.sum(up**2, axis=ci) ** 2)
+            + sp.quad_integral(g, np.sum(J**2, axis=(ci, ci - 1)) ** 2)
+            + sp.quad_integral(g, np.sum(H**2, axis=(ci, ci - 1, ci - 2)) ** 2)
+        ) ** 0.25
+        assert _rel(sp.w24_norm(g, c), full) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_deformation_against_symmetrized_jacobian(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        c = np.stack([sp.random_field(g, np.random.default_rng(65 + s)) for s in range(2)])
+        full = sp._symmetrize(g, sp.jacobian_phys(g, c))
+        assert _rel(sp.deformation_phys(g, c), full) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    @pytest.mark.parametrize("mask", ["mask2", "mask3"])
+    def test_symmetric_divergence_against_full(self, dim, n_max, mask):
+        g = sp.WaveGrid(dim, n_max)
+        M = np.random.default_rng(66).standard_normal((2, dim, dim) + g.shape)
+        S = M + np.swapaxes(M, -dim - 1, -dim - 2)
+        m = getattr(g, mask)
+        assert _rel(sp.div_sym_spec(g, S[g.sym_pack], m), sp.div_matrix_spec(g, S, m)) <= 1e-12
+
+
 class TestLeray:
     def test_idempotent_divfree(self):
         for g in (grid2(), grid3()):
