@@ -199,11 +199,12 @@ def optimize(
         if not accepted:
             break
         U, J, aborted = cand, trial.total, trial.aborted
-        grad = _gradient(trial, lam, cfg)
-        del trial
         if tol > 0.0 and np.sqrt(gmap2) * step <= tol:
             break
         step = min(step / shrink, step0)
+        if it < iters - 1:  # only a next iteration reads the accepted trial's gradient
+            grad = _gradient(trial, lam, cfg)
+        del trial
     history.append(
         {"iter": iters, "cost": J, "step": step, "grad_norm": None, "accepted": True,
          "aborted": aborted}

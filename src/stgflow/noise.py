@@ -71,6 +71,13 @@ class NoiseModel:
             return np.cos(lam)
         return np.zeros_like(lam)
 
+    def profile_deriv_at(self, grid: WaveGrid, y):
+        """f'(y) at collocation points.  The linear and zero profiles have a
+        constant f', returned as a scalar without transforming y."""
+        if self.family == "smooth":
+            return self.profile_deriv(to_phys(grid, y))
+        return self.profile_deriv(0.0)
+
 
 @dataclass(frozen=True)
 class WienerPath:
@@ -119,7 +126,7 @@ def apply_G(grid: WaveGrid, t, y, model: NoiseModel):
 
 def apply_grad_G(grid: WaveGrid, t, y, v, model: NoiseModel):
     """Columns of the pointwise Jacobian action: d/d eps G(y + eps v)."""
-    fp = model.profile_deriv(to_phys(grid, y)) * model.time_factor(t)
+    fp = model.profile_deriv_at(grid, y) * model.time_factor(t)
     col = leray_project(grid, to_spec(grid, fp * to_phys(grid, v)))
     w = model.weights.reshape((model.K,) + (1,) * (grid.dim + 1))
     return w * np.expand_dims(col, -grid.dim - 2)
@@ -132,7 +139,7 @@ def apply_G_star(grid: WaveGrid, t, y, q, model: NoiseModel):
     each channel is diagonal, hence symmetric, so the adjoint reuses the
     profile derivative; the Leray projection is self-adjoint.
     """
-    fp = model.profile_deriv(to_phys(grid, y)) * model.time_factor(t)
+    fp = model.profile_deriv_at(grid, y) * model.time_factor(t)
     w = model.weights.reshape((model.K,) + (1,) * (grid.dim + 1))
     qsum = np.sum(w * np.asarray(q), axis=-grid.dim - 2)
     qp = to_phys(grid, leray_project(grid, qsum))
@@ -159,7 +166,7 @@ def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel):
 def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel):
     """(grad_y G)(t, y)[v] dW; equals its own transpose in v by diagonality."""
     s = weighted_increment(model, dW) * model.time_factor(t)
-    fp = model.profile_deriv(to_phys(grid, y))
+    fp = model.profile_deriv_at(grid, y)
     vp = to_phys(grid, v)
     sf = s[(Ellipsis,) + (None,) * (grid.dim + 1)] * (fp * vp)
     return leray_project(grid, to_spec(grid, sf))

@@ -17,7 +17,9 @@ conjugate mirror of the lower half, so its output is Hermitian by
 construction.  Coefficients are stored as the full spectrum.  Every
 transform in the package goes through these two functions; symmetric
 tensors (the Hessian in ``w24_norm``, the deformation tensor, the
-stress) are transformed in their entries a <= b only.
+stress) are transformed in their entries a <= b only, antisymmetric ones
+(the rotation of v(u), the wedge products of the convective transpose) in
+their entries a < b only: 1 component in 2D, 3 in 3D.
 
 Pointwise products of collocation (or coefficient) arrays go through one
 contraction helper that merges the d trailing spatial axes into a single
@@ -29,13 +31,20 @@ which makes every masked product alias-free.  The drift is assembled from
 per-field collocation pieces (``Collocation``) fed to a bilinear
 convective form and the two stress forms; the tangent module reuses the
 same forms for the exact Jacobian.
+
+The convective form is the rotational one, B(a, b) = -curl v(b) x a,
+evaluated as ``rotate`` of the packed rotation W_ab = d_b v_a - d_a v_b.
+It differs from the advective form -(a . grad) v(b) - sum_j v(b)_j grad a_j
+by grad(a . v(b)); the product a . v(b) of two mask2 fields is resolved
+alias-free on the retained modes, so the per-mode Leray projection removes
+that gradient exactly and the projected drift is the same.  It needs the
+rotation of v(u) alone, not the two full Jacobians of u and v(u).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +141,15 @@ class WaveGrid:
         eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
         self.sym_grad = 1j * (self.k[b, None] * eye[a] + self.k[a, None] * eye[b])
 
+        # Entries a < b of an antisymmetric d x d tensor, packed along one axis
+        # (1 in 2D, 3 in 3D): asym_grad[p, e] maps coefficients c to the packed
+        # rotation W_ab = i (k_b c_a - k_a c_b), i.e. d_b u_a - d_a u_b.  It is
+        # purely imaginary, so its conjugate transpose is minus itself; read the
+        # other way, it maps a packed antisymmetric S to div S.
+        self.asym_pairs = np.triu_indices(dim, 1)
+        a, b = self.asym_pairs
+        self.asym_grad = 1j * (self.k[b, None] * eye[a] - self.k[a, None] * eye[b])
+
         # Per-mode Leray projector I - k k^T / |k|^2 (identity at k = 0;
         # the mean mode is pinned to zero separately).
         k2s = np.where(self.k2 == 0, 1.0, self.k2)
@@ -211,7 +229,10 @@ def zero_mean(grid: WaveGrid, c):
 def leray_project(grid: WaveGrid, c):
     """Project per mode onto k . c(k) = 0; pins the mean mode to zero."""
     out = _contract(grid, "abx,...bx->...ax", grid.leray_tensor, c)
-    return zero_mean(grid, out * grid.retain)
+    # out is freshly made: mask it and zero its mean in place
+    out *= grid.retain
+    out[(Ellipsis,) + (0,) * grid.dim] = 0.0
+    return out
 
 
 def v_apply(grid: WaveGrid, c, params: PhysicalParams):
@@ -264,10 +285,6 @@ def jacobian_phys(grid: WaveGrid, c):
     return to_phys(grid, 1j * grid.k * np.expand_dims(c, -grid.dim - 1))
 
 
-def _symmetrize(grid: WaveGrid, J):
-    return J + np.swapaxes(J, -grid.dim - 1, -grid.dim - 2)
-
-
 def deformation_packed(grid: WaveGrid, c):
     """Entries a <= b of the deformation tensor A = grad u + (grad u)^T at
     collocation points, packed along one axis; only these are transformed."""
@@ -279,32 +296,48 @@ def deformation_phys(grid: WaveGrid, c):
     return np.take(deformation_packed(grid, c), grid.sym_unpack, axis=-grid.dim - 1)
 
 
-def div_matrix_spec(grid: WaveGrid, M_phys, mask=None):
-    """Spectral divergence of a collocation matrix field: out_a = sum_j d_j M[a, j],
-    masked like ``to_spec``."""
-    return _contract(grid, "jx,...ajx->...ax", 1j * grid.k, to_spec(grid, M_phys, mask))
-
-
 def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
-    """``div_matrix_spec`` of a symmetric S given by its packed entries a <= b;
-    only these are transformed."""
+    """Spectral divergence out_a = sum_j d_j S[a, j] of a symmetric collocation
+    tensor S given by its packed entries a <= b, masked like ``to_spec``; only
+    these are transformed."""
     S_spec = np.take(to_spec(grid, S_packed, mask), grid.sym_unpack, axis=-grid.dim - 1)
     return _contract(grid, "jx,...ajx->...ax", 1j * grid.k, S_spec)
 
 
-def advect(grid: WaveGrid, a_phys, J):
-    """comp b = sum_i a_i J[b, i], i.e. (a . grad) u for J = jacobian of u."""
-    return _contract(grid, "...ix,...bix->...bx", a_phys, J)
+def rotation_packed(grid: WaveGrid, c):
+    """Entries a < b of the rotation W = grad u - (grad u)^T, W_ab = d_b u_a - d_a u_b,
+    at collocation points, packed along one axis; only these are transformed."""
+    return to_phys(grid, _contract(grid, "pex,...ex->...px", grid.asym_grad, c))
 
 
-def cograd(grid: WaveGrid, a_phys, J):
-    """comp i = sum_j a_j J[j, i], i.e. (grad u)^T a for J = jacobian of u."""
-    return _contract(grid, "...jx,...jix->...ix", a_phys, J)
+def div_asym_spec(grid: WaveGrid, S_packed, mask=None):
+    """Spectral divergence out_a = sum_j d_j S[a, j] of an antisymmetric
+    collocation tensor S given by its packed entries a < b, masked like
+    ``to_spec``; minus the L2 transpose of ``rotation_packed``'s symbol."""
+    return _contract(grid, "pex,...px->...ex", grid.asym_grad, to_spec(grid, S_packed, mask))
 
 
-def outer_phys(grid: WaveGrid, a_phys, b_phys):
-    """Pointwise outer product M[a, i] = a_a b_i at collocation points."""
-    return _contract(grid, "...ax,...ix->...aix", a_phys, b_phys)
+def rotate(grid: WaveGrid, W, a):
+    """comp i = sum_j W[i, j] a_j at collocation points for an antisymmetric W
+    given by its packed entries a < b: (curl v) x a when W is the rotation of v.
+    Each packed entry is read once; no full d x d tensor is built."""
+    ci = -grid.dim - 1
+    out = np.zeros(np.broadcast_shapes(W.shape[:ci], a.shape[:ci]) + a.shape[ci:],
+                   dtype=np.result_type(W, a))
+    for p, (i, j) in enumerate(zip(*grid.asym_pairs)):
+        Wp, out_i, out_j = grid.c(W, p), grid.c(out, i), grid.c(out, j)
+        out_i += Wp * grid.c(a, j)
+        out_j -= Wp * grid.c(a, i)
+    return out
+
+
+def wedge(grid: WaveGrid, a, b):
+    """Packed entries a_i b_j - a_j b_i, i < j, of the pointwise wedge product:
+    the transpose of ``rotate`` in W, (rotate(W, b), a) = sum_p W_p wedge(a, b)_p."""
+    i, j = grid.asym_pairs
+    rest = (slice(None),) * grid.dim
+    ai, aj, bi, bj = (f[(Ellipsis, idx) + rest] for f, idx in ((a, i), (a, j), (b, i), (b, j)))
+    return ai * bj - aj * bi
 
 
 def curl_v_phys(grid: WaveGrid, c, params: PhysicalParams):
@@ -377,18 +410,14 @@ def w24_norm(grid: WaveGrid, c):
     """
     ci = -grid.dim - 1
     a, b = grid.sym_pairs
-    up = to_phys(grid, c)
-    J = jacobian_phys(grid, c)
+    # one derivative order at a time, so only one order's values are live
+    s0 = np.sum(to_phys(grid, c) ** 2, axis=ci)
+    total = quad_integral(grid, s0**2)
+    s1 = np.sum(jacobian_phys(grid, c) ** 2, axis=(ci, ci - 1))
+    total = total + quad_integral(grid, s1**2)
     H = to_phys(grid, -grid.k[a] * grid.k[b] * np.expand_dims(c, ci))  # (..., comp, pair, *sp)
-    s0 = np.sum(up**2, axis=ci)
-    s1 = np.sum(J**2, axis=(ci, ci - 1))
     s2 = np.sum(grid.sym_weight * np.sum(H**2, axis=ci - 1), axis=ci)
-    total = (
-        quad_integral(grid, s0**2)
-        + quad_integral(grid, s1**2)
-        + quad_integral(grid, s2**2)
-    )
-    return total**0.25
+    return (total + quad_integral(grid, s2**2)) ** 0.25
 
 
 def w1inf_norm(grid: WaveGrid, c):
@@ -429,13 +458,12 @@ def basis_eigenvalues(grid: WaveGrid, params: PhysicalParams):
 
 
 class Collocation:
-    """Collocation pieces of one field for the drift forms: u, J = grad u,
-    v = v(u), Jv = grad v(u) and A = J + J^T of the mask2-dealiased field,
-    and A3 = the packed entries a <= b of A of the mask3-dealiased one.
+    """Collocation pieces of one field for the drift forms: u, W = the packed
+    rotation of v(u) and A = the packed deformation of the mask2-dealiased
+    field, and A3 = the packed deformation of the mask3-dealiased one.
 
     Each form reads each piece once, so to keep a step's peak memory low the
-    pieces are transformed on access and freed after use; only J (read by B
-    and by A) and the coefficients of v(u) are kept.
+    pieces are transformed on access and freed after use.
     """
 
     def __init__(self, grid: WaveGrid, c, params: PhysicalParams):
@@ -443,19 +471,18 @@ class Collocation:
         self.params = params
         self.c = c * grid.mask2
 
-    vc = cached_property(lambda self: v_apply(self.grid, self.c, self.params))
     u = property(lambda self: to_phys(self.grid, self.c))
-    v = property(lambda self: to_phys(self.grid, self.vc))
-    J = cached_property(lambda self: jacobian_phys(self.grid, self.c))
-    Jv = property(lambda self: jacobian_phys(self.grid, self.vc))
-    A = property(lambda self: _symmetrize(self.grid, self.J))
+    W = property(lambda self: rotation_packed(self.grid, v_apply(self.grid, self.c, self.params)))
+    A = property(lambda self: deformation_packed(self.grid, self.c))
     A3 = property(lambda self: deformation_packed(self.grid, self.c * self.grid.mask3))
 
 
 def convective(a: Collocation, b: Collocation):
-    """Bilinear convective form B(a, b) = -(a . grad) v(b) - sum_j v(b)_j grad a_j
-    at collocation points; the drift carries B(y, y)."""
-    return -advect(a.grid, a.u, b.Jv) - cograd(a.grid, b.v, a.J)
+    """Bilinear convective form B(a, b) = -curl v(b) x a at collocation points;
+    the drift carries B(y, y).  It differs from the advective form
+    -(a . grad) v(b) - sum_j v(b)_j grad a_j by grad(a . v(b)), which the
+    Leray projection removes."""
+    return -rotate(a.grid, b.W, a.u)
 
 
 def stress_terms(y: Collocation, z: Collocation = None):
@@ -477,8 +504,8 @@ def stress_terms(y: Collocation, z: Collocation = None):
         out = params.beta * div_sym_spec(grid, S, grid.mask3)
     a12 = params.alpha1 + params.alpha2
     if a12 != 0.0:
-        Ay = y.A
-        Az = Ay if z is None else z.A
+        Ay = np.take(y.A, grid.sym_unpack, axis=ci)
+        Az = Ay if z is None else np.take(z.A, grid.sym_unpack, axis=ci)
         S = _contract(grid, "...acx,...cbx->...abx", Ay, Az)
         if z is not None:
             S = S + _contract(grid, "...acx,...cbx->...abx", Az, Ay)
@@ -489,7 +516,7 @@ def stress_terms(y: Collocation, z: Collocation = None):
 def drift_terms(y: Collocation, z: Collocation = None):
     """Nonlinear drift N(y), or, given z, its derivative N'(y)[z] =
     B(y, z) + B(z, y) + stress derivatives; spectral, dealiased, not projected."""
-    # stress first: its Jacobians are then taken while the fewest arrays are live
+    # stress first: its deformations are then taken while the fewest arrays are live
     out = stress_terms(y, z)
     conv = convective(y, y) if z is None else convective(y, z) + convective(z, y)
     return out + to_spec(y.grid, conv, y.grid.mask2)
@@ -526,45 +553,15 @@ def random_field(grid: WaveGrid, rng, kmax=None, amplitude=1.0):
 
 
 def curl_cross_phys(grid: WaveGrid, y, u, params: PhysicalParams):
-    """Collocation values of curl v(y) x u (2D scalar curl acts as rotation)."""
-    w = curl_v_phys(grid, y, params)
-    up = to_phys(grid, u)
-    if grid.dim == 2:
-        return np.stack([-w * grid.c(up, 1), w * grid.c(up, 0)], axis=-3)
-    cr = np.cross(np.moveaxis(w, -4, -1), np.moveaxis(up, -4, -1))
-    return np.moveaxis(cr, -1, -4)
-
-
-def _cross_field_spec(grid: WaveGrid, big: WaveGrid, y, p):
-    """Coefficients of y x p on the refined grid (scalar in 2D)."""
-    yb = embed(grid, big, y)
-    pb = embed(grid, big, p)
-    ypb = to_phys(big, yb)
-    ppb = to_phys(big, pb)
-    if grid.dim == 2:
-        return to_spec(big, big.c(ypb, 0) * big.c(ppb, 1) - big.c(ypb, 1) * big.c(ppb, 0))
-    cr = np.cross(np.moveaxis(ypb, -4, -1), np.moveaxis(ppb, -4, -1))
-    return to_spec(big, np.moveaxis(cr, -1, -4))
+    """Collocation values of curl v(y) x u, by the drift's own rotation kernels."""
+    return rotate(grid, rotation_packed(grid, v_apply(grid, y, params)), to_phys(grid, u))
 
 
 def curl_v_of_cross(grid: WaveGrid, big: WaveGrid, y, p, params: PhysicalParams):
-    """Collocation (on ``big``) of curl v(y x p)."""
-    s = _cross_field_spec(grid, big, y, p)
-    vs = s * (1.0 + params.alpha1 * big.k2)
-    if grid.dim == 2:
-        # curl of a scalar s: (d2 s, -d1 s)
-        return to_phys(big, np.stack([1j * big.k[1] * vs, -1j * big.k[0] * vs], axis=-3))
-    kx, ky, kz = big.k
-    cx, cy, cz = (big.c(vs, i) for i in range(3))
-    out = np.stack(
-        [
-            1j * (ky * cz - kz * cy),
-            1j * (kz * cx - kx * cz),
-            1j * (kx * cy - ky * cx),
-        ],
-        axis=-4,
-    )
-    return to_phys(big, out)
+    """Collocation (on ``big``) of curl v(y x p): the divergence of the packed
+    wedge y_i p_j - y_j p_i, which is y x p (a scalar in 2D) in packed form."""
+    yp = wedge(big, to_phys(big, embed(grid, big, y)), to_phys(big, embed(grid, big, p)))
+    return to_phys(big, v_apply(big, div_asym_spec(big, yp), params))
 
 
 def verify_identities(seed: int, params: PhysicalParams, grid: WaveGrid = None, n_triples: int = 20):

@@ -3,13 +3,15 @@
 ``linearized_drift`` is the literal Jacobian of the discrete drift
 assembly: it feeds the collocation pieces of y and z to the same
 convective and stress forms that build the drift (B(y, z) + B(z, y) for
-the convective form, the stress derivatives from ``stress_terms``), so
-the tangent recursion differentiates the scheme rather than
-discretizing a formal linearized equation.  ``linearized_drift_T`` is
-its machine-precision L2 transpose on the solenoidal subspace: the
-convective pair is transposed operator by operator (spectral
-derivatives flip sign, collocation multipliers are symmetric), while
-the stress derivative is self-adjoint and is reused as it stands.
+the rotational convective form B(a, b) = -curl v(b) x a, the stress
+derivatives from ``stress_terms``), so the tangent recursion
+differentiates the scheme rather than discretizing a formal linearized
+equation.  ``linearized_drift_T`` is its machine-precision L2 transpose
+on the solenoidal subspace: the convective pair is transposed operator
+by operator (the pointwise rotation is antisymmetric, its transpose in
+the rotation is the wedge product, and the rotation symbol transposes
+to minus the divergence of a packed antisymmetric tensor), while the
+stress derivative is self-adjoint and is reused as it stands.
 """
 
 from __future__ import annotations
@@ -25,14 +27,11 @@ def _convective_T(y, w):
     """Transpose in z of B(y, z) + B(z, y), applied to w; y, w Collocation pieces."""
     g, m = y.grid, y.grid.mask2
     wu = w.u
-    # -(y . grad) v(z) and -sum_j v(z)_j grad y_j reach z through the v-map
-    through_v = sp.div_matrix_spec(g, sp.outer_phys(g, wu, y.u), m) - sp.to_spec(
-        g, sp.advect(g, wu, y.J), m
-    )
-    # -(z . grad) v(y) and -sum_j v(y)_j grad z_j
-    direct = sp.div_matrix_spec(g, sp.outer_phys(g, y.v, wu), m) - sp.to_spec(
-        g, sp.cograd(g, wu, y.Jv), m
-    )
+    # B(y, z) = -rotate(W(v(z)), y) pairs with w through the wedge of w and y;
+    # the rotation symbol's transpose is minus the divergence of a packed tensor
+    through_v = sp.div_asym_spec(g, sp.wedge(g, wu, y.u), m)
+    # B(z, y) = -rotate(y.W, z): y.W is antisymmetric, so -rotate transposes to rotate
+    direct = sp.to_spec(g, sp.rotate(g, y.W, wu), m)
     return sp.v_apply(g, through_v, y.params) + direct
 
 

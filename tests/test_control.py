@@ -204,6 +204,23 @@ class TestOptimize:
         assert all(h["accepted"] and h["step"] == 2.0 for h in iters)  # no backtracks
         assert len(calls) == 1 + len(iters)
 
+    def test_no_gradient_after_last_iteration(self, monkeypatch):
+        # one adjoint sweep per iteration: none for the final iterate, which
+        # no iteration reads; history is unchanged by the saved sweep
+        cfg = make_cfg(steps=15)
+        y0, y_d, _, _ = setup(cfg)
+        adm = ct.AdmissibleSet(radius=2.0, p_exp=cfg.p_exp)
+        kw = dict(lam=0.05, admissible=adm, n_samples=3, iters=3, step0=2.0)
+        ref = ct.optimize(y0, y_d, cfg, **kw)
+        sweep, calls = ct.adj.pathwise_adjoint, []
+        monkeypatch.setattr(ct.adj, "pathwise_adjoint", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        out = ct.optimize(y0, y_d, cfg, **kw)
+        iters = out["history"][:-1]
+        assert all(h["accepted"] and h["step"] == 2.0 for h in iters)  # no backtracks
+        assert len(calls) == len(iters) == 3
+        assert out["history"] == ref["history"]
+        assert np.array_equal(out["U"], ref["U"])
+
     def test_aborting_trial_rejected(self):
         # the first trial drives every sample past blowup_factor * M at step
         # 0, which ends each tracking sum there: its cost is 0, yet it must

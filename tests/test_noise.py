@@ -141,6 +141,36 @@ class TestOperator:
         dW = np.ones(4)
         assert np.max(np.abs(nz.noise_increment(G2, 0.0, y, dW, m))) == 0.0
 
+    @pytest.mark.parametrize("fam", ["linear", "zero"])
+    def test_constant_derivative_skips_base_state(self, fam, monkeypatch):
+        # f' is constant: y is not transformed, and every result is bitwise
+        # the one made from f'(y) at the collocation points
+        y, v = rand_field(19), rand_field(20)
+        q = np.stack([rand_field(21 + k) for k in range(4)])
+        m = nz.NoiseModel(K=4, family=fam, c0=0.4, modulation=0.3)
+        dW = np.random.default_rng(4).standard_normal(4) * 0.2
+        t = 0.7
+        fp = m.profile_deriv(sp.to_phys(G2, y))
+        w = m.weights[:, None, None, None]
+        s = nz.weighted_increment(m, dW) * m.time_factor(t)
+        expect = {
+            "grad_noise_increment": sp.leray_project(G2, sp.to_spec(G2, s * (fp * sp.to_phys(G2, v)))),
+            "apply_grad_G": w * sp.leray_project(
+                G2, sp.to_spec(G2, fp * m.time_factor(t) * sp.to_phys(G2, v))),
+            "apply_G_star": sp.leray_project(G2, sp.to_spec(G2, fp * m.time_factor(t) * sp.to_phys(
+                G2, sp.leray_project(G2, np.sum(w * q, axis=0))))),
+        }
+        transform, seen = nz.to_phys, []
+        monkeypatch.setattr(nz, "to_phys", lambda g, c: seen.append(c) or transform(g, c))
+        got = {
+            "grad_noise_increment": nz.grad_noise_increment(G2, t, y, v, dW, m),
+            "apply_grad_G": nz.apply_grad_G(G2, t, y, v, m),
+            "apply_G_star": nz.apply_G_star(G2, t, y, q, m),
+        }
+        assert len(seen) == 3 and not any(c is y for c in seen)
+        for name in expect:
+            assert np.array_equal(got[name], expect[name]), name
+
     def test_remainder_second_order(self):
         # sigma(y + h) - sigma(y) - dsigma(y)[h] = O(|h|^2) for the smooth family
         m = nz.NoiseModel(K=3, family="smooth", c0=0.5)

@@ -103,6 +103,12 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _div_matrix_spec(g, M_phys, mask=None):
+    """Spectral divergence out_a = sum_j d_j M[a, j] of a full collocation
+    matrix field, every entry transformed: the reference for the packed kernels."""
+    return np.sum(1j * g.k * sp.to_spec(g, M_phys, mask), axis=-g.dim - 1)
+
+
 def _mirror(g, c):
     """c[-k] for every k of the grid."""
     neg = (-np.arange(g.N)) % g.N
@@ -166,7 +172,8 @@ class TestSymmetricKernels:
     def test_deformation_against_symmetrized_jacobian(self, dim, n_max):
         g = sp.WaveGrid(dim, n_max)
         c = np.stack([sp.random_field(g, np.random.default_rng(65 + s)) for s in range(2)])
-        full = sp._symmetrize(g, sp.jacobian_phys(g, c))
+        J = sp.jacobian_phys(g, c)
+        full = J + np.swapaxes(J, -dim - 1, -dim - 2)
         assert _rel(sp.deformation_phys(g, c), full) <= 1e-12
 
     @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
@@ -176,7 +183,79 @@ class TestSymmetricKernels:
         M = np.random.default_rng(66).standard_normal((2, dim, dim) + g.shape)
         S = M + np.swapaxes(M, -dim - 1, -dim - 2)
         m = getattr(g, mask)
-        assert _rel(sp.div_sym_spec(g, S[g.sym_pack], m), sp.div_matrix_spec(g, S, m)) <= 1e-12
+        assert _rel(sp.div_sym_spec(g, S[g.sym_pack], m), _div_matrix_spec(g, S, m)) <= 1e-12
+
+
+def _advective(g, a, b, params):
+    """The advective form -(a . grad) v(b) - sum_j v(b)_j grad a_j at collocation
+    points, from full Jacobians of the mask2-dealiased fields."""
+    ci = -g.dim - 1
+    a, vb = a * g.mask2, sp.v_apply(g, b * g.mask2, params)
+    along = np.sum(np.expand_dims(sp.to_phys(g, a), ci - 1) * sp.jacobian_phys(g, vb), axis=ci)
+    cograd = np.sum(np.expand_dims(sp.to_phys(g, vb), ci) * sp.jacobian_phys(g, a), axis=ci - 1)
+    return -along - cograd
+
+
+def _curl_cross(g, y, u, params):
+    """curl v(y) x u from the explicit curl stencil: in 2D the scalar curl w
+    acts as the rotation (-w u_2, w u_1)."""
+    w, up = sp.curl_v_phys(g, y, params), sp.to_phys(g, u)
+    if g.dim == 2:
+        return np.stack([-w * g.c(up, 1), w * g.c(up, 0)], axis=-3)
+    return np.moveaxis(np.cross(np.moveaxis(w, -4, -1), np.moveaxis(up, -4, -1)), -1, -4)
+
+
+class TestRotationalForm:
+    """The packed rotation kernels and the rotational convective form against
+    full-Jacobian references."""
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_rotation_against_jacobian(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        c = np.stack([sp.random_field(g, np.random.default_rng(70 + s)) for s in range(2)])
+        J = sp.jacobian_phys(g, c)
+        a, b = g.asym_pairs
+        full = (J - np.swapaxes(J, -dim - 1, -dim - 2))[(Ellipsis, a, b) + (slice(None),) * dim]
+        assert _rel(sp.rotation_packed(g, c), full) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_rotate_against_curl_cross(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(71)
+        y = np.stack([sp.random_field(g, rng, amplitude=1.5) for _ in range(2)])
+        u = np.stack([sp.random_field(g, rng) for _ in range(2)])
+        ref = _curl_cross(g, y, u, PARAMS)
+        W = sp.rotation_packed(g, sp.v_apply(g, y, PARAMS))
+        assert _rel(sp.rotate(g, W, sp.to_phys(g, u)), ref) <= 1e-12
+        assert _rel(sp.curl_cross_phys(g, y, u, PARAMS), ref) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    @pytest.mark.parametrize("mask", ["retain", "mask2"])
+    def test_antisymmetric_divergence_against_full(self, dim, n_max, mask):
+        g = sp.WaveGrid(dim, n_max)
+        M = np.random.default_rng(72).standard_normal((2, dim, dim) + g.shape)
+        S = M - np.swapaxes(M, -dim - 1, -dim - 2)
+        a, b = g.asym_pairs
+        m = getattr(g, mask)
+        packed = S[(Ellipsis, a, b) + (slice(None),) * dim]
+        assert _rel(sp.div_asym_spec(g, packed, m), _div_matrix_spec(g, S, m)) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_projected_convective_matches_advective(self, dim, n_max):
+        # the two forms differ by grad(a . v(b)), which the projection removes
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(73)
+        y = np.stack([sp.random_field(g, rng, amplitude=1.5) for _ in range(3)])
+        z = np.stack([sp.random_field(g, rng) for _ in range(3)])
+        yc, zc = sp.Collocation(g, y, PARAMS), sp.Collocation(g, z, PARAMS)
+
+        def proj(f):
+            return sp.leray_project(g, sp.to_spec(g, f, g.mask2))
+
+        assert _rel(proj(sp.convective(yc, yc)), proj(_advective(g, y, y, PARAMS))) <= 1e-13
+        lin = proj(sp.convective(yc, zc) + sp.convective(zc, yc))
+        ref = proj(_advective(g, y, z, PARAMS) + _advective(g, z, y, PARAMS))
+        assert _rel(lin, ref) <= 1e-13
 
 
 class TestLeray:
