@@ -23,7 +23,7 @@ import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig, simulate_ensemble
+from .forward import SimConfig, _on_live, simulate_ensemble
 from .tangent import control_to_state, tangent_step, transpose_step
 
 
@@ -57,6 +57,11 @@ def _target_at(y_d, n, grid):
     return y_d
 
 
+def _costate_kernel(n, cfg: SimConfig):
+    """(y_n, p_{n+1}, dW_n, g_n) -> F_n^T p_{n+1} + dt g_n, batched over samples."""
+    return lambda y, p, dw, gn: transpose_step(y, p, dw, n * cfg.dt, cfg) + cfg.dt * gn
+
+
 def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig):
     """Transpose recursion along a frozen base ensemble.
 
@@ -67,12 +72,11 @@ def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig):
     S = fields.shape[0]
     p = np.zeros((S, g.dim) + g.shape, dtype=complex)
     traj = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
-    bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps - 1, -1, -1):
-        active = stop > n
-        yn = np.asarray(fields[:, n], dtype=complex)
-        p_prev = transpose_step(yn, p, dW[:, n], n * cfg.dt, cfg) + cfg.dt * g_fields[:, n]
-        p = np.where(active[bsel], p_prev, p)
+        live = stop > n
+        if live.any():
+            _on_live(live, p, _costate_kernel(n, cfg), np.asarray(fields[:, n], dtype=complex),
+                     p, dW[:, n], g_fields[:, n])
         traj[:, n] = p
     return traj, p
 
@@ -87,16 +91,14 @@ def duality_gap(psi, p_traj, fields, stop, g_fields, dW, cfg: SimConfig):
     rhs = np.zeros(S)
     psi = np.asarray(psi)
     z = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps):
         live = stop > n
         sp_n = control_to_state(np.asarray(p_traj[:, n + 1], dtype=complex), cfg)
         lhs += np.where(live, cfg.dt * sp.l2_inner(g, np.broadcast_to(psi[n], sp_n.shape), sp_n), 0.0)
         rhs += np.where(live, cfg.dt * sp.l2_inner(g, g_fields[:, n], z), 0.0)
         if n + 1 < cfg.steps and live.any():  # z_N pairs with nothing
-            yn = np.asarray(fields[:, n], dtype=complex)
-            z_next = tangent_step(yn, z, psi[n], dW[:, n], n * cfg.dt, cfg)
-            z = np.where(live[bsel], z_next, z)
+            _on_live(live, z, lambda y, z, dw: tangent_step(y, z, psi[n], dw, n * cfg.dt, cfg),
+                     np.asarray(fields[:, n], dtype=complex), z, dW[:, n])
     return lhs, rhs
 
 
@@ -176,7 +178,9 @@ def adapted_bsde(fields, stop, g_fields, dW, cfg: SimConfig, degree=2, store_q=F
         if store_q
         else None
     )
-    p_next = np.zeros((S, g.dim) + g.shape, dtype=complex)
+    # raw transpose recursion, zero on frozen samples: a sample stopped at n
+    # is stopped at every later step too, so its row is never written
+    p_raw = np.zeros((S, g.dim) + g.shape, dtype=complex)
     bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps - 1, -1, -1):
         yn = np.asarray(fields[:, n], dtype=complex)
@@ -184,20 +188,19 @@ def adapted_bsde(fields, stop, g_fields, dW, cfg: SimConfig, degree=2, store_q=F
         X = _features(g, yn, live.astype(float), degree)
         Xp = np.linalg.pinv(X)
         # martingale integrand q_{n,k} ~ E[p_{n+1} dW_{n,k}] / dt | state_n;
-        # p_next still holds the raw p_{n+1} here
+        # p_raw still holds the raw p_{n+1} here
         if K > 0:
             for k in range(K):
-                tgt = np.where(live[bsel], p_next, 0.0) * (dW[:, n, k] / cfg.dt)[bsel]
-                qk = (X @ (Xp @ tgt.reshape(S, nc))).reshape(p_next.shape)
+                tgt = np.where(live[bsel], p_raw, 0.0) * (dW[:, n, k] / cfg.dt)[bsel]
+                qk = (X @ (Xp @ tgt.reshape(S, nc))).reshape(p_raw.shape)
                 qk = sp.leray_project(g, np.where(live[bsel], qk, 0.0))
                 q_norms[:, n, k] = sp.l2_norm(g, qk)
                 if store_q:
                     q_hat[:, n, k] = qk
-        target = transpose_step(yn, p_next, dW[:, n], n * cfg.dt, cfg) + cfg.dt * g_fields[:, n]
-        target = np.where(live[bsel], target, 0.0)
-        p_n = (X @ (Xp @ target.reshape(S, nc))).reshape(target.shape)
+        if live.any():  # p_raw becomes the realized p_n, propagated backward
+            _on_live(live, p_raw, _costate_kernel(n, cfg), yn, p_raw, dW[:, n], g_fields[:, n])
+        p_n = (X @ (Xp @ p_raw.reshape(S, nc))).reshape(p_raw.shape)
         p_hat[:, n] = sp.leray_project(g, np.where(live[bsel], p_n, 0.0))
-        p_next = target  # propagate the realized value backward
     return {"p_hat": p_hat, "q_norms": q_norms, "q_hat": q_hat}
 
 
@@ -219,7 +222,7 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, varia
         st = base.stop[s]
         if st < cfg.steps:
             tail = max(tail, float(np.max(np.abs(p_hat[s, st:]))))
-            tail = max(tail, float(np.max(q_norms[s, st:])) if st < cfg.steps else 0.0)
+            tail = max(tail, float(np.max(q_norms[s, st:])))
     terminal = float(np.max(np.abs(p_hat[:, cfg.steps])))
     return {
         "gap_mean": mean,

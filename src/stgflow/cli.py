@@ -76,7 +76,7 @@ def _setup(args):
 
 def _psi_bank(tree, sim):
     rng = np.random.default_rng(int(tree["seed"]) + 7)
-    return np.stack([sp.random_field(sim.grid, rng) for _ in range(sim.steps)])
+    return sp.random_field(sim.grid, rng, batch=(sim.steps,))
 
 
 def _emit(args, name, payload):

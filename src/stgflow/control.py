@@ -222,11 +222,10 @@ def sample_directions(grid, steps, admissible: AdmissibleSet, dt, rng, n_dirs, U
         dirs.append(np.asarray(U, dtype=complex))
     while len(dirs) < n_dirs:
         kind = len(dirs) % 3
-        base = np.stack(
-            [sp.random_field(grid, rng, amplitude=1.0) for _ in range(steps)]
-        )
+        base = sp.random_field(grid, rng, amplitude=1.0, batch=(steps,))
         if kind == 2:
-            # impulse: one random step carries a single random mode
+            # impulse: one random step carries a single random mode; the
+            # batch above is still drawn, which keeps the rng stream fixed
             base = zero.copy()
             n0 = int(rng.integers(steps))
             base[n0] = sp.random_field(grid, rng, kmax=1, amplitude=1.0)

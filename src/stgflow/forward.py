@@ -12,7 +12,10 @@ Each sample is stopped the first time its collocation W^{2,4} norm
 reaches the threshold M; the state is frozen from the crossing index on,
 matching the stopped process the cost functional integrates.  A sample
 whose norm overshoots ``blowup_factor * M`` (or goes non-finite) is
-marked aborted and frozen at its last finite state.
+marked aborted and frozen at its last finite state.  Stopped samples are
+not stepped: every ensemble loop (forward, tangent, costate) runs its
+kernel on the live samples only, through ``_on_live``, and leaves the
+frozen ones untouched.
 """
 
 from __future__ import annotations
@@ -96,6 +99,28 @@ def step(y, u_n, dW_n, t, cfg: SimConfig):
     return sp.leray_project(g, rhs / cfg.implicit_denominator)
 
 
+def _on_live(live, out, kernel, *per_sample):
+    """Run ``kernel`` on the samples where ``live`` holds and write its first
+    result into those rows of ``out``; the other rows are not touched.
+
+    ``per_sample`` are arrays with the sample axis first; the kernel gets
+    their live rows.  A kernel returning a tuple hands its further results
+    back, over the live samples only.  When every sample is live the arrays
+    are passed as they are, without a gather.  The batched kernels act on
+    each sample alone, so a live sample's result does not depend on which
+    others are live.
+    """
+    if live.all():
+        rows = slice(None)
+        res = kernel(*per_sample)
+    else:
+        rows = np.flatnonzero(live)
+        res = kernel(*(a[rows] for a in per_sample))
+    first, *rest = res if isinstance(res, tuple) else (res,)
+    out[rows] = first
+    return rest
+
+
 def _control_at(U, n):
     if U is None:
         return None
@@ -131,23 +156,25 @@ def simulate_ensemble(
         fields = np.empty((S, cfg.steps + 1, g.dim) + g.shape, dtype=store_dtype)
         fields[:, 0] = y
 
-    bsel = (slice(None),) + (None,) * (g.dim + 1)
+    def advance(y, dW_n, n):
+        y_next = step(y, _control_at(U, n), dW_n, n * cfg.dt, cfg)
+        w_next = sp.w24_norm(g, y_next)
+        bad = ~np.isfinite(w_next) | (w_next > cfg.blowup_factor * cfg.M)
+        if bad.any():  # an aborted sample keeps its last finite state
+            y_next[bad] = y[bad]
+        return y_next, w_next, bad
+
     for n in range(cfg.steps):
-        active = stop > n
-        if active.any() and not aborted.all():
-            y_next = step(y, _control_at(U, n), dW[:, n], n * cfg.dt, cfg)
-            w_next = sp.w24_norm(g, y_next)
-            bad = active & (~np.isfinite(w_next) | (w_next > cfg.blowup_factor * cfg.M))
-            if bad.any():
-                aborted |= bad
-                stop[bad] = n
-            accept = active & ~bad
-            y = np.where(accept[bsel], y_next, y)
-            crossed = accept & (w_next >= cfg.M)
-            stop[crossed] = n + 1
-            w24[:, n + 1] = np.where(accept, w_next, w24[:, n])
-        else:
-            w24[:, n + 1] = w24[:, n]
+        live = stop > n
+        w24[:, n + 1] = w24[:, n]
+        if live.any():
+            w_next, bad = _on_live(live, y, lambda y, dw: advance(y, dw, n), y, dW[:, n])
+            rows = np.flatnonzero(live)
+            aborted[rows[bad]] = True
+            stop[rows[bad]] = n
+            ok, w_ok = rows[~bad], w_next[~bad]
+            w24[ok, n + 1] = w_ok
+            stop[ok[w_ok >= cfg.M]] = n + 1
         if store_fields:
             fields[:, n + 1] = y
 

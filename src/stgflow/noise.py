@@ -6,10 +6,16 @@ Leray-projected back onto the solenoidal space:
 
     G(t, y) dW = P sum_k sigma_k(y(x)) dW_k.
 
-Both built-in families share the structure sigma_k(lam) = c_k * f(lam)
-with a common profile f, which keeps ensemble evaluation to a single
-transform per call.  The channel weights decay as c_k = c0 / k^{3/2} so
-the series is summable in every norm used here.
+Every family shares the structure sigma_k(lam) = c_k * f(lam) with a
+common profile f, so the time steppers need only the per-sample scalar
+s = sum_k c_k dW_k (times the time factor).  For the smooth family the
+fused forms transform once each way; the linear and zero families have a
+constant f', and for a solenoidal field on the retained modes their fused
+forms are the spectral multiple s f' y of the field itself, with no
+transform at all.  The reference operators ``apply_G``, ``apply_grad_G``
+and ``apply_G_star`` keep the transform path for every family.  The
+channel weights decay as c_k = c0 / k^{3/2} so the series is summable in
+every norm used here.
 
 Reproducibility: sample s of a run with seed ``seed`` draws all of its
 increments from ``default_rng(SeedSequence([seed, s]))`` and nothing
@@ -71,12 +77,17 @@ class NoiseModel:
             return np.cos(lam)
         return np.zeros_like(lam)
 
+    @property
+    def constant_deriv(self):
+        """f' when it does not depend on the state (linear: 1, zero: 0), else None."""
+        return None if self.family == "smooth" else float(self.profile_deriv(0.0))
+
     def profile_deriv_at(self, grid: WaveGrid, y):
         """f'(y) at collocation points.  The linear and zero profiles have a
         constant f', returned as a scalar without transforming y."""
-        if self.family == "smooth":
+        if self.constant_deriv is None:
             return self.profile_deriv(to_phys(grid, y))
-        return self.profile_deriv(0.0)
+        return self.constant_deriv
 
 
 @dataclass(frozen=True)
@@ -151,23 +162,35 @@ def apply_G_star(grid: WaveGrid, t, y, q, model: NoiseModel):
 
 
 def weighted_increment(model: NoiseModel, dW):
-    """sum_k c_k dW_k for increments dW of shape (..., K)."""
-    return np.asarray(dW) @ model.weights
+    """sum_k c_k dW_k for increments dW of shape (..., K).  Each sample's sum
+    is reduced on its own, so it does not depend on the other samples in the
+    batch (a BLAS matrix-vector product blocks rows and can round differently)."""
+    return np.sum(np.asarray(dW) * model.weights, axis=-1)
+
+
+def _scale(grid: WaveGrid, t, dW, model: NoiseModel):
+    """s = time_factor(t) sum_k c_k dW_k per sample, broadcast over a field."""
+    s = weighted_increment(model, dW) * model.time_factor(t)
+    return s[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
 
 def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel):
-    """G(t, y) dW as a single spectral field, batched over samples."""
-    s = weighted_increment(model, dW) * model.time_factor(t)
-    f = model.profile(to_phys(grid, y))
-    sf = s[(Ellipsis,) + (None,) * (grid.dim + 1)] * f
-    return leray_project(grid, to_spec(grid, sf))
+    """G(t, y) dW as a single spectral field, batched over samples, for a
+    solenoidal y on the retained modes (every state the scheme makes).
+
+    With a constant f' this is s f' y: P s f' y = s f' y for such a y.
+    """
+    s = _scale(grid, t, dW, model)
+    if model.constant_deriv is not None:
+        return s * model.constant_deriv * y
+    return leray_project(grid, to_spec(grid, s * model.profile(to_phys(grid, y))))
 
 
 def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel):
-    """(grad_y G)(t, y)[v] dW; equals its own transpose in v by diagonality."""
-    s = weighted_increment(model, dW) * model.time_factor(t)
-    fp = model.profile_deriv_at(grid, y)
-    vp = to_phys(grid, v)
-    sf = s[(Ellipsis,) + (None,) * (grid.dim + 1)] * (fp * vp)
-    return leray_project(grid, to_spec(grid, sf))
-
+    """(grad_y G)(t, y)[v] dW for a solenoidal v on the retained modes; equals
+    its own transpose in v by diagonality.  With a constant f' it is s f' v."""
+    s = _scale(grid, t, dW, model)
+    if model.constant_deriv is not None:
+        return s * model.constant_deriv * v
+    fp = model.profile_deriv(to_phys(grid, y))
+    return leray_project(grid, to_spec(grid, s * (fp * to_phys(grid, v))))

@@ -300,8 +300,17 @@ def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
     """Spectral divergence out_a = sum_j d_j S[a, j] of a symmetric collocation
     tensor S given by its packed entries a <= b, masked like ``to_spec``; only
     these are transformed."""
-    S_spec = np.take(to_spec(grid, S_packed, mask), grid.sym_unpack, axis=-grid.dim - 1)
-    return _contract(grid, "jx,...ajx->...ax", 1j * grid.k, S_spec)
+    S_spec = to_spec(grid, S_packed, mask)
+    ik = 1j * grid.k
+    out = np.zeros(S_spec.shape[: -grid.dim - 1] + (grid.dim,) + grid.shape, dtype=S_spec.dtype)
+    # packed entry p = (a, b) is S_ab = S_ba: it feeds out_a through d_b and out_b through d_a
+    for p, (a, b) in enumerate(zip(*grid.sym_pairs)):
+        Sp, out_a = grid.c(S_spec, p), grid.c(out, a)
+        out_a += ik[b] * Sp
+        if a != b:
+            out_b = grid.c(out, b)
+            out_b += ik[a] * Sp
+    return out
 
 
 def rotation_packed(grid: WaveGrid, c):
@@ -415,8 +424,11 @@ def w24_norm(grid: WaveGrid, c):
     total = quad_integral(grid, s0**2)
     s1 = np.sum(jacobian_phys(grid, c) ** 2, axis=(ci, ci - 1))
     total = total + quad_integral(grid, s1**2)
-    H = to_phys(grid, -grid.k[a] * grid.k[b] * np.expand_dims(c, ci))  # (..., comp, pair, *sp)
-    s2 = np.sum(grid.sym_weight * np.sum(H**2, axis=ci - 1), axis=ci)
+    # and one component's Hessian at a time: its transform is the largest here
+    kk, h2 = -grid.k[a] * grid.k[b], 0.0
+    for i in range(grid.dim):
+        h2 = h2 + to_phys(grid, kk * np.expand_dims(grid.c(c, i), ci)) ** 2  # (..., pair, *sp)
+    s2 = np.sum(grid.sym_weight * h2, axis=ci)
     return (total + quad_integral(grid, s2**2)) ** 0.25
 
 
@@ -538,18 +550,19 @@ def state_drift(
 # random fields and identity corpus
 
 
-def random_field(grid: WaveGrid, rng, kmax=None, amplitude=1.0):
-    """Random real, divergence-free, mean-free field band-limited to |k_i| <= kmax."""
+def random_field(grid: WaveGrid, rng, kmax=None, amplitude=1.0, batch=()):
+    """Random real, divergence-free, mean-free field band-limited to |k_i| <= kmax,
+    with L2 norm ``amplitude``; a ``batch`` of them, each normalized on its own,
+    is bitwise the same as that many draws in sequence."""
     if kmax is None:
         kmax = grid.dealias_cut
-    u = rng.standard_normal((grid.dim,) + grid.shape)
+    u = rng.standard_normal(tuple(batch) + (grid.dim,) + grid.shape)
     c = to_spec(grid, u)
     band = np.all(np.abs(grid.k) <= kmax, axis=0)
     c = leray_project(grid, c * band)
     n = l2_norm(grid, c)
-    if n > 0:
-        c = c * (amplitude / n)
-    return c
+    scale = np.divide(amplitude, n, out=np.ones_like(n), where=n > 0)
+    return c * scale[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
 
 def curl_cross_phys(grid: WaveGrid, y, u, params: PhysicalParams):

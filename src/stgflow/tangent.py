@@ -20,7 +20,7 @@ import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig, simulate_ensemble
+from .forward import SimConfig, _on_live, simulate_ensemble
 
 
 def _convective_T(y, w):
@@ -98,14 +98,12 @@ def simulate_tangent(fields, stop, psi, dW, cfg: SimConfig):
     S = fields.shape[0]
     z = np.zeros((S, g.dim) + g.shape, dtype=complex)
     out = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
-    bsel = (slice(None),) + (None,) * (g.dim + 1)
     for n in range(cfg.steps):
-        active = stop > n
-        if active.any():
-            yn = np.asarray(fields[:, n], dtype=complex)
+        live = stop > n
+        if live.any():
             pn = None if psi is None else np.asarray(psi)[n]
-            z_next = tangent_step(yn, z, pn, dW[:, n], n * cfg.dt, cfg)
-            z = np.where(active[bsel], z_next, z)
+            _on_live(live, z, lambda y, z, dw: tangent_step(y, z, pn, dw, n * cfg.dt, cfg),
+                     np.asarray(fields[:, n], dtype=complex), z, dW[:, n])
         out[:, n + 1] = z
     return out, z
 

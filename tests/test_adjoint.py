@@ -199,3 +199,110 @@ class TestAdapted:
         # q columns are solenoidal
         qk = np.asarray(sol["q_hat"][0, 3, 0], dtype=complex)
         assert sp.divergence_defect(g, qk) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# live-sample compaction against the np.where freeze it replaced
+
+BSEL = (slice(None), None, None, None)
+
+
+def _freeze_simulate(y0, U, dW, cfg):
+    """Forward loop that steps every sample and discards the frozen ones'
+    results with np.where: the reference for the compacted loop (no aborts)."""
+    g, S = cfg.grid, dW.shape[0]
+    y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.shape).copy()
+    stop = np.full(S, cfg.steps)
+    w24 = np.empty((S, cfg.steps + 1))
+    w24[:, 0] = sp.w24_norm(g, y)
+    fields = [y]
+    for n in range(cfg.steps):
+        live = stop > n
+        y_next = fw.step(y, U[n], dW[:, n], n * cfg.dt, cfg)
+        w_next = sp.w24_norm(g, y_next)
+        y = np.where(live[BSEL], y_next, y)
+        stop[live & (w_next >= cfg.M)] = n + 1
+        w24[:, n + 1] = np.where(live, w_next, w24[:, n])
+        fields.append(y)
+    return np.stack(fields, axis=1), stop, w24
+
+
+def _freeze_adjoint(fields, stop, gf, dW, cfg):
+    p = np.zeros_like(fields[:, 0])
+    traj = np.zeros_like(fields)
+    for n in range(cfg.steps - 1, -1, -1):
+        p_prev = tg.transpose_step(fields[:, n], p, dW[:, n], n * cfg.dt, cfg) + cfg.dt * gf[:, n]
+        p = np.where((stop > n)[BSEL], p_prev, p)
+        traj[:, n] = p
+    return traj
+
+
+def _freeze_duality(psi, p_traj, fields, stop, gf, dW, cfg):
+    g, S = cfg.grid, fields.shape[0]
+    lhs, rhs, z = np.zeros(S), np.zeros(S), np.zeros_like(fields[:, 0])
+    for n in range(cfg.steps):
+        live = stop > n
+        sp_n = tg.control_to_state(p_traj[:, n + 1], cfg)
+        lhs += np.where(live, cfg.dt * sp.l2_inner(g, np.broadcast_to(psi[n], sp_n.shape), sp_n), 0.0)
+        rhs += np.where(live, cfg.dt * sp.l2_inner(g, gf[:, n], z), 0.0)
+        if n + 1 < cfg.steps:
+            z_next = tg.tangent_step(fields[:, n], z, psi[n], dW[:, n], n * cfg.dt, cfg)
+            z = np.where(live[BSEL], z_next, z)
+    return lhs, rhs
+
+
+class TestLiveCompaction:
+    def setup_method(self):
+        # stops at 10..16 of 16 steps: all live first, then a shrinking live set
+        self.cfg = make_cfg(steps=16, M=4.0, model=nz.NoiseModel(K=8, family="linear", c0=2.0))
+        self.y0, self.U, self.psi, self.y_d = stopping_setup(self.cfg, amp=0.3, force=20.0)
+        self.dW = nz.sample_paths(self.cfg.seed, 6, self.cfg.dt, self.cfg.steps, self.cfg.model.K)
+
+    def test_kernels_see_live_samples_only(self, monkeypatch):
+        cfg, dW = self.cfg, self.dW
+        sizes = []
+
+        def recorder(f):
+            def rec(y, *args):
+                sizes.append(y.shape[0])
+                return f(y, *args)
+            return rec
+
+        monkeypatch.setattr(fw, "step", recorder(fw.step))
+        tangent = recorder(tg.tangent_step)
+        monkeypatch.setattr(tg, "tangent_step", tangent)
+        monkeypatch.setattr(adj, "tangent_step", tangent)
+        monkeypatch.setattr(adj, "transpose_step", recorder(tg.transpose_step))
+
+        def seen(run):
+            sizes.clear()
+            run()
+            return list(sizes)
+
+        base = fw.simulate_ensemble(self.y0, self.U, dW, cfg)
+        assert not base.aborted.any()
+        live = [int(np.count_nonzero(base.stop > n)) for n in range(cfg.steps)]
+        assert live[0] == 6 and 0 < min(live) < 6
+        gf = adj.tracking_residual(base.fields, self.y_d, base.stop, cfg)
+        assert seen(lambda: fw.simulate_ensemble(self.y0, self.U, dW, cfg)) == live
+        assert seen(lambda: tg.simulate_tangent(base.fields, base.stop, self.psi, dW, cfg)) == live
+        ptraj, _ = adj.pathwise_adjoint(base.fields, base.stop, gf, dW, cfg)
+        assert sizes[-cfg.steps:] == live[::-1]
+        assert seen(lambda: adj.duality_gap(self.psi, ptraj, base.fields, base.stop, gf, dW,
+                                            cfg)) == live[:-1]
+        assert seen(lambda: adj.adapted_bsde(base.fields, base.stop, gf, dW, cfg)) == live[::-1]
+
+    def test_bitwise_equal_to_freeze_reference(self):
+        cfg, dW = self.cfg, self.dW
+        fields, stop, w24 = _freeze_simulate(self.y0, self.U, dW, cfg)
+        base = fw.simulate_ensemble(self.y0, self.U, dW, cfg)
+        assert np.array_equal(base.fields, fields)
+        assert np.array_equal(base.stop, stop) and np.array_equal(base.w24, w24)
+        assert np.array_equal(base.final, fields[:, -1])
+        gf = adj.tracking_residual(fields, self.y_d, stop, cfg)
+        ptraj, p0 = adj.pathwise_adjoint(fields, stop, gf, dW, cfg)
+        ref = _freeze_adjoint(fields, stop, gf, dW, cfg)
+        assert np.array_equal(ptraj, ref) and np.array_equal(p0, ref[:, 0])
+        lhs, rhs = adj.duality_gap(self.psi, ptraj, fields, stop, gf, dW, cfg)
+        lhs_ref, rhs_ref = _freeze_duality(self.psi, ptraj, fields, stop, gf, dW, cfg)
+        assert np.array_equal(lhs, lhs_ref) and np.array_equal(rhs, rhs_ref)

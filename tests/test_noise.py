@@ -143,8 +143,8 @@ class TestOperator:
 
     @pytest.mark.parametrize("fam", ["linear", "zero"])
     def test_constant_derivative_skips_base_state(self, fam, monkeypatch):
-        # f' is constant: y is not transformed, and every result is bitwise
-        # the one made from f'(y) at the collocation points
+        # f' is constant: the fused forms transform nothing and return s f' v,
+        # while the references keep their transform formula and never transform y
         y, v = rand_field(19), rand_field(20)
         q = np.stack([rand_field(21 + k) for k in range(4)])
         m = nz.NoiseModel(K=4, family=fam, c0=0.4, modulation=0.3)
@@ -154,22 +154,50 @@ class TestOperator:
         w = m.weights[:, None, None, None]
         s = nz.weighted_increment(m, dW) * m.time_factor(t)
         expect = {
-            "grad_noise_increment": sp.leray_project(G2, sp.to_spec(G2, s * (fp * sp.to_phys(G2, v)))),
+            "noise_increment": s * m.constant_deriv * y,
+            "grad_noise_increment": s * m.constant_deriv * v,
             "apply_grad_G": w * sp.leray_project(
                 G2, sp.to_spec(G2, fp * m.time_factor(t) * sp.to_phys(G2, v))),
             "apply_G_star": sp.leray_project(G2, sp.to_spec(G2, fp * m.time_factor(t) * sp.to_phys(
                 G2, sp.leray_project(G2, np.sum(w * q, axis=0))))),
         }
-        transform, seen = nz.to_phys, []
-        monkeypatch.setattr(nz, "to_phys", lambda g, c: seen.append(c) or transform(g, c))
+        seen = []
+        for name in ("to_phys", "to_spec"):
+            transform = getattr(nz, name)
+            monkeypatch.setattr(nz, name, lambda g, c, *a, f=transform, n=name:
+                                seen.append((n, c)) or f(g, c, *a))
         got = {
+            "noise_increment": nz.noise_increment(G2, t, y, dW, m),
             "grad_noise_increment": nz.grad_noise_increment(G2, t, y, v, dW, m),
-            "apply_grad_G": nz.apply_grad_G(G2, t, y, v, m),
-            "apply_G_star": nz.apply_G_star(G2, t, y, q, m),
         }
-        assert len(seen) == 3 and not any(c is y for c in seen)
+        assert seen == []
+        got["apply_grad_G"] = nz.apply_grad_G(G2, t, y, v, m)
+        got["apply_G_star"] = nz.apply_G_star(G2, t, y, q, m)
+        assert [n for n, _ in seen] == ["to_phys", "to_spec"] * 2
+        assert not any(c is y for _, c in seen)
         for name in expect:
             assert np.array_equal(got[name], expect[name]), name
+
+    @pytest.mark.parametrize("fam", ["linear", "zero"])
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_constant_derivative_matches_transform_formula(self, fam, dim, n_max):
+        # on solenoidal fields the multiplier is the projected collocation product
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(23)
+        y = sp.random_field(g, rng, amplitude=1.5, batch=(3,))
+        v = sp.random_field(g, rng, batch=(3,))
+        m = nz.NoiseModel(K=5, family=fam, c0=0.4, modulation=0.3)
+        dW = rng.standard_normal((3, 5)) * 0.2
+        t = 0.4
+        s = (nz.weighted_increment(m, dW) * m.time_factor(t))[(Ellipsis,) + (None,) * (dim + 1)]
+        yp = sp.to_phys(g, y)
+        pairs = [
+            (nz.noise_increment(g, t, y, dW, m), s * m.profile(yp)),
+            (nz.grad_noise_increment(g, t, y, v, dW, m), s * (m.profile_deriv(yp) * sp.to_phys(g, v))),
+        ]
+        for got, colloc in pairs:
+            ref = sp.leray_project(g, sp.to_spec(g, colloc))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_remainder_second_order(self):
         # sigma(y + h) - sigma(y) - dsigma(y)[h] = O(|h|^2) for the smooth family

@@ -95,6 +95,19 @@ class TestTransforms:
         quad = sp.quad_integral(g, np.sum(up**2, axis=-4))
         assert abs(quad - sp.l2_inner(g, c, c)) < 1e-11
 
+    @pytest.mark.parametrize("dim,n_max,n", [(2, 8, 25), (3, 3, 6)])
+    def test_random_field_batch_matches_sequential_draws(self, dim, n_max, n):
+        # one batched draw is bitwise the fields drawn one after another, each
+        # with its own norm, and it leaves the generator in the same state
+        g = sp.WaveGrid(dim, n_max)
+        r1, r2 = np.random.default_rng(31), np.random.default_rng(31)
+        batched = sp.random_field(g, r1, amplitude=0.7, batch=(n,))
+        sequential = np.stack([sp.random_field(g, r2, amplitude=0.7) for _ in range(n)])
+        assert np.array_equal(batched, sequential)
+        assert r1.integers(2**62) == r2.integers(2**62)
+        assert np.allclose(sp.l2_norm(g, batched), 0.7, rtol=1e-14)
+        assert np.array_equal(sp.random_field(g, r1, kmax=0, batch=(2,)), g.zeros((2,)))
+
 
 SEAM_GRIDS = [(2, 8), (3, 3)]
 
