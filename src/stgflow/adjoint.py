@@ -1,4 +1,4 @@
-"""Backward costate solvers: pathwise transpose and adapted regression.
+"""Backward costate sweep: pathwise transpose and adapted regression.
 
 The tangent recursion reads z_{n+1} = F_n z_n + dt S_n psi_n with F_n
 the step Jacobian and S_n the (projected, implicitly damped) control
@@ -10,21 +10,30 @@ so the discrete duality
 
     sum_{n < stop} dt (psi_n, S_n^T p_{n+1}) = sum_{n < stop} dt (g_n, z_n)
 
-holds sample by sample to rounding error.  The pathwise p peeks at the
-future of the noise; ``adapted_bsde`` additionally conditions it back
-onto the current state by least-squares Monte Carlo, producing an
-adapted pair (p_hat, q_hat) that satisfies the same duality in
-expectation up to regression and sampling error.
+holds sample by sample to rounding error.  ``costate_sweep`` is the one
+backward recursion over a frozen ensemble: it yields p_{n+1} at step n,
+for n = steps-1 ... 0, and makes the tracking residual g_n on the fly.
+Every reader pairs p_{n+1} with step n, so p_0 is never formed.  The
+yielded array is advanced in place when the sweep resumes: a reader
+keeps what it needs from it before asking for the next step.
+
+The pathwise p peeks at the future of the noise; ``adapted_pair``
+additionally conditions it back onto the current state by least-squares
+Monte Carlo, producing an adapted pair (p_hat, q_hat) that satisfies the
+same duality in expectation up to regression and sampling error.  The
+forward half of each duality check is ``tangent.tangent_sweep``.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
 from .forward import SimConfig, _on_live, simulate_ensemble
-from .tangent import control_to_state, tangent_step, transpose_step
+from .tangent import control_to_state, tangent_sweep, transpose_step
 
 
 def tracking_weight(grid, params, variant: str):
@@ -37,17 +46,13 @@ def tracking_weight(grid, params, variant: str):
     raise ValueError(f"unknown tracking variant {variant!r}")
 
 
-def tracking_residual(fields, y_d, stop, cfg: SimConfig, variant: str = "l2", dtype=complex):
+def tracking_residual(y_n, y_d, n, live, cfg: SimConfig, variant: str = "l2"):
     """g_n per sample: y_n - y_d(n) in the L2 pairing, or its v-image for
-    the V-norm tracking cost; zero from the exit index on."""
+    the V-norm tracking cost; zero on the samples where ``live`` fails."""
     g = cfg.grid
     weight = tracking_weight(g, cfg.params, variant)
-    S, NT = fields.shape[0], cfg.steps
-    out = np.zeros((S, NT) + (g.dim,) + g.shape, dtype=dtype)
-    for n in range(NT):
-        diff = weight * (np.asarray(fields[:, n], dtype=complex) - _target_at(y_d, n, g))
-        out[:, n] = np.where((stop > n)[(slice(None),) + (None,) * (g.dim + 1)], diff, 0.0)
-    return out
+    diff = weight * (np.asarray(y_n, dtype=complex) - _target_at(y_d, n, g))
+    return np.where(live[(slice(None),) + (None,) * (g.dim + 1)], diff, 0.0)
 
 
 def _target_at(y_d, n, grid):
@@ -62,53 +67,50 @@ def _costate_kernel(n, cfg: SimConfig):
     return lambda y, p, dw, gn: transpose_step(y, p, dw, n * cfg.dt, cfg) + cfg.dt * gn
 
 
-def pathwise_adjoint(fields, stop, g_fields, dW, cfg: SimConfig):
+def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
     """Transpose recursion along a frozen base ensemble.
 
-    Returns (p_traj, p0) with p_traj[:, n] = p_n (p_N = 0).  ``g_fields``
-    must already carry the stopping indicator.
+    Yields (n, live, p) for n = steps-1 ... 0, where live = stop > n and p
+    holds p_{n+1} (p_N = 0), zero on the samples stopped at or before n+1.
+    p is advanced to p_n in place when the sweep resumes; p_0 is not formed.
     """
     g = cfg.grid
-    S = fields.shape[0]
-    p = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    traj = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
+    p = np.zeros((fields.shape[0], g.dim) + g.shape, dtype=complex)
     for n in range(cfg.steps - 1, -1, -1):
         live = stop > n
-        if live.any():
-            _on_live(live, p, _costate_kernel(n, cfg), np.asarray(fields[:, n], dtype=complex),
-                     p, dW[:, n], g_fields[:, n])
-        traj[:, n] = p
-    return traj, p
+        yield n, live, p
+        if n > 0 and live.any():
+            y_n = np.asarray(fields[:, n], dtype=complex)
+            g_n = tracking_residual(y_n, y_d, n, live, cfg, variant)
+            _on_live(live, p, _costate_kernel(n, cfg), y_n, p, dW[:, n], g_n)
 
 
-def duality_gap(psi, p_traj, fields, stop, g_fields, dW, cfg: SimConfig):
-    """Per-sample (lhs, rhs) of the discrete duality identity for a costate
-    trajectory (pathwise p or adapted p_hat); the tangent z is advanced in
-    place along the frozen base ensemble, not stored."""
-    g = cfg.grid
-    S = fields.shape[0]
-    lhs = np.zeros(S)
-    rhs = np.zeros(S)
-    psi = np.asarray(psi)
-    z = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    for n in range(cfg.steps):
-        live = stop > n
-        sp_n = control_to_state(np.asarray(p_traj[:, n + 1], dtype=complex), cfg)
-        lhs += np.where(live, cfg.dt * sp.l2_inner(g, np.broadcast_to(psi[n], sp_n.shape), sp_n), 0.0)
-        rhs += np.where(live, cfg.dt * sp.l2_inner(g, g_fields[:, n], z), 0.0)
-        if n + 1 < cfg.steps and live.any():  # z_N pairs with nothing
-            _on_live(live, z, lambda y, z, dw: tangent_step(y, z, psi[n], dw, n * cfg.dt, cfg),
-                     np.asarray(fields[:, n], dtype=complex), z, dW[:, n])
-    return lhs, rhs
+def _lhs_term(psi_n, p, live, cfg: SimConfig):
+    """Per-sample dt (psi_n, S^T p) on the live samples: one step of the lhs."""
+    sp_n = control_to_state(p, cfg)
+    psi_n = np.broadcast_to(psi_n, sp_n.shape)
+    return np.where(live, cfg.dt * sp.l2_inner(cfg.grid, psi_n, sp_n), 0.0)
+
+
+def _duality_rhs(psi, base, y_d, dW, cfg: SimConfig, variant):
+    """Per-sample rhs = sum_{n < stop} dt (g_n, z_n) of the duality identity;
+    islice stops the tangent sweep before it forms z_N, which pairs with nothing."""
+    rhs = np.zeros(base.n_samples)
+    for n, live, z in islice(tangent_sweep(base.fields, base.stop, psi, dW, cfg), cfg.steps):
+        g_n = tracking_residual(base.fields[:, n], y_d, n, live, cfg, variant)
+        rhs += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, g_n, z), 0.0)
+    return rhs
 
 
 def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2"):
     """End-to-end pathwise duality report on a fresh ensemble."""
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg)
-    gf = tracking_residual(base.fields, y_d, base.stop, cfg, variant)
-    p_traj, _ = pathwise_adjoint(base.fields, base.stop, gf, dW, cfg)
-    lhs, rhs = duality_gap(psi, p_traj, base.fields, base.stop, gf, dW, cfg)
+    psi = np.asarray(psi)
+    lhs = np.zeros(n_samples)
+    for n, live, p in costate_sweep(base.fields, base.stop, y_d, dW, cfg, variant):
+        lhs += _lhs_term(psi[n], p, live, cfg)
+    rhs = _duality_rhs(psi, base, y_d, dW, cfg, variant)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
     return {
@@ -119,33 +121,21 @@ def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2")
     }
 
 
-def adjoint_weak_residual(fields, stop, g_fields, p_traj, dW, cfg: SimConfig):
-    """Backward one-step defect of a stored costate, normalized."""
-    g = cfg.grid
-    worst = 0.0
-    pmax = max(float(np.max(np.abs(p_traj))), 1e-30)
-    for n in range(cfg.steps):
-        yn = np.asarray(fields[:, n], dtype=complex)
-        pred = transpose_step(yn, p_traj[:, n + 1], dW[:, n], n * cfg.dt, cfg) + cfg.dt * g_fields[:, n]
-        live = stop > n
-        pred = np.where(live[(slice(None),) + (None,) * (g.dim + 1)], pred, p_traj[:, n + 1])
-        worst = max(worst, float(np.max(np.abs(p_traj[:, n] - pred))) / pmax)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # adapted costate by least-squares Monte Carlo
 
 
 def _features(grid, y, stop_mask, degree=2, n_modes=3):
-    """Regression design matrix from F_n-measurable state summaries."""
+    """Regression design matrix from F_n-measurable state summaries: the L2
+    and H1 norms and the first ``n_modes`` of the probe modes e_1, ..., e_d,
+    (1, ..., 1) of the first velocity component."""
     cols = [np.ones(y.shape[0])]
     l2 = sp.l2_norm(grid, y)
     h1 = sp.h1_norm(grid, y)
     cols += [l2, h1]
-    ks = [(1, 0), (0, 1), (1, 1)] if grid.dim == 2 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for kv in ks[:n_modes]:
-        idx = (slice(None), 0) + tuple(k % grid.N for k in kv)
+    probes = [tuple(int(i == j) for i in range(grid.dim)) for j in range(grid.dim)]
+    for kv in (probes + [(1,) * grid.dim])[:n_modes]:
+        idx = (slice(None), 0) + kv
         cols += [y[idx].real, y[idx].imag]
     base = np.stack(cols, axis=1)
     if degree >= 2:
@@ -153,82 +143,77 @@ def _features(grid, y, stop_mask, degree=2, n_modes=3):
     return base * stop_mask[:, None]
 
 
-def adapted_bsde(fields, stop, g_fields, dW, cfg: SimConfig, degree=2, store_q=False):
+def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2", degree=2):
     """Adapted costate pair by backward least-squares regression.
 
-    Follows the realized-value scheme: the raw transpose recursion is
-    propagated backward, and at each step its value and the martingale
-    targets p_{n+1} dW_{n,k} / dt are conditioned onto state features at
-    time n.  The least-squares residual is empirically orthogonal to the
+    Follows the realized-value scheme: the raw transpose recursion of
+    ``costate_sweep`` is run backward, and at each step its value and the
+    martingale targets p_{n+1} dW_{n,k} / dt are conditioned onto state
+    features.  The least-squares residual is empirically orthogonal to the
     live-sample indicator (a design column), which keeps the conditioned
     pair unbiased inside expectation functionals.
 
-    Returns a dict with p_hat (S, steps+1, dim, *spatial, complex64),
-    per-channel L2 norms q_norms (S, steps, K), and the full q_hat array
-    only when store_q is set (it is K times the size of p_hat).
+    Yields (n, live, p_hat, q_norms) for n = steps-1 ... 0: p_hat is
+    p_hat_{n+1}, the raw p_{n+1} conditioned on the features of y_{n+1},
+    and q_norms (S, K) the per-channel L2 norms of q_hat_n, the targets
+    conditioned on the features of y_n.  Each design matrix and its
+    pseudo-inverse are made once and serve both steps that read them.
     """
     g = cfg.grid
-    S = fields.shape[0]
-    K = cfg.model.K
+    S, K = fields.shape[0], cfg.model.K
     nc = g.dim * g.npts
-    p_hat = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=np.complex64)
-    q_norms = np.zeros((S, cfg.steps, K))
-    q_hat = (
-        np.zeros((S, cfg.steps, K, g.dim) + g.shape, dtype=np.complex64)
-        if store_q
-        else None
-    )
-    # raw transpose recursion, zero on frozen samples: a sample stopped at n
-    # is stopped at every later step too, so its row is never written
-    p_raw = np.zeros((S, g.dim) + g.shape, dtype=complex)
     bsel = (slice(None),) + (None,) * (g.dim + 1)
-    for n in range(cfg.steps - 1, -1, -1):
-        yn = np.asarray(fields[:, n], dtype=complex)
+
+    def design(n):
         live = stop > n
-        X = _features(g, yn, live.astype(float), degree)
-        Xp = np.linalg.pinv(X)
-        # martingale integrand q_{n,k} ~ E[p_{n+1} dW_{n,k}] / dt | state_n;
-        # p_raw still holds the raw p_{n+1} here
-        if K > 0:
-            for k in range(K):
-                tgt = np.where(live[bsel], p_raw, 0.0) * (dW[:, n, k] / cfg.dt)[bsel]
-                qk = (X @ (Xp @ tgt.reshape(S, nc))).reshape(p_raw.shape)
-                qk = sp.leray_project(g, np.where(live[bsel], qk, 0.0))
-                q_norms[:, n, k] = sp.l2_norm(g, qk)
-                if store_q:
-                    q_hat[:, n, k] = qk
-        if live.any():  # p_raw becomes the realized p_n, propagated backward
-            _on_live(live, p_raw, _costate_kernel(n, cfg), yn, p_raw, dW[:, n], g_fields[:, n])
-        p_n = (X @ (Xp @ p_raw.reshape(S, nc))).reshape(p_raw.shape)
-        p_hat[:, n] = sp.leray_project(g, np.where(live[bsel], p_n, 0.0))
-    return {"p_hat": p_hat, "q_norms": q_norms, "q_hat": q_hat}
+        X = _features(g, np.asarray(fields[:, n], dtype=complex), live.astype(float), degree)
+        return X, np.linalg.pinv(X), live
+
+    def fit(X, Xp, live, target):
+        fitted = (X @ (Xp @ target.reshape(S, nc))).reshape(target.shape)
+        return sp.leray_project(g, np.where(live[bsel], fitted, 0.0))
+
+    after = design(cfg.steps)
+    for n, live, p in costate_sweep(fields, stop, y_d, dW, cfg, variant):
+        now = design(n)
+        # martingale integrand q_{n,k} ~ E[p_{n+1} dW_{n,k}] / dt | state_n
+        q_norms = np.zeros((S, K))
+        for k in range(K):
+            q_norms[:, k] = sp.l2_norm(g, fit(*now, p * (dW[:, n, k] / cfg.dt)[bsel]))
+        yield n, live, fit(*after, p), q_norms
+        after = now
 
 
 def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2", degree=2):
-    """Expectation-level duality for the adapted pair, with MC error bars."""
+    """Expectation-level duality for the adapted pair, with MC error bars.
+
+    The post-exit maximum runs over p_hat_{n+1} and q_hat_n at and after
+    each stopped sample's exit; p_hat_0, which no pairing reads, is not
+    formed.  The terminal maximum is that of p_hat_N over all samples.
+    """
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg, store_dtype=np.complex64)
-    gf = tracking_residual(base.fields, y_d, base.stop, cfg, variant, dtype=np.complex64)
-    sol = adapted_bsde(base.fields, base.stop, gf, dW, cfg, degree)
-    p_hat, q_norms = sol["p_hat"], sol["q_norms"]
-    lhs, rhs = duality_gap(psi, p_hat, base.fields, base.stop, gf, dW, cfg)
+    psi = np.asarray(psi)
+    stop = base.stop
+    lhs = np.zeros(n_samples)
+    tail = terminal = 0.0
+    for n, live, p_hat, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg, variant, degree):
+        lhs += _lhs_term(psi[n], p_hat, live, cfg)
+        if n == cfg.steps - 1:
+            terminal = float(np.max(np.abs(p_hat)))
+        exited = (stop <= n + 1) & (stop < cfg.steps)
+        tail = max(tail, float(np.max(np.abs(p_hat[exited]), initial=0.0)),
+                   float(np.max(q_norms[stop <= n], initial=0.0)))
+    rhs = _duality_rhs(psi, base, y_d, dW, cfg, variant)
     S = n_samples
     diff = lhs - rhs
     mean = float(np.mean(diff))
     se = float(np.std(diff, ddof=1) / np.sqrt(S)) if S > 1 else 0.0
-    # post-exit and terminal flatness of the adapted pair
-    tail = 0.0
-    for s in range(S):
-        st = base.stop[s]
-        if st < cfg.steps:
-            tail = max(tail, float(np.max(np.abs(p_hat[s, st:]))))
-            tail = max(tail, float(np.max(q_norms[s, st:])))
-    terminal = float(np.max(np.abs(p_hat[:, cfg.steps])))
     return {
         "gap_mean": mean,
         "gap_se": se,
         "within_3se": abs(mean) <= 3.0 * se + 1e-12,
         "post_exit_max": tail,
         "terminal_max": terminal,
-        "stop": base.stop,
+        "stop": stop,
     }

@@ -74,7 +74,8 @@ class CostReport:
     U: np.ndarray | None
     dW: np.ndarray
     ensemble: EnsembleResult
-    residual: np.ndarray
+    y_d: np.ndarray
+    variant: str
 
 
 def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l2"):
@@ -83,11 +84,13 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l
     g = cfg.grid
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg)
-    res = adj.tracking_residual(base.fields, y_d, base.stop, cfg, variant)
     # the residual is the weighted misfit w (y_n - y_d), zero from the exit
     # on, so 1/2 ||y_n - y_d||_w^2 = 1/2 (res, res / w); one step at a time
     unweight = 1.0 / adj.tracking_weight(g, cfg.params, variant)
-    tr = sum(0.5 * cfg.dt * sp.sobolev_inner(g, r, r, unweight) for r in res.swapaxes(0, 1))
+    tr = 0
+    for n in range(cfg.steps):
+        r = adj.tracking_residual(base.fields[:, n], y_d, n, base.stop > n, cfg, variant)
+        tr = tr + 0.5 * cfg.dt * sp.sobolev_inner(g, r, r, unweight)
     pen = 0.0 if U is None else (lam / cfg.p_exp) * float(np.sum(cfg.dt * h1_norms(g, U) ** cfg.p_exp))
     se = float(np.std(tr, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return CostReport(
@@ -100,7 +103,8 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l
         U=U,
         dW=dW,
         ensemble=base,
-        residual=res,
+        y_d=y_d,
+        variant=variant,
     )
 
 
@@ -108,9 +112,11 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     """Adjoint gradient of the cost in ``rep``.  S^T is linear and the same for
     every sample, so it acts once, on the live-weighted sample mean of p_{n+1}."""
     g = cfg.grid
-    p_traj, _ = adj.pathwise_adjoint(rep.ensemble.fields, rep.stop, rep.residual, rep.dW, cfg)
-    live = (rep.stop[:, None] > np.arange(cfg.steps)) / rep.stop.shape[0]
-    grad = control_to_state(np.einsum("sn,sn...->n...", live, p_traj[:, 1:]), cfg)
+    mean_p = np.empty((cfg.steps, g.dim) + g.shape, dtype=complex)
+    sweep = adj.costate_sweep(rep.ensemble.fields, rep.stop, rep.y_d, rep.dW, cfg, rep.variant)
+    for n, live, p in sweep:
+        mean_p[n] = np.einsum("s,s...->...", live / rep.stop.shape[0], p)
+    grad = control_to_state(mean_p, cfg)
     if rep.U is not None and lam != 0.0:
         Un = np.asarray(rep.U, dtype=complex)
         hn = h1_norms(g, Un)

@@ -67,16 +67,6 @@ class SimConfig:
 
 
 @dataclass
-class Trajectory:
-    """Single-sample record: fields[n] is the stopped state at t = n dt."""
-
-    fields: np.ndarray  # (steps+1, dim, *spatial) complex
-    stop_index: int
-    w24_trace: np.ndarray  # (steps+1,)
-    aborted: bool = False
-
-
-@dataclass
 class EnsembleResult:
     fields: np.ndarray | None  # (S, steps+1, dim, *spatial) or None
     stop: np.ndarray  # (S,) int, stop index in [0, steps]
@@ -179,16 +169,6 @@ def simulate_ensemble(
             fields[:, n + 1] = y
 
     return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted, final=y)
-
-
-def simulate(y0, U, path: nz.WienerPath, cfg: SimConfig) -> Trajectory:
-    res = simulate_ensemble(y0, U, path.increments[None], cfg)
-    return Trajectory(
-        fields=res.fields[0],
-        stop_index=int(res.stop[0]),
-        w24_trace=res.w24[0],
-        aborted=bool(res.aborted[0]),
-    )
 
 
 def run_ensemble(y0, U, cfg: SimConfig, n_samples: int, **kw) -> EnsembleResult:

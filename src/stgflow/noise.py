@@ -25,7 +25,7 @@ splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,26 +90,10 @@ class NoiseModel:
         return self.constant_deriv
 
 
-@dataclass(frozen=True)
-class WienerPath:
-    """Brownian increments for one sample: shape (steps, K), scaled by sqrt(dt)."""
-
-    dt: float
-    increments: np.ndarray = field(repr=False)
-
-    @property
-    def steps(self):
-        return self.increments.shape[0]
-
-    @property
-    def K(self):
-        return self.increments.shape[1]
-
-
-def sample_path(seed: int, sample: int, dt: float, steps: int, K: int) -> WienerPath:
+def sample_path(seed: int, sample: int, dt: float, steps: int, K: int):
+    """Brownian increments of one sample, shape (steps, K), scaled by sqrt(dt)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, sample]))
-    dW = rng.standard_normal((steps, K)) * np.sqrt(dt)
-    return WienerPath(dt=dt, increments=dW)
+    return rng.standard_normal((steps, K)) * np.sqrt(dt)
 
 
 def sample_paths(seed: int, n_samples: int, dt: float, steps: int, K: int):
@@ -119,7 +103,7 @@ def sample_paths(seed: int, n_samples: int, dt: float, steps: int, K: int):
     """
     out = np.empty((n_samples, steps, K))
     for s in range(n_samples):
-        out[s] = sample_path(seed, s, dt, steps, K).increments
+        out[s] = sample_path(seed, s, dt, steps, K)
     return out
 
 

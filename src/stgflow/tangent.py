@@ -12,6 +12,13 @@ by operator (the pointwise rotation is antisymmetric, its transpose in
 the rotation is the wedge product, and the rotation symbol transposes
 to minus the divergence of a packed antisymmetric tensor), while the
 stress derivative is self-adjoint and is reused as it stands.
+
+``tangent_sweep`` is the one forward tangent recursion over a frozen
+ensemble: it yields z_n at step n and overwrites it with z_{n+1} in
+place only when the caller resumes it (a caller that keeps z_n copies
+it), so a caller that stops early, like the duality rhs, which never
+reads z_N, makes no step it does not read.  Its backward counterpart is
+``adjoint.costate_sweep``.
 """
 
 from __future__ import annotations
@@ -86,26 +93,24 @@ def control_to_state(p, cfg: SimConfig):
     return sp.leray_project(g, p / cfg.implicit_denominator)
 
 
-def simulate_tangent(fields, stop, psi, dW, cfg: SimConfig):
-    """Tangent trajectory along a frozen base ensemble.
+def tangent_sweep(fields, stop, psi, dW, cfg: SimConfig):
+    """Tangent recursion along a frozen base ensemble.
 
     ``fields`` is (S, steps+1, dim, *spatial), ``stop`` the per-sample
     exit indices, ``psi`` a deterministic direction (steps, dim, *sp),
-    ``dW`` the same increments the base run consumed.  z starts at zero
-    and is frozen once the base sample has stopped.  Returns (z_traj, z_N).
+    ``dW`` the same increments the base run consumed.  Yields (n, live, z)
+    for n = 0 ... steps with live = stop > n and z holding z_n (z_0 = 0),
+    frozen once the base sample has stopped.  z is advanced to z_{n+1} in
+    place only when the caller asks for the next step.
     """
     g = cfg.grid
-    S = fields.shape[0]
-    z = np.zeros((S, g.dim) + g.shape, dtype=complex)
-    out = np.zeros((S, cfg.steps + 1, g.dim) + g.shape, dtype=complex)
-    for n in range(cfg.steps):
+    z = np.zeros((fields.shape[0], g.dim) + g.shape, dtype=complex)
+    for n in range(cfg.steps + 1):
         live = stop > n
-        if live.any():
-            pn = None if psi is None else np.asarray(psi)[n]
-            _on_live(live, z, lambda y, z, dw: tangent_step(y, z, pn, dw, n * cfg.dt, cfg),
+        yield n, live, z
+        if live.any():  # never at n = steps: every stop index is at most steps
+            _on_live(live, z, lambda y, z, dw: tangent_step(y, z, psi[n], dw, n * cfg.dt, cfg),
                      np.asarray(fields[:, n], dtype=complex), z, dW[:, n])
-        out[:, n + 1] = z
-    return out, z
 
 
 def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
@@ -117,24 +122,23 @@ def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
     well above 1 witnesses the quadratic remainder).
     """
     g = cfg.grid
+    psi = np.asarray(psi)
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
     base = simulate_ensemble(y0, U, dW, cfg)
-    ztraj, _ = simulate_tangent(base.fields, base.stop, psi, dW, cfg)
-    wv = 1.0 + cfg.params.alpha1 * g.k2
-    errs = []
+    perts = []
     for rho in rhos:
-        Up = np.asarray(psi) * rho if U is None else np.asarray(U) + rho * np.asarray(psi)
-        pert = simulate_ensemble(y0, Up, dW, cfg)
-        nmin = np.minimum(base.stop, pert.stop)
-        worst = np.zeros(n_samples)
-        for n in range(cfg.steps + 1):
-            diff = (
-                np.asarray(pert.fields[:, n], dtype=complex)
-                - np.asarray(base.fields[:, n], dtype=complex)
-            ) / rho - ztraj[:, n]
+        Up = psi * rho if U is None else np.asarray(U) + rho * psi
+        perts.append(simulate_ensemble(y0, Up, dW, cfg))
+    wv = 1.0 + cfg.params.alpha1 * g.k2
+    worst = np.zeros((len(rhos), n_samples))
+    for n, _, z in tangent_sweep(base.fields, base.stop, psi, dW, cfg):
+        y_n = np.asarray(base.fields[:, n], dtype=complex)
+        for i, (rho, pert) in enumerate(zip(rhos, perts)):
+            diff = (np.asarray(pert.fields[:, n], dtype=complex) - y_n) / rho - z
             v2 = sp.sobolev_inner(g, diff, diff, wv)
-            worst = np.where(nmin >= n, np.maximum(worst, v2), worst)
-        errs.append(float(np.mean(worst)))
+            upto = np.minimum(base.stop, pert.stop) >= n
+            worst[i] = np.where(upto, np.maximum(worst[i], v2), worst[i])
+    errs = [float(np.mean(w)) for w in worst]
     lr = np.log(np.asarray(rhos, dtype=float))
     le = np.log(np.maximum(np.asarray(errs), 1e-300))
     slope = float(np.polyfit(lr, le, 1)[0])

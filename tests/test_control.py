@@ -212,8 +212,8 @@ class TestOptimize:
         adm = ct.AdmissibleSet(radius=2.0, p_exp=cfg.p_exp)
         kw = dict(lam=0.05, admissible=adm, n_samples=3, iters=3, step0=2.0)
         ref = ct.optimize(y0, y_d, cfg, **kw)
-        sweep, calls = ct.adj.pathwise_adjoint, []
-        monkeypatch.setattr(ct.adj, "pathwise_adjoint", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        sweep, calls = ct.adj.costate_sweep, []
+        monkeypatch.setattr(ct.adj, "costate_sweep", lambda *a, **k: calls.append(1) or sweep(*a, **k))
         out = ct.optimize(y0, y_d, cfg, **kw)
         iters = out["history"][:-1]
         assert all(h["accepted"] and h["step"] == 2.0 for h in iters)  # no backtracks

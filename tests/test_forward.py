@@ -110,9 +110,9 @@ class TestSimulate:
         res = fw.run_ensemble(y0, None, cfg, 4)
         for s in range(4):
             path = nz.sample_path(cfg.seed, s, cfg.dt, cfg.steps, cfg.model.K)
-            tr = fw.simulate(y0, None, path, cfg)
-            assert np.max(np.abs(tr.fields - res.fields[s])) < 1e-12
-            assert tr.stop_index == res.stop[s]
+            tr = fw.simulate_ensemble(y0, None, path[None], cfg)
+            assert np.max(np.abs(tr.fields[0] - res.fields[s])) < 1e-12
+            assert tr.stop[0] == res.stop[s]
 
     def test_stopping_freezes_state(self):
         # low threshold stops immediately after a step or two; the state and

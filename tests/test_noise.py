@@ -57,8 +57,7 @@ class TestModel:
 class TestSampling:
     def test_shapes_and_scaling(self):
         p = nz.sample_path(7, 0, dt=0.01, steps=50, K=8)
-        assert p.increments.shape == (50, 8)
-        assert p.steps == 50 and p.K == 8
+        assert p.shape == (50, 8)
         # variance of increments ~ dt
         big = nz.sample_paths(7, 400, dt=0.01, steps=20, K=4)
         assert abs(np.var(big) - 0.01) < 0.002
@@ -68,7 +67,7 @@ class TestSampling:
         b = nz.sample_paths(3, 9, 0.05, 10, 3)
         assert np.array_equal(a, b[:6])
         c = nz.sample_path(3, 4, 0.05, 10, 3)
-        assert np.array_equal(c.increments, a[4])
+        assert np.array_equal(c, a[4])
 
     def test_seed_sensitivity(self):
         a = nz.sample_paths(3, 2, 0.05, 10, 3)

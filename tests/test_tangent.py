@@ -136,9 +136,11 @@ class TestTangentTrajectory:
         dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
         base = fw.simulate_ensemble(y0, None, dW, cfg)
         psi = np.zeros((cfg.steps, 2) + g.shape)
-        ztraj, zT = tg.simulate_tangent(base.fields, base.stop, psi, dW, cfg)
-        assert np.max(np.abs(ztraj)) == 0.0
-        assert np.max(np.abs(zT)) == 0.0
+        seen = []
+        for n, _, z in tg.tangent_sweep(base.fields, base.stop, psi, dW, cfg):
+            seen.append(n)
+            assert np.max(np.abs(z)) == 0.0
+        assert seen == list(range(cfg.steps + 1))
 
     def test_frozen_after_stop(self):
         cfg = make_cfg(steps=25, M=2.0)
@@ -150,7 +152,8 @@ class TestTangentTrajectory:
         base = fw.simulate_ensemble(y0, U, dW, cfg)
         assert np.any(base.stop < cfg.steps)
         psi = np.stack([sp.random_field(g, rng)] * 25)
-        ztraj, _ = tg.simulate_tangent(base.fields, base.stop, psi, dW, cfg)
+        sweep = tg.tangent_sweep(base.fields, base.stop, psi, dW, cfg)
+        ztraj = np.stack([z.copy() for _, _, z in sweep], axis=1)
         for s in range(2):
             st = base.stop[s]
             for n in range(st, cfg.steps):
