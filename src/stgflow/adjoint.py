@@ -75,7 +75,7 @@ def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
     p is advanced to p_n in place when the sweep resumes; p_0 is not formed.
     """
     g = cfg.grid
-    p = np.zeros((fields.shape[0], g.dim) + g.shape, dtype=complex)
+    p = g.zeros((fields.shape[0],))
     for n in range(cfg.steps - 1, -1, -1):
         live = stop > n
         yield n, live, p
@@ -161,7 +161,7 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2", degree=2):
     """
     g = cfg.grid
     S, K = fields.shape[0], cfg.model.K
-    nc = g.dim * g.npts
+    nc = g.dim * g.nspec
     bsel = (slice(None),) + (None,) * (g.dim + 1)
 
     def design(n):

@@ -93,7 +93,7 @@ def cmd_simulate(args, tree, sim, y0, y_d):
     os.makedirs(args.out, exist_ok=True)
     sio.write_trajectory(
         os.path.join(args.out, "trajectory.bin"),
-        res.fields[0], sim.dim, sim.n_max, sim.dt, int(res.stop[0]),
+        sp.full_spectrum(sim.grid, res.fields[0]), sim.dim, sim.n_max, sim.dt, int(res.stop[0]),
     )
     sio.write_norms_csv(os.path.join(args.out, "norms.csv"), sim.dt, res.w24, res.stop)
     stats = fw.energy_stats(res, sim)

@@ -185,7 +185,7 @@ def initial_field(tree: dict, cfg: SimConfig):
 def target_field(tree: dict, cfg: SimConfig):
     block = tree["target"]
     if block["kind"] == "zero":
-        return np.zeros((cfg.grid.dim,) + cfg.grid.shape, dtype=complex)
+        return cfg.grid.zeros()
     rng = np.random.default_rng(int(block["seed"]))
     kmax = block.get("kmax")
     return sp.random_field(

@@ -34,7 +34,7 @@ def ingest_control(grid, U):
 
 
 def h1_norms(grid, U):
-    """Per-step H1 norms of a control array (steps, dim, *spatial)."""
+    """Per-step H1 norms of a control array (steps, dim, *spec_shape)."""
     return sp.h1_norm(grid, np.asarray(U))
 
 
@@ -112,7 +112,7 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     """Adjoint gradient of the cost in ``rep``.  S^T is linear and the same for
     every sample, so it acts once, on the live-weighted sample mean of p_{n+1}."""
     g = cfg.grid
-    mean_p = np.empty((cfg.steps, g.dim) + g.shape, dtype=complex)
+    mean_p = np.empty((cfg.steps, g.dim) + g.spec_shape, dtype=complex)
     sweep = adj.costate_sweep(rep.ensemble.fields, rep.stop, rep.y_d, rep.dW, cfg, rep.variant)
     for n, live, p in sweep:
         mean_p[n] = np.einsum("s,s...->...", live / rep.stop.shape[0], p)
@@ -128,7 +128,7 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
 def cost_gradient(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l2"):
     """Adjoint gradient of the sample-average cost; stop indices frozen.
 
-    Returns (grad, report): grad of shape (steps, dim, *spatial) and the
+    Returns (grad, report): grad of shape (steps, dim, *spec_shape) and the
     CostReport of U.
     """
     rep = eval_cost(U, y0, y_d, cfg, n_samples, lam, variant)
@@ -167,7 +167,7 @@ def optimize(
     """
     g = cfg.grid
     U = (
-        np.zeros((cfg.steps, g.dim) + g.shape, dtype=complex)
+        g.zeros((cfg.steps,))
         if U0 is None
         else admissible.project(g, ingest_control(g, U0), cfg.dt)
     )
@@ -222,7 +222,7 @@ def sample_directions(grid, steps, admissible: AdmissibleSet, dt, rng, n_dirs, U
     """Admissible candidate controls: random interior and boundary points of
     the ball, single-mode impulses, the origin, and U itself."""
     dirs = []
-    zero = np.zeros((steps, grid.dim) + grid.shape, dtype=complex)
+    zero = grid.zeros((steps,))
     dirs.append(zero)
     if U is not None:
         dirs.append(np.asarray(U, dtype=complex))

@@ -68,11 +68,11 @@ class SimConfig:
 
 @dataclass
 class EnsembleResult:
-    fields: np.ndarray | None  # (S, steps+1, dim, *spatial) or None
+    fields: np.ndarray | None  # (S, steps+1, dim, *spec_shape) or None
     stop: np.ndarray  # (S,) int, stop index in [0, steps]
     w24: np.ndarray  # (S, steps+1)
     aborted: np.ndarray  # (S,) bool
-    final: np.ndarray = field(default=None, repr=False)  # (S, dim, *spatial)
+    final: np.ndarray = field(default=None, repr=False)  # (S, dim, *spec_shape)
 
     @property
     def n_samples(self):
@@ -127,13 +127,13 @@ def simulate_ensemble(
 ) -> EnsembleResult:
     """Run S coupled samples; dW has shape (S, steps, K).
 
-    ``y0`` is a single field or a batch (S, dim, *spatial); ``U`` is a
-    deterministic control array (steps, dim, *spatial) or None.
+    ``y0`` is a single field or a batch (S, dim, *spec_shape); ``U`` is a
+    deterministic control array (steps, dim, *spec_shape) or None.
     """
     g = cfg.grid
     dW = np.asarray(dW)
     S = dW.shape[0]
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.shape).copy()
+    y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.spec_shape).copy()
 
     stop = np.full(S, cfg.steps, dtype=int)
     aborted = np.zeros(S, dtype=bool)
@@ -143,7 +143,7 @@ def simulate_ensemble(
 
     fields = None
     if store_fields:
-        fields = np.empty((S, cfg.steps + 1, g.dim) + g.shape, dtype=store_dtype)
+        fields = np.empty((S, cfg.steps + 1, g.dim) + g.spec_shape, dtype=store_dtype)
         fields[:, 0] = y
 
     def advance(y, dW_n, n):

@@ -11,6 +11,11 @@ The trajectory container is a little-endian binary file:
     float64       dt
     complex128[]  coefficients, C order, shape (steps+1, dim, N, ..., N)
 
+The file holds the full N^d spectrum, although the program stores the
+half spectrum (last axis 0..N/2, see ``spectral``): the writer takes the
+full array, which ``stgflow simulate`` expands on write with
+``spectral.full_spectrum``.
+
 No timestamps or absolute paths are written anywhere, so rerunning the
 same configuration reproduces every output byte for byte.
 """
@@ -30,7 +35,12 @@ _HEADER = "<4s5id"
 
 
 def write_trajectory(path, fields, dim, n_max, dt, stop_index):
+    """Write full-spectrum ``fields`` (steps+1, dim, N, ..., N); ValueError
+    for any other trailing shape, such as the stored half spectrum."""
     fields = np.ascontiguousarray(np.asarray(fields, dtype="<c16"))
+    want = (dim,) + (2 * (n_max + 1),) * dim
+    if fields.shape[1:] != want:
+        raise ValueError(f"{path}: trajectory snapshots must have shape {want}, got {fields.shape[1:]}")
     steps = fields.shape[0] - 1
     with open(path, "wb") as f:
         f.write(struct.pack(_HEADER, MAGIC, VERSION, dim, n_max, steps, int(stop_index), dt))

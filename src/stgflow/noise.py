@@ -55,10 +55,6 @@ class NoiseModel:
             return np.zeros(max(self.K, 0))
         return self.c0 / np.arange(1, self.K + 1) ** 1.5
 
-    def lipschitz_bound(self):
-        """L with sum_k |sigma_k(a)-sigma_k(b)|^2 <= L |a-b|^2 pointwise."""
-        return float(np.sum(self.weights**2))
-
     def time_factor(self, t):
         return 1.0 + self.modulation * np.sin(t)
 
@@ -112,7 +108,7 @@ def sample_paths(seed: int, n_samples: int, dt: float, steps: int, K: int):
 
 
 def apply_G(grid: WaveGrid, t, y, model: NoiseModel):
-    """All K diffusion columns, shape (..., K, dim, *spatial) spectral."""
+    """All K diffusion columns, shape (..., K, dim, *spec_shape) spectral."""
     f = model.profile(to_phys(grid, y)) * model.time_factor(t)
     col = leray_project(grid, to_spec(grid, f))
     w = model.weights.reshape((model.K,) + (1,) * (grid.dim + 1))
@@ -130,7 +126,7 @@ def apply_grad_G(grid: WaveGrid, t, y, v, model: NoiseModel):
 def apply_G_star(grid: WaveGrid, t, y, q, model: NoiseModel):
     """Adjoint of grad_G in the L2 pairing: sum_k (d sigma_k)^T q_k.
 
-    ``q`` has shape (..., K, dim, *spatial).  The pointwise Jacobian of
+    ``q`` has shape (..., K, dim, *spec_shape).  The pointwise Jacobian of
     each channel is diagonal, hence symmetric, so the adjoint reuses the
     profile derivative; the Leray projection is self-adjoint.
     """

@@ -1,29 +1,41 @@
 """Divergence-free spectral core on the periodic box [0, 2*pi)^d.
 
-Velocity fields are stored as truncated Fourier amplitudes: a field u
-with coefficient array ``c`` of shape ``(..., d, N, ..., N)`` satisfies
+Velocity fields are stored as truncated Fourier amplitudes of real
+fields: a field u with coefficients c satisfies
 ``u(x) = sum_k c[k] exp(i k.x)`` componentwise.  Leading axes are batch
 axes (ensemble samples), so every operator here vectorises over an
 arbitrary number of Monte Carlo samples.
 
-Transform convention: every field is real, so its coefficients are
-Hermitian, ``c[-k] = conj(c[k])``, and the transforms are numpy's
-real-data ones with ``norm="forward"``.  ``to_phys`` maps coefficients to
-collocation values by ``irfftn`` of the half spectrum (last-axis index
-0..N/2); it reads nothing else, so its input must be Hermitian.
-``to_spec`` maps back (``rfftn / N^d``), masks the result, by default to
-the retained modes, and fills the upper half of the last axis with the
-conjugate mirror of the lower half, so its output is Hermitian by
-construction.  Coefficients are stored as the full spectrum.  Every
-transform in the package goes through these two functions; symmetric
-tensors (the Hessian in ``w24_norm``, the deformation tensor, the
-stress) are transformed in their entries a <= b only, antisymmetric ones
-(the rotation of v(u), the wedge products of the convective transpose) in
-their entries a < b only: 1 component in 2D, 3 in 3D.
+Storage convention: the coefficients of a real field are Hermitian,
+``c[-k] = conj(c[k])``, so only half of them are stored.  A spectral
+array has shape ``(..., d, N, ..., N, N/2+1)``: the last axis keeps the
+indices 0..N/2, exactly what numpy's ``rfftn`` returns and ``irfftn``
+reads.  ``WaveGrid.spec_shape`` (and ``nspec``) size every spectral
+array; ``WaveGrid.shape`` (and ``npts``) stay the physical N^d
+collocation grid.  The grid's wavenumbers, masks and symbols live on the
+half grid, so every elementwise operator and contraction acts on the
+stored modes only.  The L2 and Sobolev pairings weight each stored mode
+by its Hermitian multiplicity, 1 on the planes k_d = 0 and k_d = N/2 and
+2 elsewhere, which is exact for Hermitian inputs; every grid mask zeroes
+the Nyquist planes.  ``full_spectrum`` expands a half spectrum to the
+full N^d one (the trajectory file holds that).
 
-Pointwise products of collocation (or coefficient) arrays go through one
-contraction helper that merges the d trailing spatial axes into a single
-index ``x``, so one einsum subscript string serves d = 2 and d = 3.
+Transforms use ``norm="forward"``: ``to_phys`` is ``irfftn`` of the
+stored half spectrum, which must be the half of a Hermitian array (the
+plane k_d = 0 Hermitian in the other axes); ``to_spec`` is
+``rfftn / N^d``, masked, by default to the retained modes, with the plane
+k_d = 0 averaged with its mirror image, so its output is exactly the
+half of a Hermitian array.  Every transform in the package goes through
+these two functions; symmetric tensors (the Hessian in ``w24_norm``, the
+deformation tensor, the stress) are transformed in their entries a <= b
+only, antisymmetric ones (the rotation of v(u), the wedge products of the
+convective transpose) in their entries a < b only: 1 component in 2D, 3
+in 3D.
+
+Contractions of coefficient (or collocation) arrays go through one
+helper that merges the d trailing axes into a single index ``x``, so one
+einsum subscript string serves d = 2 and d = 3, half spectrum and
+collocation grid alike.
 
 All quadratic products are dealiased by the 2/3 rule, cubic products by
 the 1/2 rule; the collocation grid has N = 2*(n_max+1) points per axis,
@@ -76,21 +88,13 @@ class PhysicalParams:
             )
 
 
-@dataclass(frozen=True)
-class NormReport:
-    l2: float
-    v_norm: float
-    w_norm: float
-    wtilde_norm: float
-    w24_norm: float
-    w1inf_norm: float
-
-
 class WaveGrid:
     """Wavenumber bookkeeping for the box [0, 2*pi)^d, d in {2, 3}.
 
     Retains integer modes with |k_i| <= n_max on an N = 2*(n_max+1)
-    collocation grid (the Nyquist plane is always zeroed).
+    collocation grid (the Nyquist planes are always zeroed).  ``shape`` is
+    the collocation grid, ``spec_shape`` the stored half spectrum; every
+    wavenumber array below lives on the latter.
     """
 
     def __init__(self, dim: int, n_max: int):
@@ -103,6 +107,9 @@ class WaveGrid:
         self.N = 2 * (n_max + 1)
         self.shape = (self.N,) * dim
         self.npts = self.N**dim
+        h = self.N // 2 + 1
+        self.spec_shape = (self.N,) * (dim - 1) + (h,)
+        self.nspec = self.N ** (dim - 1) * h
         self.vol = (2.0 * np.pi) ** dim
         self.axes = tuple(range(-dim, 0))
         # irfftn runs its complex passes over axis -2 before axis -3: on the
@@ -112,8 +119,8 @@ class WaveGrid:
         self.cubic_cut = n_max // 2
 
         freqs = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integers, Nyquist = -N/2
-        mesh = np.meshgrid(*([freqs] * dim), indexing="ij")
-        self.k = np.stack(mesh)  # (dim, *shape)
+        mesh = np.meshgrid(*([freqs] * (dim - 1) + [freqs[:h]]), indexing="ij")
+        self.k = np.stack(mesh)  # (dim, *spec_shape)
         self.k2 = np.sum(self.k**2, axis=0)
 
         kabs = np.abs(self.k)
@@ -122,19 +129,22 @@ class WaveGrid:
         self.mask3 = np.all(kabs <= self.cubic_cut, axis=0)
 
         # Index of -k along the axes before the last, for the conjugate mirror
-        # c[-k] = conj(c[k]) of a real field's coefficients (see to_spec).
+        # c[-k] = conj(c[k]) of a real field's coefficients (see to_spec), and
+        # each stored mode's multiplicity in the full spectrum: the planes
+        # k_d = 0 and k_d = N/2 are their own mirrors, the others stand for two.
         neg = -np.arange(self.N) % self.N
         self.mirror = (Ellipsis,) + np.ix_(*[neg] * (dim - 1))
+        self.herm_weight = np.full(h, 2.0)
+        self.herm_weight[[0, -1]] = 1.0
 
         # Entries a <= b of a symmetric d x d tensor, packed along one axis:
-        # sym_pack selects them from the full tensor, sym_unpack[a, b] is the
-        # packed index of (a, b) and (b, a), sym_weight (broadcast over the
-        # grid) counts each packed entry's multiplicity in the full tensor,
+        # sym_pairs lists them, sym_unpack[a, b] is the packed index of (a, b)
+        # and (b, a), sym_weight (broadcast over the grid) counts each packed
+        # entry's multiplicity in the full tensor,
         # and sym_grad[p, e] maps coefficients c to the packed deformation
         # A_ab = i (k_b c_a + k_a c_b).
         self.sym_pairs = np.triu_indices(dim)
         a, b = self.sym_pairs
-        self.sym_pack = (Ellipsis, a, b) + (slice(None),) * dim
         self.sym_unpack = np.zeros((dim, dim), dtype=int)
         self.sym_unpack[a, b] = self.sym_unpack[b, a] = np.arange(len(a))
         self.sym_weight = np.where(a == b, 1.0, 2.0).reshape((-1,) + (1,) * dim)
@@ -173,13 +183,7 @@ class WaveGrid:
         return arr[(Ellipsis, i) + (slice(None),) * self.dim]
 
     def zeros(self, batch=()):
-        return np.zeros(tuple(batch) + (self.dim,) + self.shape, dtype=complex)
-
-    def wavevectors(self):
-        """Retained nonzero wavevectors as an (n_modes, dim) integer array."""
-        idx = np.argwhere(self.retain & (self.k2 > 0))
-        ks = np.stack([self.k[(a,) + tuple(idx.T)] for a in range(self.dim)], axis=-1)
-        return ks.astype(int)
+        return np.zeros(tuple(batch) + (self.dim,) + self.spec_shape, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +191,43 @@ class WaveGrid:
 
 
 def to_phys(grid: WaveGrid, c):
-    """Collocation values of the coefficients ``c``, which must be Hermitian
-    (the coefficients of a real field): only the half spectrum is read."""
-    return np.fft.irfftn(
-        c[..., : grid.N // 2 + 1], s=grid.shape, axes=grid.irfft_axes, norm="forward"
-    )
+    """Collocation values of the half-spectrum coefficients ``c`` of a real
+    field (the plane k_d = 0 Hermitian in the other axes)."""
+    return np.fft.irfftn(c, s=grid.shape, axes=grid.irfft_axes, norm="forward")
 
 
 def to_spec(grid: WaveGrid, u, mask=None):
-    """Coefficients of the real collocation values ``u``, multiplied by ``mask``
-    (the retained modes when None).
+    """Half-spectrum coefficients of the real collocation values ``u``,
+    multiplied by ``mask`` (the retained modes when None).
 
-    The output is exactly Hermitian for masks that vanish on the Nyquist
-    planes, as all of the grid's masks do: the upper half of the last axis is
-    the conjugate mirror of the lower half, and the plane k_d = 0, its own
-    mirror, is averaged with its mirror image.
+    The output is exactly the half of a Hermitian array for masks that vanish
+    on the Nyquist planes, as all of the grid's masks do: the plane k_d = 0,
+    its own mirror, is averaged with its mirror image.
     """
-    h = grid.N // 2 + 1
-    half = np.fft.rfftn(u, axes=grid.axes, norm="forward")
-    c = np.empty(half.shape[:-1] + (grid.N,), dtype=half.dtype)
-    np.multiply(half, (grid.retain if mask is None else mask)[..., :h], out=c[..., :h])
-    np.conjugate(c[grid.mirror + (slice(h - 2, 0, -1),)], out=c[..., h:])
+    c = np.fft.rfftn(u, axes=grid.axes, norm="forward")
+    c *= grid.retain if mask is None else mask
     c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[grid.mirror + (0,)]))
     return c
 
 
+def full_spectrum(grid: WaveGrid, c):
+    """The full N^d coefficient array of the half spectrum ``c``: the upper
+    half of the last axis is the conjugate mirror of the stored modes."""
+    h = grid.N // 2 + 1
+    out = np.empty(c.shape[:-1] + (grid.N,), dtype=c.dtype)
+    out[..., :h] = c
+    np.conjugate(c[grid.mirror + (slice(h - 2, 0, -1),)], out=out[..., h:])
+    return out
+
+
 def _contract(grid: WaveGrid, subscripts, *operands):
-    """np.einsum with each operand's d trailing spatial axes merged into the
-    single index ``x``; the result gets them back."""
-    flat = [op.reshape(op.shape[: op.ndim - grid.dim] + (grid.npts,)) for op in operands]
+    """np.einsum with each operand's d trailing axes merged into the single
+    index ``x``; the result gets back the operands' trailing shape (the half
+    spectrum or the collocation grid)."""
+    tail = operands[0].shape[-grid.dim :]
+    flat = [op.reshape(op.shape[: -grid.dim] + (math.prod(tail),)) for op in operands]
     out = np.einsum(subscripts, *flat)
-    return out.reshape(out.shape[:-1] + grid.shape)
-
-
-def zero_mean(grid: WaveGrid, c):
-    c = c.copy()
-    c[(Ellipsis,) + (0,) * grid.dim] = 0.0
-    return c
+    return out.reshape(out.shape[:-1] + tail)
 
 
 def leray_project(grid: WaveGrid, c):
@@ -239,10 +243,6 @@ def v_apply(grid: WaveGrid, c, params: PhysicalParams):
     return c * (1.0 + params.alpha1 * grid.k2)
 
 
-def v_inv(grid: WaveGrid, c, params: PhysicalParams):
-    return c / (1.0 + params.alpha1 * grid.k2)
-
-
 def divergence_defect(grid: WaveGrid, c):
     """max_k |k . c(k)|, zero for valid fields."""
     d = sum(grid.k[i] * grid.c(c, i) for i in range(grid.dim))
@@ -250,9 +250,10 @@ def divergence_defect(grid: WaveGrid, c):
 
 
 def l2_inner(grid: WaveGrid, a, b):
-    """L2(D) inner product from spectral coefficients (Parseval, exact)."""
-    s = np.sum(a * np.conj(b), axis=(-grid.dim - 1,) + grid.axes)
-    return grid.vol * s.real
+    """L2(D) inner product from half-spectrum coefficients (Parseval, exact):
+    each stored mode counts with its Hermitian multiplicity."""
+    s = np.sum(grid.herm_weight * (a * np.conj(b)).real, axis=(-grid.dim - 1,) + grid.axes)
+    return grid.vol * s
 
 
 def l2_norm(grid: WaveGrid, c):
@@ -260,8 +261,7 @@ def l2_norm(grid: WaveGrid, c):
 
 
 def sobolev_inner(grid: WaveGrid, a, b, weight):
-    s = np.sum(weight * a * np.conj(b), axis=(-grid.dim - 1,) + grid.axes)
-    return grid.vol * s.real
+    return l2_inner(grid, weight * a, b)
 
 
 def v_inner(grid: WaveGrid, a, b, params: PhysicalParams):
@@ -302,7 +302,7 @@ def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
     these are transformed."""
     S_spec = to_spec(grid, S_packed, mask)
     ik = 1j * grid.k
-    out = np.zeros(S_spec.shape[: -grid.dim - 1] + (grid.dim,) + grid.shape, dtype=S_spec.dtype)
+    out = np.zeros(S_spec.shape[: -grid.dim - 1] + (grid.dim,) + grid.spec_shape, dtype=S_spec.dtype)
     # packed entry p = (a, b) is S_ab = S_ba: it feeds out_a through d_b and out_b through d_a
     for p, (a, b) in enumerate(zip(*grid.sym_pairs)):
         Sp, out_a = grid.c(S_spec, p), grid.c(out, a)
@@ -349,35 +349,18 @@ def wedge(grid: WaveGrid, a, b):
     return ai * bj - aj * bi
 
 
-def curl_v_phys(grid: WaveGrid, c, params: PhysicalParams):
-    """Collocation values of curl v(u): scalar in 2D, vector in 3D."""
-    vc = v_apply(grid, c, params)
-    if grid.dim == 2:
-        w = 1j * (grid.k[0] * grid.c(vc, 1) - grid.k[1] * grid.c(vc, 0))
-        return to_phys(grid, w)
-    kx, ky, kz = grid.k
-    cx, cy, cz = (grid.c(vc, i) for i in range(3))
-    w = np.stack(
-        [
-            1j * (ky * cz - kz * cy),
-            1j * (kz * cx - kx * cz),
-            1j * (kx * cy - ky * cx),
-        ],
-        axis=-4,
-    )
-    return to_phys(grid, w)
-
-
 # ---------------------------------------------------------------------------
 # quadrature helpers (zero-padded, alias-free evaluation for identity checks)
 
 
 def embed(grid: WaveGrid, big: WaveGrid, c):
-    """Zero-pad coefficients from grid onto the finer grid ``big``."""
-    pad = (big.N - grid.N) // 2
-    sh = np.fft.fftshift(c, axes=grid.axes)
-    widths = [(0, 0)] * (sh.ndim - grid.dim) + [(pad, big.N - grid.N - pad)] * grid.dim
-    return np.fft.ifftshift(np.pad(sh, widths), axes=grid.axes)
+    """Zero-pad half-spectrum coefficients from grid onto the finer grid
+    ``big``: centred along the leading axes, appended along the last."""
+    lead, pad = grid.axes[:-1], (big.N - grid.N) // 2
+    sh = np.fft.fftshift(c, axes=lead)
+    widths = ([(0, 0)] * (sh.ndim - grid.dim) + [(pad, big.N - grid.N - pad)] * (grid.dim - 1)
+              + [(0, (big.N - grid.N) // 2)])
+    return np.fft.ifftshift(np.pad(sh, widths), axes=lead)
 
 
 def refined(grid: WaveGrid, factor: int = 2) -> WaveGrid:
@@ -396,7 +379,7 @@ def trilinear_b(grid: WaveGrid, u, z, w, refine: int = 1):
     quadrature is exact for full-band inputs.
     """
     for f in (z, w):
-        if f.shape[-grid.dim :] != grid.shape:
+        if f.shape[-grid.dim :] != grid.spec_shape:
             raise ValueError("trilinear_b: fields on mismatched grids")
     g = grid if refine == 1 else refined(grid, refine)
     if refine != 1:
@@ -432,39 +415,6 @@ def w24_norm(grid: WaveGrid, c):
     return (total + quad_integral(grid, s2**2)) ** 0.25
 
 
-def w1inf_norm(grid: WaveGrid, c):
-    up = to_phys(grid, c)
-    J = jacobian_phys(grid, c)
-    m0 = np.max(np.sqrt(np.sum(up**2, axis=-grid.dim - 1)), axis=grid.axes)
-    m1 = np.max(
-        np.sqrt(np.sum(J**2, axis=(-grid.dim - 1, -grid.dim - 2))), axis=grid.axes
-    )
-    return np.maximum(m0, m1)
-
-
-def norms(grid: WaveGrid, c, params: PhysicalParams) -> NormReport:
-    wv = 1.0 + params.alpha1 * grid.k2
-    l2sq = l2_inner(grid, c, c)
-    vsq = sobolev_inner(grid, c, c, wv)
-    wsq = vsq + sobolev_inner(grid, c, c, wv**2)
-    wtsq = vsq + sobolev_inner(grid, c, c, grid.k2 * wv**2)
-    return NormReport(
-        l2=float(np.sqrt(max(l2sq, 0.0))),
-        v_norm=float(np.sqrt(max(vsq, 0.0))),
-        w_norm=float(np.sqrt(max(wsq, 0.0))),
-        wtilde_norm=float(np.sqrt(max(wtsq, 0.0))),
-        w24_norm=float(w24_norm(grid, c)),
-        w1inf_norm=float(w1inf_norm(grid, c)),
-    )
-
-
-def basis_eigenvalues(grid: WaveGrid, params: PhysicalParams):
-    """W-vs-V Rayleigh quotients mu(k) = 1 + (1 + alpha1 |k|^2) per retained mode."""
-    ks = grid.wavevectors()
-    k2 = np.sum(ks**2, axis=1)
-    return 2.0 + params.alpha1 * k2
-
-
 # ---------------------------------------------------------------------------
 # drift assembly
 
@@ -487,6 +437,25 @@ class Collocation:
     W = property(lambda self: rotation_packed(self.grid, v_apply(self.grid, self.c, self.params)))
     A = property(lambda self: deformation_packed(self.grid, self.c))
     A3 = property(lambda self: deformation_packed(self.grid, self.c * self.grid.mask3))
+
+
+def sym_product(grid: WaveGrid, A, B=None):
+    """Packed entries a <= b of the pointwise square A A of a symmetric
+    collocation tensor given by its packed entries, or, given B, of
+    A B + B A = P + P^T with P = A B.  P_ab = sum_c A_ac B_cb reads the
+    packed entries through ``sym_unpack``; no full d x d tensor is built."""
+    u, symmetrize = grid.sym_unpack, B is not None
+    B = A if B is None else B
+    out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    for p, (a, b) in enumerate(zip(*grid.sym_pairs)):
+        o = grid.c(out, p)
+        # (B A)_ab = P_ba for symmetric factors, so a diagonal entry of P + P^T is 2 P_aa
+        for i, j in ((a, b), (b, a)) if symmetrize and a != b else ((a, b),):
+            for c in range(grid.dim):
+                o += grid.c(A, u[i, c]) * grid.c(B, u[c, j])
+        if symmetrize and a == b:
+            o *= 2.0
+    return out
 
 
 def convective(a: Collocation, b: Collocation):
@@ -516,12 +485,8 @@ def stress_terms(y: Collocation, z: Collocation = None):
         out = params.beta * div_sym_spec(grid, S, grid.mask3)
     a12 = params.alpha1 + params.alpha2
     if a12 != 0.0:
-        Ay = np.take(y.A, grid.sym_unpack, axis=ci)
-        Az = Ay if z is None else np.take(z.A, grid.sym_unpack, axis=ci)
-        S = _contract(grid, "...acx,...cbx->...abx", Ay, Az)
-        if z is not None:
-            S = S + _contract(grid, "...acx,...cbx->...abx", Az, Ay)
-        out = out + a12 * div_sym_spec(grid, S[grid.sym_pack], grid.mask2)
+        S = sym_product(grid, y.A, None if z is None else z.A)
+        out = out + a12 * div_sym_spec(grid, S, grid.mask2)
     return out
 
 

@@ -96,7 +96,7 @@ def control_to_state(p, cfg: SimConfig):
 def tangent_sweep(fields, stop, psi, dW, cfg: SimConfig):
     """Tangent recursion along a frozen base ensemble.
 
-    ``fields`` is (S, steps+1, dim, *spatial), ``stop`` the per-sample
+    ``fields`` is (S, steps+1, dim, *spec_shape), ``stop`` the per-sample
     exit indices, ``psi`` a deterministic direction (steps, dim, *sp),
     ``dW`` the same increments the base run consumed.  Yields (n, live, z)
     for n = 0 ... steps with live = stop > n and z holding z_n (z_0 = 0),
@@ -104,7 +104,7 @@ def tangent_sweep(fields, stop, psi, dW, cfg: SimConfig):
     place only when the caller asks for the next step.
     """
     g = cfg.grid
-    z = np.zeros((fields.shape[0], g.dim) + g.shape, dtype=complex)
+    z = g.zeros((fields.shape[0],))
     for n in range(cfg.steps + 1):
         live = stop > n
         yield n, live, z

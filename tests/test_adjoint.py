@@ -222,7 +222,7 @@ class TestAdapted:
         seen = []
         for n, live, p_hat, q_norms in adj.adapted_pair(base.fields, base.stop, y_d, dW, cfg):
             seen.append(n)
-            assert p_hat.shape == (50, 2) + g.shape
+            assert p_hat.shape == (50, 2) + g.spec_shape
             assert q_norms.shape == (50, 5) and np.all(q_norms >= 0.0)
             X = adj._features(g, np.asarray(base.fields[:, n + 1], dtype=complex),
                               (base.stop > n + 1).astype(float))
@@ -256,7 +256,7 @@ def _freeze_simulate(y0, U, dW, cfg):
     """Forward loop that steps every sample and discards the frozen ones'
     results with np.where: the reference for the compacted loop (no aborts)."""
     g, S = cfg.grid, dW.shape[0]
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.shape).copy()
+    y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.spec_shape).copy()
     stop = np.full(S, cfg.steps)
     w24 = np.empty((S, cfg.steps + 1))
     w24[:, 0] = sp.w24_norm(g, y)

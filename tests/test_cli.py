@@ -10,6 +10,7 @@ import pytest
 
 from stgflow import cli
 from stgflow import config as cfgmod
+from stgflow import forward as fw
 from stgflow import io as sio
 from stgflow import spectral as sp
 
@@ -77,7 +78,7 @@ class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):
         g = sp.WaveGrid(2, 4)
         rng = np.random.default_rng(0)
-        fields = np.stack([sp.random_field(g, rng) for _ in range(6)])
+        fields = sp.full_spectrum(g, np.stack([sp.random_field(g, rng) for _ in range(6)]))
         path = tmp_path / "traj.bin"
         sio.write_trajectory(path, fields, 2, 4, 0.02, 3)
         back = sio.read_trajectory(path)
@@ -95,7 +96,7 @@ class TestBinaryFormat:
     @pytest.mark.parametrize("delta", [None, -16, 3], ids=["short_header", "short_payload", "trailing_bytes"])
     def test_size_mismatch(self, tmp_path, delta):
         g = sp.WaveGrid(2, 4)
-        fields = np.stack([sp.random_field(g, np.random.default_rng(1))] * 3)
+        fields = sp.full_spectrum(g, np.stack([sp.random_field(g, np.random.default_rng(1))] * 3))
         path = tmp_path / "traj.bin"
         sio.write_trajectory(path, fields, 2, 4, 0.02, 2)
         raw = path.read_bytes()
@@ -103,6 +104,12 @@ class TestBinaryFormat:
         path.write_bytes((raw + b"\0" * 3)[:found])
         with pytest.raises(ValueError, match=rf"traj\.bin: expected (at least )?{expected} .*found {found}$"):
             sio.read_trajectory(path)
+
+    def test_half_spectrum_rejected(self, tmp_path):
+        # the file holds the full spectrum; the stored half must be expanded first
+        g = sp.WaveGrid(2, 4)
+        with pytest.raises(ValueError, match="must have shape"):
+            sio.write_trajectory(tmp_path / "traj.bin", g.zeros((3,)), 2, 4, 0.02, 2)
 
     def test_json_writer_handles_numpy(self, tmp_path):
         path = tmp_path / "out.json"
@@ -136,6 +143,24 @@ class TestCli:
         assert man["config_hash"] == cfgmod.config_hash(cfgmod.load(small_cfg))
         traj = sio.read_trajectory(out / "trajectory.bin")
         assert traj["steps"] == 15
+
+    def test_simulate_trajectory_full_hermitian(self, small_cfg, tmp_path):
+        # version 1, the full N^d spectrum expanded from the stored half,
+        # exactly Hermitian, and its half is the ensemble's first sample
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--config", str(small_cfg), "--out", str(out), "--quiet"]) == 0
+        raw = (out / "trajectory.bin").read_bytes()
+        assert raw[:4] == b"STGF" and int.from_bytes(raw[4:8], "little") == 1
+        traj = sio.read_trajectory(out / "trajectory.bin")
+        g = sp.WaveGrid(2, 4)
+        assert traj["fields"].shape == (16, 2) + g.shape
+        neg = (-np.arange(g.N)) % g.N
+        fields = traj["fields"]
+        assert np.array_equal(fields[(Ellipsis,) + np.ix_(neg, neg)], np.conj(fields))
+        tree = cfgmod.load(small_cfg)
+        sim = cfgmod.build_sim(tree)
+        res = fw.run_ensemble(cfgmod.initial_field(tree, sim), None, sim, int(tree["samples"]))
+        assert np.array_equal(fields[..., : g.N // 2 + 1], res.fields[0])
 
     def test_rerun_byte_identical(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -231,7 +231,7 @@ class TestOptimize:
         y0 = sp.random_field(g, rng, amplitude=0.8)
         y_d = sp.random_field(g, rng, amplitude=5.0)
         adm = ct.AdmissibleSet(radius=3000.0, p_exp=cfg.p_exp)
-        U = np.zeros((cfg.steps, g.dim) + g.shape, dtype=complex)
+        U = g.zeros((cfg.steps,))
         grad, _ = ct.cost_gradient(U, y0, y_d, cfg, 3, 0.0)
         first = adm.project(g, U - 1e6 * grad, cfg.dt)
         assert fw.run_ensemble(y0, first, cfg, 3).aborted.all()

@@ -104,6 +104,15 @@ class TestSimulate:
         assert np.array_equal(r1.fields, r2.fields)
         assert np.array_equal(r1.stop, r2.stop)
 
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_fields_hold_half_spectrum(self, dim, n_max):
+        # every stored snapshot keeps last-axis modes 0..N/2 only
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=3, p_exp=10.0)
+        g = cfg.grid
+        res = fw.run_ensemble(sp.random_field(g, np.random.default_rng(5)), None, cfg, 2)
+        assert res.fields.shape == (2, 4, dim) + (g.N,) * (dim - 1) + (g.N // 2 + 1,)
+        assert res.final.shape == (2, dim) + g.spec_shape
+
     def test_batch_matches_single(self):
         cfg = make_cfg(steps=15)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(2))

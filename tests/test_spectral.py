@@ -51,7 +51,10 @@ class TestGrid:
         assert g.N == 18
         assert g.dealias_cut == 5
         assert g.cubic_cut == 4
-        assert g.k.shape == (2, 18, 18)
+        assert g.shape == (18, 18) and g.npts == 324
+        assert g.spec_shape == (18, 10) and g.nspec == 180
+        assert g.k.shape == (2, 18, 10)
+        assert g.zeros((3,)).shape == (3, 2, 18, 10)
 
     def test_nyquist_excluded(self):
         g = grid2()
@@ -59,12 +62,6 @@ class TestGrid:
         assert not g.retain[g.N // 2, 0]
         assert not g.retain[0, g.N // 2]
         assert g.retain[g.n_max, 0]
-
-    def test_wavevectors_count(self):
-        g = grid2()
-        ks = g.wavevectors()
-        assert ks.shape == ((2 * g.n_max + 1) ** 2 - 1, 2)
-        assert np.all(np.abs(ks) <= g.n_max)
 
 
 class TestTransforms:
@@ -123,13 +120,39 @@ def _div_matrix_spec(g, M_phys, mask=None):
 
 
 def _mirror(g, c):
-    """c[-k] for every k of the grid."""
+    """c[-k] for every k of the full N^d grid."""
     neg = (-np.arange(g.N)) % g.N
     return c[(Ellipsis,) + np.ix_(*[neg] * g.dim)]
 
 
+def _curl_v_phys(g, c, params):
+    """Collocation values of curl v(u) from the explicit curl stencil: a
+    scalar in 2D, a vector in 3D."""
+    vc = sp.v_apply(g, c, params)
+    if g.dim == 2:
+        return sp.to_phys(g, 1j * (g.k[0] * g.c(vc, 1) - g.k[1] * g.c(vc, 0)))
+    (kx, ky, kz), (cx, cy, cz) = g.k, (g.c(vc, i) for i in range(3))
+    w = np.stack([ky * cz - kz * cy, kz * cx - kx * cz, kx * cy - ky * cx], axis=-4)
+    return sp.to_phys(g, 1j * w)
+
+
+def _w1inf_norm(g, c):
+    """max over the grid of |u| and of |grad u| (Frobenius), whichever is larger."""
+    ci = -g.dim - 1
+    m0 = np.max(np.sqrt(np.sum(sp.to_phys(g, c) ** 2, axis=ci)), axis=g.axes)
+    m1 = np.max(np.sqrt(np.sum(sp.jacobian_phys(g, c) ** 2, axis=(ci, ci - 1))), axis=g.axes)
+    return np.maximum(m0, m1)
+
+
+def _zero_mean(g, c):
+    c = c.copy()
+    c[(Ellipsis,) + (0,) * g.dim] = 0.0
+    return c
+
+
 class TestRealTransformSeam:
-    """The real-data transforms against the full complex ones they replace."""
+    """The real-data transforms on the half spectrum against the full complex
+    ones they replace."""
 
     @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
     @pytest.mark.parametrize("mask", ["retain", "mask2", "mask3"])
@@ -138,16 +161,36 @@ class TestRealTransformSeam:
         m = getattr(g, mask)
         u = np.random.default_rng(61).standard_normal((2, dim) + g.shape)
         c = sp.to_spec(g, u, m)
-        assert _rel(c, np.fft.fftn(u, axes=g.axes) / g.npts * m) <= 1e-13
-        assert _rel(sp.to_phys(g, c), np.fft.ifftn(c, axes=g.axes).real * g.npts) <= 1e-13
+        assert c.shape == (2, dim) + g.spec_shape
+        full = sp.full_spectrum(g, c)
+        m_full = sp.full_spectrum(g, 1.0 * m)
+        assert _rel(full, np.fft.fftn(u, axes=g.axes) / g.npts * m_full) <= 1e-13
+        assert _rel(sp.to_phys(g, c), np.fft.ifftn(full, axes=g.axes).real * g.npts) <= 1e-13
 
     @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
     @pytest.mark.parametrize("mask", ["retain", "mask2", "mask3"])
     def test_to_spec_exactly_hermitian(self, dim, n_max, mask):
         g = sp.WaveGrid(dim, n_max)
         u = np.random.default_rng(62).standard_normal((2, dim) + g.shape)
-        c = sp.to_spec(g, u, getattr(g, mask))
-        assert np.array_equal(_mirror(g, c), np.conj(c))
+        full = sp.full_spectrum(g, sp.to_spec(g, u, getattr(g, mask)))
+        assert full.shape == (2, dim) + g.shape
+        assert np.array_equal(_mirror(g, full), np.conj(full))
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_half_pairings_match_full_sums(self, dim, n_max):
+        # the Hermitian multiplicities make the half-spectrum pairings the
+        # plain sums over the full spectrum
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(60)
+        a = sp.to_spec(g, rng.standard_normal((3, dim) + g.shape))
+        b = np.stack([sp.random_field(g, rng, amplitude=x) for x in (0.5, 1.0, 2.0)])
+        fa, fb = sp.full_spectrum(g, a), sp.full_spectrum(g, b)
+        axes = (-dim - 1,) + g.axes
+        weight = 1.0 + PARAMS.alpha1 * g.k2
+        full_l2 = g.vol * np.sum(fa * np.conj(fb), axis=axes).real
+        full_w = g.vol * np.sum(sp.full_spectrum(g, weight) * fa * np.conj(fb), axis=axes).real
+        assert _rel(sp.l2_inner(g, a, b), full_l2) <= 1e-13
+        assert _rel(sp.sobolev_inner(g, a, b, weight), full_w) <= 1e-13
 
     @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
     def test_l2_pairing(self, dim, n_max):
@@ -196,7 +239,28 @@ class TestSymmetricKernels:
         M = np.random.default_rng(66).standard_normal((2, dim, dim) + g.shape)
         S = M + np.swapaxes(M, -dim - 1, -dim - 2)
         m = getattr(g, mask)
-        assert _rel(sp.div_sym_spec(g, S[g.sym_pack], m), _div_matrix_spec(g, S, m)) <= 1e-12
+        a, b = g.sym_pairs
+        packed = S[(Ellipsis, a, b) + (slice(None),) * dim]
+        assert _rel(sp.div_sym_spec(g, packed, m), _div_matrix_spec(g, S, m)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+def test_sym_product_against_full_tensors(dim, n_max):
+    # packed A A and A B + B A against the full d x d matrix products
+    g = sp.WaveGrid(dim, n_max)
+    rng = np.random.default_rng(67)
+    A, B = (sp.deformation_packed(g, sp.random_field(g, rng, batch=(2,))) for _ in range(2))
+    ci, (a, b) = -dim - 1, g.sym_pairs
+
+    def full(X):  # (..., *grid, d, d)
+        return np.moveaxis(np.take(X, g.sym_unpack, axis=ci), (ci - 1, ci), (-2, -1))
+
+    def packed(M):
+        return np.moveaxis(M[..., a, b], -1, ci)
+
+    AB = full(A) @ full(B)
+    assert _rel(sp.sym_product(g, A), packed(full(A) @ full(A))) <= 1e-13
+    assert _rel(sp.sym_product(g, A, B), packed(AB + np.swapaxes(AB, -1, -2))) <= 1e-13
 
 
 def _advective(g, a, b, params):
@@ -212,7 +276,7 @@ def _advective(g, a, b, params):
 def _curl_cross(g, y, u, params):
     """curl v(y) x u from the explicit curl stencil: in 2D the scalar curl w
     acts as the rotation (-w u_2, w u_1)."""
-    w, up = sp.curl_v_phys(g, y, params), sp.to_phys(g, u)
+    w, up = _curl_v_phys(g, y, params), sp.to_phys(g, u)
     if g.dim == 2:
         return np.stack([-w * g.c(up, 1), w * g.c(up, 0)], axis=-3)
     return np.moveaxis(np.cross(np.moveaxis(w, -4, -1), np.moveaxis(up, -4, -1)), -1, -4)
@@ -286,15 +350,15 @@ class TestLeray:
         g = grid2()
         rng = np.random.default_rng(4)
         raw = sp.to_spec(g, rng.standard_normal((2,) + g.shape))
-        raw = sp.zero_mean(g, raw)
+        raw = _zero_mean(g, raw)
         p = sp.leray_project(g, raw)
         assert abs(sp.l2_inner(g, p, raw - p)) < 1e-12
 
     def test_self_adjoint(self):
         g = grid2()
         rng = np.random.default_rng(5)
-        a = sp.zero_mean(g, sp.to_spec(g, rng.standard_normal((2,) + g.shape)))
-        b = sp.zero_mean(g, sp.to_spec(g, rng.standard_normal((2,) + g.shape)))
+        a = _zero_mean(g, sp.to_spec(g, rng.standard_normal((2,) + g.shape)))
+        b = _zero_mean(g, sp.to_spec(g, rng.standard_normal((2,) + g.shape)))
         lhs = sp.l2_inner(g, sp.leray_project(g, a), b)
         rhs = sp.l2_inner(g, a, sp.leray_project(g, b))
         assert abs(lhs - rhs) < 1e-12
@@ -315,7 +379,7 @@ class TestVMap:
         g = grid3()
         rng = np.random.default_rng(9)
         c = sp.random_field(g, rng)
-        back = sp.v_inv(g, sp.v_apply(g, c, PARAMS), PARAMS)
+        back = sp.v_apply(g, c, PARAMS) / (1.0 + PARAMS.alpha1 * g.k2)
         assert np.max(np.abs(back - c)) < 1e-13
 
     def test_v_inner_matches_definition(self):
@@ -362,7 +426,7 @@ class TestDerivatives:
         x = 2 * np.pi * np.arange(g.N) / g.N
         X1 = x[:, None] + 0 * x[None, :]
         c = sp.to_spec(g, np.stack([0 * X1, np.cos(X1)]))
-        w = sp.curl_v_phys(g, c, pa)
+        w = _curl_v_phys(g, c, pa)
         # curl = d1 v2 - d2 v1 = -(1 + 0.7) sin(x1)
         assert np.max(np.abs(w + 1.7 * np.sin(X1))) < 1e-12
 
@@ -429,36 +493,28 @@ class TestNorms:
         x = 2 * np.pi * np.arange(g.N) / g.N
         X1 = x[:, None] + 0 * x[None, :]
         c = sp.to_spec(g, np.stack([0 * X1, 2.0 * np.cos(X1)]))
-        assert abs(sp.w1inf_norm(g, c) - 2.0) < 1e-10
+        assert abs(_w1inf_norm(g, c) - 2.0) < 1e-10
 
     def test_norm_ordering(self):
         g = grid2()
         rng = np.random.default_rng(41)
         c = sp.random_field(g, rng, amplitude=1.0)
-        rep = sp.norms(g, c, PARAMS)
-        assert rep.l2 <= rep.v_norm <= rep.w_norm
-        assert rep.v_norm <= rep.wtilde_norm
+        wv = 1.0 + PARAMS.alpha1 * g.k2
+        l2, v, w, wt = (np.sqrt(sp.sobolev_inner(g, c, c, weight))
+                        for weight in (1.0, wv, wv + wv**2, wv + g.k2 * wv**2))
+        assert l2 <= v <= w
+        assert v <= wt
 
     def test_wtilde_uses_curl(self):
-        # ||u||_Wtilde^2 = ||u||_V^2 + ||curl v(u)||^2 on solenoidal fields
+        # ||u||_Wtilde^2 = ||u||_V^2 + ||curl v(u)||^2 on solenoidal fields,
+        # the Sobolev pairing of weight |k|^2 (1 + alpha1 |k|^2)^2 against quadrature
         g = grid2()
         rng = np.random.default_rng(42)
         c = sp.random_field(g, rng, amplitude=1.4)
-        w = sp.curl_v_phys(g, c, PARAMS)
+        w = _curl_v_phys(g, c, PARAMS)
         curlsq = sp.quad_integral(g, w**2)
-        vsq = sp.v_inner(g, c, c, PARAMS)
-        rep = sp.norms(g, c, PARAMS)
-        assert abs(rep.wtilde_norm**2 - (vsq + curlsq)) < 1e-10
-
-    def test_basis_eigenvalues(self):
-        g = grid2()
-        pa = sp.PhysicalParams(nu=1.0, alpha1=2.0, alpha2=-2.0, beta=0.0)
-        mu = np.sort(sp.basis_eigenvalues(g, pa))
-        assert abs(mu[0] - 4.0) < 1e-14  # |k|^2 = 1
-        ks = g.wavevectors()
-        assert np.allclose(
-            sp.basis_eigenvalues(g, pa), 2.0 + 2.0 * np.sum(ks**2, axis=1)
-        )
+        wv = 1.0 + PARAMS.alpha1 * g.k2
+        assert abs(sp.sobolev_inner(g, c, c, g.k2 * wv**2) - curlsq) < 1e-10
 
 
 class TestDrift:

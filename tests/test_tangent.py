@@ -135,7 +135,7 @@ class TestTangentTrajectory:
         y0 = sp.random_field(g, np.random.default_rng(7))
         dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
         base = fw.simulate_ensemble(y0, None, dW, cfg)
-        psi = np.zeros((cfg.steps, 2) + g.shape)
+        psi = np.zeros((cfg.steps, 2) + g.spec_shape)
         seen = []
         for n, _, z in tg.tangent_sweep(base.fields, base.stop, psi, dW, cfg):
             seen.append(n)
