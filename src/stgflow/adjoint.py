@@ -21,19 +21,19 @@ The pathwise p peeks at the future of the noise; ``adapted_pair``
 additionally conditions it back onto the current state by least-squares
 Monte Carlo, producing an adapted pair (p_hat, q_hat) that satisfies the
 same duality in expectation up to regression and sampling error.  The
-forward half of each duality check is ``tangent.tangent_sweep``.
+rhs of each duality check accumulates in the forward loop, which
+advances the tangent z_n beside y_n (``forward.simulate_ensemble`` given
+a direction).
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
 from .forward import SimConfig, _on_live, simulate_ensemble
-from .tangent import control_to_state, tangent_sweep, transpose_step
+from .tangent import control_to_state, transpose_step
 
 
 def tracking_weight(grid, params, variant: str):
@@ -82,7 +82,9 @@ def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
         if n > 0 and live.any():
             y_n = np.asarray(fields[:, n], dtype=complex)
             g_n = tracking_residual(y_n, y_d, n, live, cfg, variant)
-            _on_live(live, p, _costate_kernel(n, cfg), y_n, p, dW[:, n], g_n)
+            rows, p_n = _on_live(live, _costate_kernel(n, cfg), y_n, p, dW[:, n], g_n)
+            p[rows] = p_n
+            del p_n  # freed before the reader resumes
 
 
 def _lhs_term(psi_n, p, live, cfg: SimConfig):
@@ -92,25 +94,27 @@ def _lhs_term(psi_n, p, live, cfg: SimConfig):
     return np.where(live, cfg.dt * sp.l2_inner(cfg.grid, psi_n, sp_n), 0.0)
 
 
-def _duality_rhs(psi, base, y_d, dW, cfg: SimConfig, variant):
-    """Per-sample rhs = sum_{n < stop} dt (g_n, z_n) of the duality identity;
-    islice stops the tangent sweep before it forms z_N, which pairs with nothing."""
-    rhs = np.zeros(base.n_samples)
-    for n, live, z in islice(tangent_sweep(base.fields, base.stop, psi, dW, cfg), cfg.steps):
-        g_n = tracking_residual(base.fields[:, n], y_d, n, live, cfg, variant)
-        rhs += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, g_n, z), 0.0)
-    return rhs
+def _simulate_with_rhs(y0, U, psi, y_d, dW, cfg: SimConfig, variant, **kw):
+    """Forward ensemble with the tangent along psi beside it, and the
+    per-sample rhs = sum_{n < stop} dt (g_n, z_n) of the duality identity
+    accumulated in the same loop; z_N, which pairs with nothing, is not formed."""
+    rhs = np.zeros(dW.shape[0])
+
+    def read(n, live, y, z):
+        g_n = tracking_residual(y, y_d, n, live, cfg, variant)
+        rhs[:] += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, g_n, z), 0.0)
+
+    return simulate_ensemble(y0, U, dW, cfg, psi=psi, read=read, **kw), rhs
 
 
 def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2"):
     """End-to-end pathwise duality report on a fresh ensemble."""
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    base = simulate_ensemble(y0, U, dW, cfg)
+    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg, variant)
     psi = np.asarray(psi)
     lhs = np.zeros(n_samples)
     for n, live, p in costate_sweep(base.fields, base.stop, y_d, dW, cfg, variant):
         lhs += _lhs_term(psi[n], p, live, cfg)
-    rhs = _duality_rhs(psi, base, y_d, dW, cfg, variant)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
     return {
@@ -190,9 +194,11 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, varia
     The post-exit maximum runs over p_hat_{n+1} and q_hat_n at and after
     each stopped sample's exit; p_hat_0, which no pairing reads, is not
     formed.  The terminal maximum is that of p_hat_N over all samples.
+    The fields are stored as complex64 for the backward sweep; the rhs (its
+    tangent and g_n) reads the forward loop's unrounded complex128 y_n.
     """
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    base = simulate_ensemble(y0, U, dW, cfg, store_dtype=np.complex64)
+    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg, variant, store_dtype=np.complex64)
     psi = np.asarray(psi)
     stop = base.stop
     lhs = np.zeros(n_samples)
@@ -204,7 +210,6 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, varia
         exited = (stop <= n + 1) & (stop < cfg.steps)
         tail = max(tail, float(np.max(np.abs(p_hat[exited]), initial=0.0)),
                    float(np.max(q_norms[stop <= n], initial=0.0)))
-    rhs = _duality_rhs(psi, base, y_d, dW, cfg, variant)
     S = n_samples
     diff = lhs - rhs
     mean = float(np.mean(diff))

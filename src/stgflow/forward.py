@@ -13,9 +13,11 @@ reaches the threshold M; the state is frozen from the crossing index on,
 matching the stopped process the cost functional integrates.  A sample
 whose norm overshoots ``blowup_factor * M`` (or goes non-finite) is
 marked aborted and frozen at its last finite state.  Stopped samples are
-not stepped: every ensemble loop (forward, tangent, costate) runs its
-kernel on the live samples only, through ``_on_live``, and leaves the
-frozen ones untouched.
+not stepped: both ensemble loops (forward, costate) run their kernels on
+the live samples only, through ``_on_live``, and leave the frozen ones
+untouched.  Given a direction psi, the forward loop also advances the
+tangent z_n beside y_n, ``step`` and ``tangent.tangent_step`` reading one
+set of y_n's collocation pieces (``fused_step``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
+from . import tangent as tg
 
 
 @dataclass(frozen=True)
@@ -79,61 +82,65 @@ class EnsembleResult:
         return self.stop.shape[0]
 
 
-def step(y, u_n, dW_n, t, cfg: SimConfig):
-    """One scheme step, batched over any leading sample axes of ``y``."""
+def step(y, u_n, dW_n, t, cfg: SimConfig, yc=None):
+    """One scheme step, batched over any leading sample axes of ``y``;
+    ``yc``, the collocation pieces of y, is made here when not given."""
     g = cfg.grid
-    ex = sp.state_drift(g, y, u_n, cfg.params, include_viscosity=False)
+    ex = sp.state_drift(g, y, u_n, cfg.params, include_viscosity=False, yc=yc)
     rhs = sp.v_apply(g, y, cfg.params) + cfg.dt * ex
     if cfg.model.K > 0:
         rhs = rhs + nz.noise_increment(g, t, y, dW_n, cfg.model)
     return sp.leray_project(g, rhs / cfg.implicit_denominator)
 
 
-def _on_live(live, out, kernel, *per_sample):
-    """Run ``kernel`` on the samples where ``live`` holds and write its first
-    result into those rows of ``out``; the other rows are not touched.
-
-    ``per_sample`` are arrays with the sample axis first; the kernel gets
-    their live rows.  A kernel returning a tuple hands its further results
-    back, over the live samples only.  When every sample is live the arrays
-    are passed as they are, without a gather.  The batched kernels act on
-    each sample alone, so a live sample's result does not depend on which
-    others are live.
-    """
-    if live.all():
-        rows = slice(None)
-        res = kernel(*per_sample)
-    else:
-        rows = np.flatnonzero(live)
-        res = kernel(*(a[rows] for a in per_sample))
-    first, *rest = res if isinstance(res, tuple) else (res,)
-    out[rows] = first
-    return rest
+def fused_step(y, z, u_n, psi_n, dW_n, t, cfg: SimConfig):
+    """``step`` and ``tangent.tangent_step`` at y, reading one set of y's collocation
+    pieces.  The tangent goes first and makes them as it reads them: fewer are held at its peak."""
+    yc = sp.CachedCollocation(cfg.grid, y, cfg.params)
+    z_next = tg.tangent_step(y, z, psi_n, dW_n, t, cfg, yc)
+    return step(y, u_n, dW_n, t, cfg, yc), z_next
 
 
-def _control_at(U, n):
-    if U is None:
-        return None
-    return np.asarray(U)[n]
+def _on_live(live, kernel, *per_sample):
+    """Run ``kernel`` on the live rows of the ``per_sample`` arrays (sample axis
+    first); returns those rows (a full slice, no gather, when all are live) and
+    the result.  The batched kernels act on each sample alone, so a live
+    sample's result does not depend on which others are live."""
+    rows = slice(None) if live.all() else np.flatnonzero(live)
+    return rows, kernel(*(a[rows] for a in per_sample))
 
 
-def simulate_ensemble(
-    y0,
-    U,
-    dW,
-    cfg: SimConfig,
-    store_fields: bool = True,
-    store_dtype=np.complex128,
-) -> EnsembleResult:
+def _per_step(name, a, cfg: SimConfig):
+    """``a`` as an array of one field per step; any other shape raises."""
+    want = (cfg.steps, cfg.dim) + cfg.grid.spec_shape
+    if np.shape(a) != want:
+        raise ValueError(f"{name} must be (steps, dim, *spec_shape) = {want}, got {np.shape(a)}")
+    return np.asarray(a)
+
+
+def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields: bool = True,
+                      store_dtype=np.complex128, psi=None, read=None, read_to=None):
     """Run S coupled samples; dW has shape (S, steps, K).
 
     ``y0`` is a single field or a batch (S, dim, *spec_shape); ``U`` is a
     deterministic control array (steps, dim, *spec_shape) or None.
+
+    Given a direction ``psi`` of that shape too, the tangent z_n along it
+    (z_0 = 0) advances next to y_n through ``fused_step`` and is rolled back
+    with y on an aborted sample, and ``read(n, live, y_n, z_n)`` is called
+    for n = 0 ... ``read_to`` (default steps - 1) once step n is settled,
+    live = stop > n; z_{n+1} is formed for n < read_to only.  ``read`` gets
+    the loop's own arrays and copies what it keeps.
     """
     g = cfg.grid
     dW = np.asarray(dW)
+    U = None if U is None else _per_step("U", U, cfg)
     S = dW.shape[0]
     y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.spec_shape).copy()
+    state = (y,)  # what the loop advances: y, and z given a direction
+    if psi is not None:
+        psi, state = _per_step("psi", psi, cfg), (y, g.zeros((S,)))
+        read_to = cfg.steps - 1 if read_to is None else read_to
 
     stop = np.full(S, cfg.steps, dtype=int)
     aborted = np.zeros(S, dtype=bool)
@@ -146,27 +153,36 @@ def simulate_ensemble(
         fields = np.empty((S, cfg.steps + 1, g.dim) + g.spec_shape, dtype=store_dtype)
         fields[:, 0] = y
 
-    def advance(y, dW_n, n):
-        y_next = step(y, _control_at(U, n), dW_n, n * cfg.dt, cfg)
-        w_next = sp.w24_norm(g, y_next)
+    def advance(n, y, dW_n, *z):
+        t, u_n = n * cfg.dt, None if U is None else U[n]
+        new = fused_step(y, *z, u_n, psi[n], dW_n, t, cfg) if z else (step(y, u_n, dW_n, t, cfg),)
+        w_next = sp.w24_norm(g, new[0])
         bad = ~np.isfinite(w_next) | (w_next > cfg.blowup_factor * cfg.M)
         if bad.any():  # an aborted sample keeps its last finite state
-            y_next[bad] = y[bad]
-        return y_next, w_next, bad
+            for a_next, a in zip(new, (y,) + z):
+                a_next[bad] = a[bad]
+        return new, w_next, bad
 
     for n in range(cfg.steps):
-        live = stop > n
+        live, new = stop > n, ()
         w24[:, n + 1] = w24[:, n]
         if live.any():
-            w_next, bad = _on_live(live, y, lambda y, dw: advance(y, dw, n), y, dW[:, n])
-            rows = np.flatnonzero(live)
-            aborted[rows[bad]] = True
-            stop[rows[bad]] = n
-            ok, w_ok = rows[~bad], w_next[~bad]
+            z = state[1:] if psi is not None and n < read_to else ()
+            rows, (new, w_next, bad) = _on_live(live, lambda *a: advance(n, *a), y, dW[:, n], *z)
+            idx = np.flatnonzero(live)
+            aborted[idx[bad]] = True
+            stop[idx[bad]] = n
+            ok, w_ok = idx[~bad], w_next[~bad]
             w24[ok, n + 1] = w_ok
             stop[ok[w_ok >= cfg.M]] = n + 1
+        if psi is not None and n <= read_to:
+            read(n, stop > n, *state)
+        for i in range(len(new)):  # a loop variable would keep new[-1] alive into step n + 1
+            state[i][rows] = new[i]
         if store_fields:
             fields[:, n + 1] = y
+    if psi is not None and read_to == cfg.steps:
+        read(cfg.steps, stop > cfg.steps, *state)
 
     return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted, final=y)
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -439,6 +440,13 @@ class Collocation:
     A3 = property(lambda self: deformation_packed(self.grid, self.c * self.grid.mask3))
 
 
+class CachedCollocation(Collocation):
+    """Collocation whose pieces are transformed once, on first access, and
+    kept: one base state read by both the forward step and the tangent step."""
+
+    u, W, A, A3 = (cached_property(getattr(Collocation, p).fget) for p in ("u", "W", "A", "A3"))
+
+
 def sym_product(grid: WaveGrid, A, B=None):
     """Packed entries a <= b of the pointwise square A A of a symmetric
     collocation tensor given by its packed entries, or, given B, of
@@ -499,11 +507,11 @@ def drift_terms(y: Collocation, z: Collocation = None):
     return out + to_spec(y.grid, conv, y.grid.mask2)
 
 
-def state_drift(
-    grid: WaveGrid, y, u=None, params: PhysicalParams = None, include_viscosity: bool = True
-):
-    """Leray-projected drift of the state equation (pressure eliminated)."""
-    out = drift_terms(Collocation(grid, y, params))
+def state_drift(grid: WaveGrid, y, u=None, params: PhysicalParams = None,
+                include_viscosity: bool = True, yc: Collocation = None):
+    """Leray-projected drift of the state equation (pressure eliminated);
+    ``yc``, the collocation pieces of y, is made here when not given."""
+    out = drift_terms(yc or Collocation(grid, y, params))
     if include_viscosity:
         out = out - params.nu * grid.k2 * y
     if u is not None:

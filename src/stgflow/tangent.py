@@ -13,21 +13,19 @@ the rotation is the wedge product, and the rotation symbol transposes
 to minus the divergence of a packed antisymmetric tensor), while the
 stress derivative is self-adjoint and is reused as it stands.
 
-``tangent_sweep`` is the one forward tangent recursion over a frozen
-ensemble: it yields z_n at step n and overwrites it with z_{n+1} in
-place only when the caller resumes it (a caller that keeps z_n copies
-it), so a caller that stops early, like the duality rhs, which never
-reads z_N, makes no step it does not read.  Its backward counterpart is
-``adjoint.costate_sweep``.
+The tangent recursion runs inside the forward loop: given a direction,
+``forward.simulate_ensemble`` advances z_n next to y_n on the same live
+samples, and ``tangent_step`` and ``forward.step`` read one set of y_n's
+collocation pieces.  Its backward counterpart is ``adjoint.costate_sweep``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import forward as fw
 from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig, _on_live, simulate_ensemble
 
 
 def _convective_T(y, w):
@@ -42,8 +40,10 @@ def _convective_T(y, w):
     return sp.v_apply(g, through_v, y.params) + direct
 
 
-def linearized_drift(grid, y, z, psi, params, include_viscosity=True):
-    out = sp.drift_terms(sp.Collocation(grid, y, params), sp.Collocation(grid, z, params))
+def linearized_drift(grid, y, z, psi, params, include_viscosity=True, yc=None):
+    """N'(y)[z] (+ psi), Leray-projected; ``yc``, the collocation pieces of y,
+    is made here when not given."""
+    out = sp.drift_terms(yc or sp.Collocation(grid, y, params), sp.Collocation(grid, z, params))
     if include_viscosity:
         out = out - params.nu * grid.k2 * z
     if psi is not None:
@@ -65,17 +65,18 @@ def linearized_drift_T(grid, y, w, params, include_viscosity=True):
 # tangent recursion
 
 
-def tangent_step(y, z, psi_n, dW_n, t, cfg: SimConfig):
-    """Jacobian of the forward step at base state y, applied to z (+ psi)."""
+def tangent_step(y, z, psi_n, dW_n, t, cfg: fw.SimConfig, yc=None):
+    """Jacobian of the forward step at base state y, applied to z (+ psi);
+    ``yc`` as in ``forward.step``."""
     g = cfg.grid
-    ex = linearized_drift(g, y, z, psi_n, cfg.params, include_viscosity=False)
+    ex = linearized_drift(g, y, z, psi_n, cfg.params, include_viscosity=False, yc=yc)
     rhs = sp.v_apply(g, z, cfg.params) + cfg.dt * ex
     if cfg.model.K > 0:
         rhs = rhs + nz.grad_noise_increment(g, t, y, z, dW_n, cfg.model)
     return sp.leray_project(g, rhs / cfg.implicit_denominator)
 
 
-def transpose_step(y, p, dW_n, t, cfg: SimConfig):
+def transpose_step(y, p, dW_n, t, cfg: fw.SimConfig):
     """F_n^T p for the tangent propagator F_n at base state y."""
     g = cfg.grid
     q = sp.leray_project(g, p / cfg.implicit_denominator)
@@ -87,33 +88,13 @@ def transpose_step(y, p, dW_n, t, cfg: SimConfig):
     return out
 
 
-def control_to_state(p, cfg: SimConfig):
+def control_to_state(p, cfg: fw.SimConfig):
     """S^T p: how a unit control impulse at one step pairs with the costate."""
     g = cfg.grid
     return sp.leray_project(g, p / cfg.implicit_denominator)
 
 
-def tangent_sweep(fields, stop, psi, dW, cfg: SimConfig):
-    """Tangent recursion along a frozen base ensemble.
-
-    ``fields`` is (S, steps+1, dim, *spec_shape), ``stop`` the per-sample
-    exit indices, ``psi`` a deterministic direction (steps, dim, *sp),
-    ``dW`` the same increments the base run consumed.  Yields (n, live, z)
-    for n = 0 ... steps with live = stop > n and z holding z_n (z_0 = 0),
-    frozen once the base sample has stopped.  z is advanced to z_{n+1} in
-    place only when the caller asks for the next step.
-    """
-    g = cfg.grid
-    z = g.zeros((fields.shape[0],))
-    for n in range(cfg.steps + 1):
-        live = stop > n
-        yield n, live, z
-        if live.any():  # never at n = steps: every stop index is at most steps
-            _on_live(live, z, lambda y, z, dw: tangent_step(y, z, psi[n], dw, n * cfg.dt, cfg),
-                     np.asarray(fields[:, n], dtype=complex), z, dW[:, n])
-
-
-def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
+def gateaux_check(y0, U, psi, cfg: fw.SimConfig, rhos, n_samples: int):
     """Finite-difference convergence of the tangent representation.
 
     For each rho compares (y(U + rho psi) - y(U)) / rho with z in the
@@ -124,20 +105,24 @@ def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
     g = cfg.grid
     psi = np.asarray(psi)
     dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    base = simulate_ensemble(y0, U, dW, cfg)
     perts = []
     for rho in rhos:
         Up = psi * rho if U is None else np.asarray(U) + rho * psi
-        perts.append(simulate_ensemble(y0, Up, dW, cfg))
+        perts.append(fw.simulate_ensemble(y0, Up, dW, cfg))
     wv = 1.0 + cfg.params.alpha1 * g.k2
     worst = np.zeros((len(rhos), n_samples))
-    for n, _, z in tangent_sweep(base.fields, base.stop, psi, dW, cfg):
-        y_n = np.asarray(base.fields[:, n], dtype=complex)
+    upto = np.ones(n_samples, dtype=bool)  # base stop >= n: live at step n - 1
+
+    def compare(n, live, y, z):
         for i, (rho, pert) in enumerate(zip(rhos, perts)):
-            diff = (np.asarray(pert.fields[:, n], dtype=complex) - y_n) / rho - z
+            diff = (np.asarray(pert.fields[:, n], dtype=complex) - y) / rho - z
             v2 = sp.sobolev_inner(g, diff, diff, wv)
-            upto = np.minimum(base.stop, pert.stop) >= n
-            worst[i] = np.where(upto, np.maximum(worst[i], v2), worst[i])
+            both = upto & (pert.stop >= n)
+            worst[i] = np.where(both, np.maximum(worst[i], v2), worst[i])
+        upto[:] = live
+
+    fw.simulate_ensemble(y0, U, dW, cfg, store_fields=False, psi=psi, read=compare,
+                         read_to=cfg.steps)
     errs = [float(np.mean(w)) for w in worst]
     lr = np.log(np.asarray(rhos, dtype=float))
     le = np.log(np.maximum(np.asarray(errs), 1e-300))

@@ -99,6 +99,20 @@ def adjoint_weak_residual(fields, stop, y_d, p_traj, dW, cfg):
     return worst
 
 
+def duality_rhs_reference(y0, U, psi, y_d, cfg, S, variant="l2"):
+    """sum_{n < stop} dt (g_n, z_n) per sample, with z_n from the stored-field
+    tangent recursion ``_freeze_tangent`` along a stored base ensemble."""
+    dW = nz.sample_paths(cfg.seed, S, cfg.dt, cfg.steps, cfg.model.K)
+    base = fw.simulate_ensemble(y0, U, dW, cfg)
+    ztraj = _freeze_tangent(psi, base.fields, base.stop, dW, cfg)
+    rhs = np.zeros(S)
+    for n in range(cfg.steps):
+        live = base.stop > n
+        gn = adj.tracking_residual(base.fields[:, n], y_d, n, live, cfg, variant)
+        rhs += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, gn, ztraj[:, n]), 0.0)
+    return rhs
+
+
 class TestPathwiseDuality:
     @pytest.mark.parametrize("fam", ["linear", "smooth"])
     @pytest.mark.parametrize("dim,n_max,steps", [(2, 8, 40), (3, 3, 25)])
@@ -132,19 +146,25 @@ class TestPathwiseDuality:
         # steps - 1 times; rhs is unchanged to the bit
         cfg = make_cfg(steps=12)
         y0, U, psi, y_d = stopping_setup(cfg, force=2.0)
-        dW = nz.sample_paths(cfg.seed, 3, cfg.dt, cfg.steps, cfg.model.K)
-        base = fw.simulate_ensemble(y0, U, dW, cfg)
-        rhs_ref = np.zeros(3)
-        for n, live, z in tg.tangent_sweep(base.fields, base.stop, psi, dW, cfg):
-            if n < cfg.steps:
-                gn = adj.tracking_residual(base.fields[:, n], y_d, n, live, cfg)
-                rhs_ref += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, gn, z), 0.0)
         calls = []
         tangent = tg.tangent_step
         monkeypatch.setattr(tg, "tangent_step", lambda *a: calls.append(1) or tangent(*a))
         rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=3)
         assert len(calls) == cfg.steps - 1
-        assert np.array_equal(rep["rhs"], rhs_ref)
+        assert np.array_equal(rep["rhs"], duality_rhs_reference(y0, U, psi, y_d, cfg, 3))
+        assert rep["max_rel_gap"] < 1e-10
+
+    @pytest.mark.parametrize("blowup", [10.0, 1.0])
+    @pytest.mark.parametrize("variant", ["l2", "v"])
+    def test_rhs_matches_stored_field_reference(self, blowup, variant):
+        # stops at 10..16 of 16 steps; with blowup_factor = 1 they are aborts
+        cfg = make_cfg(steps=16, M=4.0, blowup_factor=blowup,
+                       model=nz.NoiseModel(K=8, family="linear", c0=2.0))
+        y0, U, psi, y_d = stopping_setup(cfg, amp=0.3, force=20.0)
+        rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=6, variant=variant)
+        assert len(set(rep["stop"])) > 1
+        ref = duality_rhs_reference(y0, U, psi, y_d, cfg, 6, variant)
+        assert np.array_equal(rep["rhs"], ref)
         assert rep["max_rel_gap"] < 1e-10
 
     def test_first_costate_not_formed(self, monkeypatch):
@@ -326,12 +346,15 @@ class TestLiveCompaction:
         assert live[0] == 6 and 0 < min(live) < 6
         fields, stop = base.fields, base.stop
         assert seen(lambda: [fw.simulate_ensemble(self.y0, self.U, dW, cfg)]) == live
-        assert seen(lambda: tg.tangent_sweep(fields, stop, self.psi, dW, cfg)) == live
+        # the fused loop: step n, then tangent step n, on the same live samples
+        fused = [m for m in live for _ in range(2)]
+        assert seen(lambda: [fw.simulate_ensemble(self.y0, self.U, dW, cfg, psi=self.psi,
+                                                  read=lambda *a: None, read_to=cfg.steps)]) == fused
         # p_0 is not formed, and the duality rhs does not form z_N
         assert seen(lambda: adj.costate_sweep(fields, stop, self.y_d, dW, cfg)) == live[:0:-1]
         assert seen(lambda: adj.adapted_pair(fields, stop, self.y_d, dW, cfg)) == live[:0:-1]
         assert seen(lambda: [adj.duality_check(self.y0, self.U, self.psi, self.y_d, cfg, 6)]) == (
-            live + live[:0:-1] + live[:-1])
+            fused[:-1] + live[:0:-1])
 
     def test_bitwise_equal_to_freeze_reference(self):
         cfg, dW = self.cfg, self.dW
@@ -344,5 +367,12 @@ class TestLiveCompaction:
         for n, _, p in adj.costate_sweep(fields, stop, self.y_d, dW, cfg):
             assert np.array_equal(p, ref[:, n + 1])
         ref = _freeze_tangent(self.psi, fields, stop, dW, cfg)
-        for n, _, z in tg.tangent_sweep(fields, stop, self.psi, dW, cfg):
-            assert np.array_equal(z, ref[:, n])
+        seen = []
+
+        def read(n, live, y, z):
+            seen.append(n)
+            assert np.array_equal(y, fields[:, n]) and np.array_equal(z, ref[:, n])
+            assert np.array_equal(live, stop > n)
+
+        fw.simulate_ensemble(self.y0, self.U, dW, cfg, psi=self.psi, read=read, read_to=cfg.steps)
+        assert seen == list(range(cfg.steps + 1))

@@ -1,5 +1,7 @@
 """Tests for the semi-implicit Euler-Maruyama solver and stopping logic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ class TestSimulate:
         res = fw.run_ensemble(y0, None, cfg, 2, store_dtype=np.complex64)
         assert res.fields.dtype == np.complex64
         assert res.final.dtype == np.complex128
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    @pytest.mark.parametrize("arg", ["U", "psi"])
+    def test_single_field_per_step_array_rejected(self, steps, arg):
+        # a (dim, *spec_shape) field read step by step would index its
+        # components: it ran silently at steps = dim and failed at step dim
+        cfg = make_cfg(steps=steps)
+        g = cfg.grid
+        rng = np.random.default_rng(9)
+        y0, field = sp.random_field(g, rng), sp.random_field(g, rng)
+        dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
+        kw = {"U": field} if arg == "U" else {"U": None, "psi": field, "read": lambda *a: None}
+        want = f"{arg} must be (steps, dim, *spec_shape) = {(steps, 2) + g.spec_shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
+        kw[arg] = np.stack([field] * steps)  # one field per step is accepted
+        fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
 
 
 class TestEnergy:

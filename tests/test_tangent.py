@@ -1,5 +1,7 @@
 """Tests for the exact linearization and tangent recursion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,32 +130,80 @@ class TestStepPair:
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def tangent_sweep(fields, stop, psi, dW, cfg):
+    """The stored-field tangent recursion the fused loop replaced: yields
+    (n, live, z_n) for n = 0 ... steps along a frozen base ensemble, each
+    step on the live samples only (live = stop > n), z_0 = 0."""
+    z = cfg.grid.zeros((fields.shape[0],))
+    for n in range(cfg.steps + 1):
+        live = stop > n
+        yield n, live, z
+        if live.any():
+            rows = np.flatnonzero(live)
+            y = np.asarray(fields[rows, n], dtype=complex)
+            z[rows] = tg.tangent_step(y, z[rows], psi[n], dW[rows, n], n * cfg.dt, cfg)
+
+
+def gateaux_reference(y0, U, psi, cfg, rhos, n_samples):
+    """``gateaux_check``'s errors from stored ensembles and ``tangent_sweep``."""
+    g = cfg.grid
+    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
+    base = fw.simulate_ensemble(y0, U, dW, cfg)
+    perts = [fw.simulate_ensemble(y0, psi * rho if U is None else U + rho * psi, dW, cfg)
+             for rho in rhos]
+    wv = 1.0 + cfg.params.alpha1 * g.k2
+    worst = np.zeros((len(rhos), n_samples))
+    for n, _, z in tangent_sweep(base.fields, base.stop, psi, dW, cfg):
+        for i, (rho, pert) in enumerate(zip(rhos, perts)):
+            diff = (pert.fields[:, n] - base.fields[:, n]) / rho - z
+            v2 = sp.sobolev_inner(g, diff, diff, wv)
+            upto = np.minimum(base.stop, pert.stop) >= n
+            worst[i] = np.where(upto, np.maximum(worst[i], v2), worst[i])
+    return [float(np.mean(w)) for w in worst]
+
+
+def fused_tangent(y0, U, psi, dW, cfg):
+    """The fused loop's ensemble, z_0 ... z_N (S, steps+1, ...) and the
+    (n, live) pairs its reader saw."""
+    traj, seen = [], []
+
+    def read(n, live, y, z):
+        seen.append((n, live.copy()))
+        traj.append(z.copy())
+
+    res = fw.simulate_ensemble(y0, U, dW, cfg, psi=psi, read=read, read_to=cfg.steps)
+    return res, np.stack(traj, axis=1), seen
+
+
+def stopping_case(cfg, S, seed=8):
+    """The config with M set, initial state, forcing, direction and noise
+    sized so that samples exit mid-run, at different steps."""
+    g = cfg.grid
+    rng = np.random.default_rng(seed)
+    y0 = sp.random_field(g, rng, amplitude=0.8)
+    w0 = float(sp.w24_norm(g, y0))
+    U = np.stack([sp.random_field(g, rng, amplitude=15.0 * w0)] * cfg.steps)
+    psi = np.stack([sp.random_field(g, rng) for _ in range(cfg.steps)])
+    dW = nz.sample_paths(cfg.seed, S, cfg.dt, cfg.steps, cfg.model.K)
+    return dataclasses.replace(cfg, M=1.25 * w0), y0, U, psi, dW
+
+
 class TestTangentTrajectory:
     def test_zero_direction_stays_zero(self):
         cfg = make_cfg(steps=12)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(7))
         dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
-        base = fw.simulate_ensemble(y0, None, dW, cfg)
         psi = np.zeros((cfg.steps, 2) + g.spec_shape)
-        seen = []
-        for n, _, z in tg.tangent_sweep(base.fields, base.stop, psi, dW, cfg):
-            seen.append(n)
-            assert np.max(np.abs(z)) == 0.0
-        assert seen == list(range(cfg.steps + 1))
+        _, ztraj, seen = fused_tangent(y0, None, psi, dW, cfg)
+        assert np.max(np.abs(ztraj)) == 0.0
+        assert [n for n, _ in seen] == list(range(cfg.steps + 1))
 
     def test_frozen_after_stop(self):
-        cfg = make_cfg(steps=25, M=2.0)
-        g = cfg.grid
-        rng = np.random.default_rng(8)
-        y0 = sp.random_field(g, rng, amplitude=0.3)
-        U = np.stack([sp.random_field(g, rng, amplitude=20.0)] * 25)
-        dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
-        base = fw.simulate_ensemble(y0, U, dW, cfg)
+        cfg = make_cfg(steps=25)
+        cfg, y0, U, psi, dW = stopping_case(cfg, 2)
+        base, ztraj, _ = fused_tangent(y0, U, psi, dW, cfg)
         assert np.any(base.stop < cfg.steps)
-        psi = np.stack([sp.random_field(g, rng)] * 25)
-        sweep = tg.tangent_sweep(base.fields, base.stop, psi, dW, cfg)
-        ztraj = np.stack([z.copy() for _, _, z in sweep], axis=1)
         for s in range(2):
             st = base.stop[s]
             for n in range(st, cfg.steps):
@@ -168,3 +218,81 @@ class TestTangentTrajectory:
         rep = tg.gateaux_check(y0, None, psi, cfg, rhos=[1e-2, 1e-3, 1e-4], n_samples=3)
         assert rep["slope"] >= 1.8
         assert rep["errors"][0] > rep["errors"][-1]
+
+
+class TestFusedTangent:
+    """The tangent advanced inside the forward loop against the stored-field
+    recursion it replaced, on complex128 fields."""
+
+    @pytest.mark.parametrize("dim,n_max,fam", [(2, 8, "linear"), (3, 3, "smooth")])
+    def test_matches_stored_field_reference(self, dim, n_max, fam):
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=20, p_exp=10.0,
+                       model=nz.NoiseModel(K=6, family=fam, c0=1.5))
+        cfg, y0, U, psi, dW = stopping_case(cfg, 5)
+        base, ztraj, seen = fused_tangent(y0, U, psi, dW, cfg)
+        stop = base.stop
+        assert len(set(stop)) > 1 and np.any(stop < cfg.steps)
+        assert not base.aborted.any()
+        for n, live, z in tangent_sweep(base.fields, stop, psi, dW, cfg):
+            assert np.array_equal(ztraj[:, n], z), n
+            assert seen[n][0] == n and np.array_equal(seen[n][1], live)
+
+    def test_aborted_sample_frozen(self):
+        # blowup_factor = 1: a sample whose norm passes M aborts instead of stopping
+        cfg = make_cfg(dim=3, n_max=3, steps=20, p_exp=10.0, blowup_factor=1.0,
+                       model=nz.NoiseModel(K=6, family="linear", c0=2.0))
+        cfg, y0, U, psi, dW = stopping_case(cfg, 5)
+        base, ztraj, _ = fused_tangent(y0, U, psi, dW, cfg)
+        assert base.aborted.any() and not base.aborted.all()
+        for s in np.flatnonzero(base.aborted):
+            st = base.stop[s]
+            for n in range(st, cfg.steps + 1):
+                assert np.array_equal(ztraj[s, n], ztraj[s, st])
+            assert np.max(np.abs(ztraj[s, st])) > 0.0
+        for n, _, z in tangent_sweep(base.fields, base.stop, psi, dW, cfg):
+            assert np.array_equal(ztraj[:, n], z), n
+
+    @pytest.mark.parametrize("blowup", [10.0, 1.0])
+    def test_gateaux_matches_reference(self, blowup):
+        cfg = make_cfg(steps=20, blowup_factor=blowup,
+                       model=nz.NoiseModel(K=6, family="linear", c0=1.5))
+        cfg, y0, U, psi, _ = stopping_case(cfg, 4)
+        rhos = [1e-2, 1e-3]
+        rep = tg.gateaux_check(y0, U, psi, cfg, rhos, n_samples=4)
+        assert rep["errors"] == gateaux_reference(y0, U, psi, cfg, rhos, 4)
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_fused_step_matches_separate_steps(self, dim, n_max):
+        cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0,
+                       model=nz.NoiseModel(K=5, family="smooth", c0=0.3))
+        rng = np.random.default_rng(10)
+        y, z, u, psi = (sp.random_field(cfg.grid, rng, batch=(3,)) for _ in range(4))
+        dW = rng.standard_normal((3, 5)) * 0.1
+        y_next, z_next = fw.fused_step(y, z, u, psi, dW, 0.3, cfg)
+        assert np.array_equal(y_next, fw.step(y, u, dW, 0.3, cfg))
+        assert np.array_equal(z_next, tg.tangent_step(y, z, psi, dW, 0.3, cfg))
+
+    @pytest.mark.parametrize("dim,n_max,saved", [(2, 8, 9), (3, 3, 18)])
+    def test_fused_step_transforms_base_pieces_once(self, dim, n_max, saved, monkeypatch):
+        # u, W, A and A3 of y: 2 + 1 + 3 + 3 components in 2D, 3 + 3 + 6 + 6 in 3D
+        cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
+        g = cfg.grid
+        rng = np.random.default_rng(11)
+        y, z, psi = (sp.random_field(g, rng) for _ in range(3))
+        dW = rng.standard_normal(8) * 0.1
+        seen = []
+        for name in ("to_phys", "to_spec"):
+            transform = getattr(sp, name)
+            monkeypatch.setattr(sp, name, lambda g, c, *a, f=transform:
+                                seen.append(int(np.prod(c.shape[:-g.dim]))) or f(g, c, *a))
+
+        def components(run):
+            seen.clear()
+            run()
+            return sum(seen)
+
+        separate = components(lambda: (fw.step(y, None, dW, 0.0, cfg),
+                                       tg.tangent_step(y, z, psi, dW, 0.0, cfg)))
+        fused = components(lambda: fw.fused_step(y, z, None, psi, dW, 0.0, cfg))
+        assert separate - fused == saved
+        assert fused > 0
