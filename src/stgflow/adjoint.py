@@ -129,25 +129,20 @@ def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2")
 # adapted costate by least-squares Monte Carlo
 
 
-def _features(grid, y, stop_mask, degree=2, n_modes=3):
+def _features(grid, y, stop_mask):
     """Regression design matrix from F_n-measurable state summaries: the L2
-    and H1 norms and the first ``n_modes`` of the probe modes e_1, ..., e_d,
-    (1, ..., 1) of the first velocity component."""
-    cols = [np.ones(y.shape[0])]
-    l2 = sp.l2_norm(grid, y)
-    h1 = sp.h1_norm(grid, y)
-    cols += [l2, h1]
+    and H1 norms and the first velocity component at the first three of the
+    probe modes e_1, ..., e_d, (1, ..., 1), then the squares of all of these."""
+    cols = [np.ones(y.shape[0]), sp.l2_norm(grid, y), sp.h1_norm(grid, y)]
     probes = [tuple(int(i == j) for i in range(grid.dim)) for j in range(grid.dim)]
-    for kv in (probes + [(1,) * grid.dim])[:n_modes]:
+    for kv in (probes + [(1,) * grid.dim])[:3]:
         idx = (slice(None), 0) + kv
         cols += [y[idx].real, y[idx].imag]
     base = np.stack(cols, axis=1)
-    if degree >= 2:
-        base = np.concatenate([base, base[:, 1:] ** 2], axis=1)
-    return base * stop_mask[:, None]
+    return np.concatenate([base, base[:, 1:] ** 2], axis=1) * stop_mask[:, None]
 
 
-def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2", degree=2):
+def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
     """Adapted costate pair by backward least-squares regression.
 
     Follows the realized-value scheme: the raw transpose recursion of
@@ -170,7 +165,7 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2", degree=2):
 
     def design(n):
         live = stop > n
-        X = _features(g, np.asarray(fields[:, n], dtype=complex), live.astype(float), degree)
+        X = _features(g, np.asarray(fields[:, n], dtype=complex), live.astype(float))
         return X, np.linalg.pinv(X), live
 
     def fit(X, Xp, live, target):
@@ -188,7 +183,7 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2", degree=2):
         after = now
 
 
-def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2", degree=2):
+def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2"):
     """Expectation-level duality for the adapted pair, with MC error bars.
 
     The post-exit maximum runs over p_hat_{n+1} and q_hat_n at and after
@@ -203,7 +198,7 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, varia
     stop = base.stop
     lhs = np.zeros(n_samples)
     tail = terminal = 0.0
-    for n, live, p_hat, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg, variant, degree):
+    for n, live, p_hat, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg, variant):
         lhs += _lhs_term(psi[n], p_hat, live, cfg)
         if n == cfg.steps - 1:
             terminal = float(np.max(np.abs(p_hat)))

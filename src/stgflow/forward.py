@@ -6,7 +6,9 @@ One step of the scheme solves, mode by mode,
         + dt (N(y) + U) + G(t, y) dW,
 
 i.e. the viscous part of the drift is implicit through the v-map while
-the quadratic/cubic terms, the control and the noise stay explicit.
+the quadratic/cubic terms, the control and the noise stay explicit, and
+projects the solution once: y^+ = S(...), S = P D^-1 the Leray projection
+after the division by the implicit denominator (``tangent.control_to_state``).
 
 Each sample is stopped the first time its collocation W^{2,4} norm
 reaches the threshold M; the state is frozen from the crossing index on,
@@ -22,7 +24,7 @@ set of y_n's collocation pieces (``fused_step``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +77,6 @@ class EnsembleResult:
     stop: np.ndarray  # (S,) int, stop index in [0, steps]
     w24: np.ndarray  # (S, steps+1)
     aborted: np.ndarray  # (S,) bool
-    final: np.ndarray = field(default=None, repr=False)  # (S, dim, *spec_shape)
 
     @property
     def n_samples(self):
@@ -86,11 +87,13 @@ def step(y, u_n, dW_n, t, cfg: SimConfig, yc=None):
     """One scheme step, batched over any leading sample axes of ``y``;
     ``yc``, the collocation pieces of y, is made here when not given."""
     g = cfg.grid
-    ex = sp.state_drift(g, y, u_n, cfg.params, include_viscosity=False, yc=yc)
+    ex = sp.drift_terms(yc or sp.Collocation(g, y, cfg.params))
+    if u_n is not None:
+        ex = ex + u_n
     rhs = sp.v_apply(g, y, cfg.params) + cfg.dt * ex
     if cfg.model.K > 0:
         rhs = rhs + nz.noise_increment(g, t, y, dW_n, cfg.model)
-    return sp.leray_project(g, rhs / cfg.implicit_denominator)
+    return tg.control_to_state(rhs, cfg)
 
 
 def fused_step(y, z, u_n, psi_n, dW_n, t, cfg: SimConfig):
@@ -184,7 +187,7 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields: bool = True,
     if psi is not None and read_to == cfg.steps:
         read(cfg.steps, stop > cfg.steps, *state)
 
-    return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted, final=y)
+    return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted)
 
 
 def run_ensemble(y0, U, cfg: SimConfig, n_samples: int, **kw) -> EnsembleResult:

@@ -42,7 +42,9 @@ the 1/2 rule; the collocation grid has N = 2*(n_max+1) points per axis,
 which makes every masked product alias-free.  The drift is assembled from
 per-field collocation pieces (``Collocation``) fed to a bilinear
 convective form and the two stress forms; the tangent module reuses the
-same forms for the exact Jacobian.
+same forms for the exact Jacobian and reads them the other way for its
+transpose.  ``drift_terms`` is not projected: the step's one Leray
+projection, after the implicit solve, eliminates the pressure.
 
 The convective form is the rotational one, B(a, b) = -curl v(b) x a,
 evaluated as ``rotate`` of the packed rotation W_ab = d_b v_a - d_a v_b.
@@ -505,18 +507,6 @@ def drift_terms(y: Collocation, z: Collocation = None):
     out = stress_terms(y, z)
     conv = convective(y, y) if z is None else convective(y, z) + convective(z, y)
     return out + to_spec(y.grid, conv, y.grid.mask2)
-
-
-def state_drift(grid: WaveGrid, y, u=None, params: PhysicalParams = None,
-                include_viscosity: bool = True, yc: Collocation = None):
-    """Leray-projected drift of the state equation (pressure eliminated);
-    ``yc``, the collocation pieces of y, is made here when not given."""
-    out = drift_terms(yc or Collocation(grid, y, params))
-    if include_viscosity:
-        out = out - params.nu * grid.k2 * y
-    if u is not None:
-        out = out + u
-    return leray_project(grid, out)
 
 
 # ---------------------------------------------------------------------------

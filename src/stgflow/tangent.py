@@ -1,17 +1,20 @@
 """Exact linearization of the forward scheme along a frozen trajectory.
 
-``linearized_drift`` is the literal Jacobian of the discrete drift
-assembly: it feeds the collocation pieces of y and z to the same
-convective and stress forms that build the drift (B(y, z) + B(z, y) for
-the rotational convective form B(a, b) = -curl v(b) x a, the stress
-derivatives from ``stress_terms``), so the tangent recursion
-differentiates the scheme rather than discretizing a formal linearized
-equation.  ``linearized_drift_T`` is its machine-precision L2 transpose
-on the solenoidal subspace: the convective pair is transposed operator
-by operator (the pointwise rotation is antisymmetric, its transpose in
-the rotation is the wedge product, and the rotation symbol transposes
-to minus the divergence of a packed antisymmetric tensor), while the
-stress derivative is self-adjoint and is reused as it stands.
+``tangent_step`` is the literal Jacobian of ``forward.step``: it feeds the
+collocation pieces of y and z to the same convective and stress forms
+that build the drift (``spectral.drift_terms(y, z)`` = B(y, z) + B(z, y)
+for the rotational convective form B(a, b) = -curl v(b) x a, plus the
+stress derivatives), so the tangent recursion differentiates the scheme
+rather than discretizing a formal linearized equation.  ``drift_terms_T``
+is the literal L2 transpose of that form in z: the convective pair is
+transposed operator by operator (the pointwise rotation is antisymmetric,
+its transpose in the rotation is the wedge product, and the rotation
+symbol transposes to minus the divergence of a packed antisymmetric
+tensor), while the stress derivative is self-adjoint and is reused as it
+stands.  Neither form is projected: the three step kernels share one
+implicit solve, ``control_to_state``, S = P D^-1 (the Leray projection
+after the division by the implicit denominator), which is self-adjoint
+because both act mode by mode.
 
 The tangent recursion runs inside the forward loop: given a direction,
 ``forward.simulate_ensemble`` advances z_n next to y_n on the same live
@@ -40,58 +43,45 @@ def _convective_T(y, w):
     return sp.v_apply(g, through_v, y.params) + direct
 
 
-def linearized_drift(grid, y, z, psi, params, include_viscosity=True, yc=None):
-    """N'(y)[z] (+ psi), Leray-projected; ``yc``, the collocation pieces of y,
-    is made here when not given."""
-    out = sp.drift_terms(yc or sp.Collocation(grid, y, params), sp.Collocation(grid, z, params))
-    if include_viscosity:
-        out = out - params.nu * grid.k2 * z
-    if psi is not None:
-        out = out + psi
-    return sp.leray_project(grid, out)
-
-
-def linearized_drift_T(grid, y, w, params, include_viscosity=True):
-    """Transpose of ``linearized_drift`` in z, applied to a solenoidal w
-    (``transpose_step`` passes the Leray-projected costate)."""
-    yc, wc = sp.Collocation(grid, y, params), sp.Collocation(grid, w, params)
-    out = sp.stress_terms(yc, wc) + _convective_T(yc, wc)
-    if include_viscosity:
-        out = out - params.nu * grid.k2 * w
-    return sp.leray_project(grid, out)
+def drift_terms_T(y, w):
+    """Transpose in z of ``spectral.drift_terms(y, z)``, applied to w; y, w
+    Collocation pieces.  Not projected, like the forms it transposes."""
+    return sp.stress_terms(y, w) + _convective_T(y, w)
 
 
 # ---------------------------------------------------------------------------
 # tangent recursion
 
 
+def control_to_state(p, cfg: fw.SimConfig):
+    """S p = P D^-1 p, the implicit solve and the projection that end every
+    step.  P and D^-1 act mode by mode, so S is self-adjoint: it also pulls a
+    costate back onto a control, S^T p = S p."""
+    return sp.leray_project(cfg.grid, p / cfg.implicit_denominator)
+
+
 def tangent_step(y, z, psi_n, dW_n, t, cfg: fw.SimConfig, yc=None):
     """Jacobian of the forward step at base state y, applied to z (+ psi);
     ``yc`` as in ``forward.step``."""
     g = cfg.grid
-    ex = linearized_drift(g, y, z, psi_n, cfg.params, include_viscosity=False, yc=yc)
+    ex = sp.drift_terms(yc or sp.Collocation(g, y, cfg.params), sp.Collocation(g, z, cfg.params))
+    if psi_n is not None:
+        ex = ex + psi_n
     rhs = sp.v_apply(g, z, cfg.params) + cfg.dt * ex
     if cfg.model.K > 0:
         rhs = rhs + nz.grad_noise_increment(g, t, y, z, dW_n, cfg.model)
-    return sp.leray_project(g, rhs / cfg.implicit_denominator)
+    return control_to_state(rhs, cfg)
 
 
 def transpose_step(y, p, dW_n, t, cfg: fw.SimConfig):
     """F_n^T p for the tangent propagator F_n at base state y."""
     g = cfg.grid
-    q = sp.leray_project(g, p / cfg.implicit_denominator)
-    out = sp.v_apply(g, q, cfg.params) + cfg.dt * linearized_drift_T(
-        g, y, q, cfg.params, include_viscosity=False
-    )
+    q = control_to_state(p, cfg)
+    out = sp.v_apply(g, q, cfg.params) + cfg.dt * drift_terms_T(
+        sp.Collocation(g, y, cfg.params), sp.Collocation(g, q, cfg.params))
     if cfg.model.K > 0:
         out = out + nz.grad_noise_increment(g, t, y, q, dW_n, cfg.model)
-    return out
-
-
-def control_to_state(p, cfg: fw.SimConfig):
-    """S^T p: how a unit control impulse at one step pairs with the costate."""
-    g = cfg.grid
-    return sp.leray_project(g, p / cfg.implicit_denominator)
+    return sp.leray_project(g, out)
 
 
 def gateaux_check(y0, U, psi, cfg: fw.SimConfig, rhos, n_samples: int):

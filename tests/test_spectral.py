@@ -518,12 +518,8 @@ class TestNorms:
 
 
 class TestDrift:
-    def test_projected_and_divfree(self):
-        for g in (grid2(), grid3()):
-            rng = np.random.default_rng(51)
-            y = sp.random_field(g, rng, amplitude=1.2)
-            d = sp.state_drift(g, y, None, PARAMS)
-            assert sp.divergence_defect(g, d) < 1e-12
+    """The unprojected drift form: y is solenoidal, so the pairings below are
+    those of the projected drift."""
 
     def test_convective_energy_cancellation(self):
         # ((y.grad) v(y) + sum_j v_j grad y_j, y) = 0 discretely
@@ -531,7 +527,7 @@ class TestDrift:
         for g in (grid2(), grid3()):
             rng = np.random.default_rng(52)
             y = sp.random_field(g, rng, amplitude=2.0)
-            d = sp.state_drift(g, y, None, p0, include_viscosity=False)
+            d = sp.drift_terms(sp.Collocation(g, y, p0))
             # alpha12 = 0 cancels the stress term, beta = 0 the cubic one
             assert abs(sp.l2_inner(g, d, y)) < 1e-11
 
@@ -541,27 +537,18 @@ class TestDrift:
         g = grid2()
         rng = np.random.default_rng(53)
         y = sp.random_field(g, rng, kmax=g.cubic_cut, amplitude=1.5)
-        d = sp.state_drift(g, y, None, pb, include_viscosity=False)
+        d = sp.drift_terms(sp.Collocation(g, y, pb))
         A = sp.deformation_phys(g, y)
         quartic = sp.quad_integral(g, np.sum(A**2, axis=(-3, -4)) ** 2)
         assert abs(sp.l2_inner(g, d, y) + 0.5 * pb.beta * quartic) < 1e-9
-
-    def test_forcing_passthrough(self):
-        g = grid2()
-        rng = np.random.default_rng(54)
-        y = sp.random_field(g, rng)
-        f = sp.random_field(g, rng)
-        d0 = sp.state_drift(g, y, None, PARAMS)
-        d1 = sp.state_drift(g, y, f, PARAMS)
-        assert np.max(np.abs(d1 - d0 - f)) < 1e-12
 
     def test_batched_matches_loop(self):
         g = grid2()
         rng = np.random.default_rng(56)
         ys = np.stack([sp.random_field(g, rng) for _ in range(4)])
-        batched = sp.state_drift(g, ys, None, PARAMS)
+        batched = sp.drift_terms(sp.Collocation(g, ys, PARAMS))
         for s in range(4):
-            single = sp.state_drift(g, ys[s], None, PARAMS)
+            single = sp.drift_terms(sp.Collocation(g, ys[s], PARAMS))
             assert np.max(np.abs(batched[s] - single)) < 1e-13
 
 

@@ -32,6 +32,9 @@ def make_cfg(**kw):
 
 
 class TestLinearizedDrift:
+    """The unprojected drift forms: drift_terms(y, z) is the Jacobian of
+    drift_terms(y) and drift_terms_T its transpose."""
+
     @pytest.mark.parametrize("dim,n_max,params", DRIFT_CASES)
     def test_jacobian_of_drift(self, dim, n_max, params):
         # central finite differences of the nonlinear assembly
@@ -41,35 +44,35 @@ class TestLinearizedDrift:
         z = sp.random_field(g, rng)
         eps = 1e-6
         fd = (
-            sp.state_drift(g, y + eps * z, None, params)
-            - sp.state_drift(g, y - eps * z, None, params)
+            sp.drift_terms(sp.Collocation(g, y + eps * z, params))
+            - sp.drift_terms(sp.Collocation(g, y - eps * z, params))
         ) / (2 * eps)
-        an = tg.linearized_drift(g, y, z, None, params)
+        an = sp.drift_terms(sp.Collocation(g, y, params), sp.Collocation(g, z, params))
         assert np.max(np.abs(fd - an)) < 1e-7
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
     def test_linear_in_z(self, dim, n_max):
         g = sp.WaveGrid(dim, n_max)
         rng = np.random.default_rng(1)
-        y = sp.random_field(g, rng)
+        y = sp.Collocation(g, sp.random_field(g, rng), PARAMS)
         z1 = sp.random_field(g, rng)
         z2 = sp.random_field(g, rng)
-        a = tg.linearized_drift(g, y, z1 + 2.0 * z2, None, PARAMS)
-        b = tg.linearized_drift(g, y, z1, None, PARAMS) + 2.0 * tg.linearized_drift(
-            g, y, z2, None, PARAMS
-        )
-        assert np.max(np.abs(a - b)) < 1e-12
+
+        def lin(z):
+            return sp.drift_terms(y, sp.Collocation(g, z, PARAMS))
+
+        assert np.max(np.abs(lin(z1 + 2.0 * z2) - (lin(z1) + 2.0 * lin(z2)))) < 1e-12
 
     @pytest.mark.parametrize("dim,n_max,params", DRIFT_CASES)
     def test_exact_transpose(self, dim, n_max, params):
         g = sp.WaveGrid(dim, n_max)
         rng = np.random.default_rng(2)
-        y = sp.random_field(g, rng, amplitude=1.5)
+        yc = sp.Collocation(g, sp.random_field(g, rng, amplitude=1.5), params)
         for trial in range(4):
             z = sp.random_field(g, rng)
             w = sp.random_field(g, rng)
-            lhs = sp.l2_inner(g, tg.linearized_drift(g, y, z, None, params), w)
-            rhs = sp.l2_inner(g, z, tg.linearized_drift_T(g, y, w, params))
+            lhs = sp.l2_inner(g, sp.drift_terms(yc, sp.Collocation(g, z, params)), w)
+            rhs = sp.l2_inner(g, z, tg.drift_terms_T(yc, sp.Collocation(g, w, params)))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
@@ -296,3 +299,29 @@ class TestFusedTangent:
         fused = components(lambda: fw.fused_step(y, z, None, psi, dW, 0.0, cfg))
         assert separate - fused == saved
         assert fused > 0
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_one_projection_per_step(self, dim, n_max, monkeypatch):
+        # the drift forms are not projected: step and tangent_step end in the
+        # one projection of S = P D^-1; transpose_step applies S, then projects
+        cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
+        g = cfg.grid
+        rng = np.random.default_rng(12)
+        y, z, p, psi = (sp.random_field(g, rng) for _ in range(4))
+        dW = rng.standard_normal(8) * 0.1
+        calls = []
+        project = sp.leray_project
+        monkeypatch.setattr(sp, "leray_project", lambda g, c: calls.append(1) or project(g, c))
+
+        def projections(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        assert projections(lambda: fw.step(y, psi, dW, 0.0, cfg)) == 1
+        assert projections(lambda: tg.tangent_step(y, z, psi, dW, 0.0, cfg)) == 1
+        assert projections(lambda: fw.fused_step(y, z, psi, psi, dW, 0.0, cfg)) == 2
+        assert projections(lambda: tg.transpose_step(y, p, dW, 0.0, cfg)) == 2
+        for fam in ("linear", "smooth"):
+            c = dataclasses.replace(cfg, model=nz.NoiseModel(K=8, family=fam, c0=0.3))
+            assert sp.divergence_defect(g, tg.transpose_step(y, p, dW, 0.2, c)) < 1e-12
