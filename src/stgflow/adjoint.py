@@ -122,6 +122,7 @@ def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2")
         "rhs": rhs,
         "max_rel_gap": float(np.max(rel)),
         "stop": base.stop,
+        "aborted": int(base.aborted.sum()),
     }
 
 
@@ -216,4 +217,5 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, varia
         "post_exit_max": tail,
         "terminal_max": terminal,
         "stop": stop,
+        "aborted": int(base.aborted.sum()),
     }

@@ -88,6 +88,13 @@ def _emit(args, name, payload):
     return path
 
 
+def _aborted(n, sim):
+    """Report ``n`` aborted samples on stderr; True when there are any."""
+    if n:
+        print(f"blow-up abort in {n} sample(s); guard = {sim.blowup_factor} * M", file=sys.stderr)
+    return n > 0
+
+
 def cmd_simulate(args, tree, sim, y0, y_d):
     res = fw.run_ensemble(y0, None, sim, int(tree["samples"]))
     os.makedirs(args.out, exist_ok=True)
@@ -104,9 +111,7 @@ def cmd_simulate(args, tree, sim, y0, y_d):
         "stop": res.stop,
         "aborted": res.aborted,
     })
-    if res.aborted.any():
-        print(f"blow-up abort in {int(res.aborted.sum())} sample(s); "
-              f"guard = {sim.blowup_factor} * M", file=sys.stderr)
+    if _aborted(int(res.aborted.sum()), sim):
         return EXIT_BLOWUP
     if not args.quiet:
         print(f"{res.n_samples} samples, stop indices {res.stop.min()}..{res.stop.max()}")
@@ -162,9 +167,12 @@ def cmd_duality(args, tree, sim, y0, y_d):
     _emit(args, "duality.json", {
         "max_rel_gap": rep["max_rel_gap"],
         "stop": rep["stop"],
+        "aborted": rep["aborted"],
         "config_hash": cfgmod.config_hash(tree),
     })
     print(f"max rel duality gap over {tree['samples']} samples: {rep['max_rel_gap']:.3e}")
+    if _aborted(rep["aborted"], sim):
+        return EXIT_BLOWUP
     return EXIT_OK if rep["max_rel_gap"] < args.tol else EXIT_VERIFY
 
 
@@ -179,9 +187,12 @@ def cmd_adapted(args, tree, sim, y0, y_d):
         "within_3se": rep["within_3se"],
         "post_exit_max": rep["post_exit_max"],
         "terminal_max": rep["terminal_max"],
+        "aborted": rep["aborted"],
         "config_hash": cfgmod.config_hash(tree),
     })
     print(f"adapted duality gap {rep['gap_mean']:.3e} (se {rep['gap_se']:.3e})")
+    if _aborted(rep["aborted"], sim):
+        return EXIT_BLOWUP
     return EXIT_OK if rep["within_3se"] else EXIT_VERIFY
 
 

@@ -25,12 +25,14 @@ stored half spectrum, which must be the half of a Hermitian array (the
 plane k_d = 0 Hermitian in the other axes); ``to_spec`` is
 ``rfftn / N^d``, masked, by default to the retained modes, with the plane
 k_d = 0 averaged with its mirror image, so its output is exactly the
-half of a Hermitian array.  Every transform in the package goes through
-these two functions; symmetric tensors (the Hessian in ``w24_norm``, the
-deformation tensor, the stress) are transformed in their entries a <= b
-only, antisymmetric ones (the rotation of v(u), the wedge products of the
-convective transpose) in their entries a < b only: 1 component in 2D, 3
-in 3D.
+half of a Hermitian array.  Both run one 1-D pass at a time on a
+contiguous copy with its axis last, which on small grids beats the
+strided passes of numpy's n-D routines, and are bitwise equal to them.
+Every transform in the package goes through these two functions;
+symmetric tensors (the Hessian in ``w24_norm``, the deformation tensor,
+the stress) are transformed in their entries a <= b only, antisymmetric
+ones (the rotation of v(u), the wedge products of the convective
+transpose) in their entries a < b only: 1 component in 2D, 3 in 3D.
 
 Contractions of coefficient (or collocation) arrays go through one
 helper that merges the d trailing axes into a single index ``x``, so one
@@ -115,8 +117,8 @@ class WaveGrid:
         self.nspec = self.N ** (dim - 1) * h
         self.vol = (2.0 * np.pi) ** dim
         self.axes = tuple(range(-dim, 0))
-        # irfftn runs its complex passes over axis -2 before axis -3: on the
-        # strided half spectrum of a 3D field numpy.fft is faster that way
+        # The complex passes run over axis -2 before axis -3, as in irfftn and
+        # rfftn: kept for bitwise equality with them and earlier outputs
         self.irfft_axes = self.axes[-2::-1] + (-1,)
         self.dealias_cut = (2 * n_max) // 3
         self.cubic_cut = n_max // 2
@@ -193,10 +195,18 @@ class WaveGrid:
 # transforms and elementary operators
 
 
+def _pass(fft, x, axis, **kw):
+    """``fft`` along ``axis`` of a contiguous copy of ``x`` with that axis last."""
+    y = fft(np.ascontiguousarray(x.swapaxes(axis, -1)), norm="forward", **kw)
+    return y.swapaxes(axis, -1)
+
+
 def to_phys(grid: WaveGrid, c):
     """Collocation values of the half-spectrum coefficients ``c`` of a real
     field (the plane k_d = 0 Hermitian in the other axes)."""
-    return np.fft.irfftn(c, s=grid.shape, axes=grid.irfft_axes, norm="forward")
+    for axis in grid.irfft_axes[:-1]:
+        c = _pass(np.fft.ifft, c, axis)
+    return _pass(np.fft.irfft, c, -1, n=grid.N)
 
 
 def to_spec(grid: WaveGrid, u, mask=None):
@@ -207,8 +217,10 @@ def to_spec(grid: WaveGrid, u, mask=None):
     on the Nyquist planes, as all of the grid's masks do: the plane k_d = 0,
     its own mirror, is averaged with its mirror image.
     """
-    c = np.fft.rfftn(u, axes=grid.axes, norm="forward")
-    c *= grid.retain if mask is None else mask
+    c = _pass(np.fft.rfft, u, -1)
+    for axis in grid.irfft_axes[:-1]:  # the order of rfftn over grid.axes
+        c = _pass(np.fft.fft, c, axis)
+    c = np.multiply(c, grid.retain if mask is None else mask, order="C")
     c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[grid.mirror + (0,)]))
     return c
 

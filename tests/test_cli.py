@@ -204,6 +204,23 @@ class TestCli:
         rc = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "z"), "--quiet"])
         assert rc == 3
 
+    @pytest.mark.parametrize("command, report", [
+        ("duality-check", "duality.json"), ("adapted-check", "adapted.json"),
+    ])
+    def test_check_blowup_exit_code(self, tmp_path, command, report, capsys):
+        # the guard of test_blowup_exit_code aborts every sample at its first step
+        cfg = tmp_path / "blow.cfg"
+        cfg.write_text(
+            "n_max = 2\nsteps = 4\ndt = 0.5\nsamples = 4\nnoise.K = 2\n"
+            "stop.M = 1e6\nstop.blowup_factor = 1e-9\n"
+            "init.amplitude = 10.0\nnoise.c0 = 0.0\n"
+        )
+        out = tmp_path / "chk"
+        rc = run_cli([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert rc == cli.EXIT_BLOWUP
+        assert json.loads((out / report).read_text())["aborted"] == 4
+        assert "blow-up abort in 4 sample(s)" in capsys.readouterr().err
+
     def test_verify_passes(self, small_cfg, tmp_path):
         rc = run_cli(["verify", "--config", str(small_cfg), "--out", str(tmp_path / "v"), "--quiet"])
         assert rc == 0
@@ -213,6 +230,7 @@ class TestCli:
     def test_duality_check(self, small_cfg, tmp_path):
         rc = run_cli(["duality-check", "--config", str(small_cfg), "--out", str(tmp_path / "d"), "--quiet"])
         assert rc == 0
+        assert json.loads((tmp_path / "d" / "duality.json").read_text())["aborted"] == 0
 
     def test_adapted_check(self, small_cfg, tmp_path):
         rc = run_cli([
@@ -221,6 +239,7 @@ class TestCli:
             "--out", str(tmp_path / "ad"), "--quiet",
         ])
         assert rc == 0
+        assert json.loads((tmp_path / "ad" / "adapted.json").read_text())["aborted"] == 0
 
     def test_optimize(self, small_cfg, tmp_path):
         out = tmp_path / "opt"

@@ -204,6 +204,65 @@ class TestRealTransformSeam:
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-12
 
 
+def _nd_to_phys(g, c):
+    return np.fft.irfftn(c, s=g.shape, axes=g.irfft_axes, norm="forward")
+
+
+def _nd_to_spec(g, u, mask=None):
+    c = np.fft.rfftn(u, axes=g.axes, norm="forward")
+    c *= g.retain if mask is None else mask
+    c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[g.mirror + (0,)]))
+    return c
+
+
+def _as_input(g, x, layout):
+    if layout == "strided":
+        return x[::2]
+    if layout == "component":
+        return g.c(x, 1)
+    if layout == "single":
+        return x.astype(np.complex64 if np.iscomplexobj(x) else np.float32)
+    return x
+
+
+def _assert_bitwise(out, ref):
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
+class TestTransformContract:
+    """to_phys and to_spec run one 1-D pass at a time, each on a contiguous
+    copy; their outputs stay bitwise those of numpy's n-D routines, whatever
+    the input's layout, batch shape or precision."""
+
+    GRIDS = [(2, 3), (2, 4), (2, 8), (3, 3)]
+    BATCHES = [(), (7,), (2, 3)]
+    LAYOUTS = ["contiguous", "strided", "component", "single"]
+
+    @pytest.mark.parametrize("dim,n_max", GRIDS)
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_to_phys_is_irfftn(self, dim, n_max, batch, layout):
+        g = sp.WaveGrid(dim, n_max)
+        u = np.random.default_rng(64).standard_normal(batch + (dim,) + g.shape)
+        c = _as_input(g, _nd_to_spec(g, u), layout)
+        before = c.copy()
+        _assert_bitwise(sp.to_phys(g, c), _nd_to_phys(g, c))
+        assert c.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dim,n_max", GRIDS)
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_to_spec_is_rfftn(self, dim, n_max, batch, layout):
+        g = sp.WaveGrid(dim, n_max)
+        u = _as_input(g, np.random.default_rng(65).standard_normal(batch + (dim,) + g.shape), layout)
+        before = u.copy()
+        for mask in (None, g.mask2):
+            _assert_bitwise(sp.to_spec(g, u, mask), _nd_to_spec(g, u, mask))
+        assert u.tobytes() == before.tobytes()
+
+
 class TestSymmetricKernels:
     """Kernels that transform only the entries a <= b of a symmetric tensor,
     against the full-tensor formulas."""
