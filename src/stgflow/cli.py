@@ -170,9 +170,9 @@ def cmd_duality(args, tree, sim, y0, y_d):
         "aborted": rep["aborted"],
         "config_hash": cfgmod.config_hash(tree),
     })
-    print(f"max rel duality gap over {tree['samples']} samples: {rep['max_rel_gap']:.3e}")
     if _aborted(rep["aborted"], sim):
         return EXIT_BLOWUP
+    print(f"max rel duality gap over {tree['samples']} samples: {rep['max_rel_gap']:.3e}")
     return EXIT_OK if rep["max_rel_gap"] < args.tol else EXIT_VERIFY
 
 
@@ -190,9 +190,9 @@ def cmd_adapted(args, tree, sim, y0, y_d):
         "aborted": rep["aborted"],
         "config_hash": cfgmod.config_hash(tree),
     })
-    print(f"adapted duality gap {rep['gap_mean']:.3e} (se {rep['gap_se']:.3e})")
     if _aborted(rep["aborted"], sim):
         return EXIT_BLOWUP
+    print(f"adapted duality gap {rep['gap_mean']:.3e} (se {rep['gap_se']:.3e})")
     return EXIT_OK if rep["within_3se"] else EXIT_VERIFY
 
 

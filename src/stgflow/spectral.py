@@ -26,8 +26,9 @@ plane k_d = 0 Hermitian in the other axes); ``to_spec`` is
 ``rfftn / N^d``, masked, by default to the retained modes, with the plane
 k_d = 0 averaged with its mirror image, so its output is exactly the
 half of a Hermitian array.  Both run one 1-D pass at a time on a
-contiguous copy with its axis last, which on small grids beats the
-strided passes of numpy's n-D routines, and are bitwise equal to them.
+contiguous copy with its axis last (on small batches faster than numpy's
+strided n-D passes), in ``WaveGrid.irfft_axes`` order: their outputs are
+bitwise those of ``irfftn`` and of numpy 2's ``rfftn``.
 Every transform in the package goes through these two functions;
 symmetric tensors (the Hessian in ``w24_norm``, the deformation tensor,
 the stress) are transformed in their entries a <= b only, antisymmetric
@@ -117,8 +118,9 @@ class WaveGrid:
         self.nspec = self.N ** (dim - 1) * h
         self.vol = (2.0 * np.pi) ** dim
         self.axes = tuple(range(-dim, 0))
-        # The complex passes run over axis -2 before axis -3, as in irfftn and
-        # rfftn: kept for bitwise equality with them and earlier outputs
+        # The complex passes run over axis -2 before axis -3, as irfftn and
+        # numpy 2's rfftn do (numpy 1's rfftn runs -3 first): kept for
+        # bitwise equality with them and with earlier outputs
         self.irfft_axes = self.axes[-2::-1] + (-1,)
         self.dealias_cut = (2 * n_max) // 3
         self.cubic_cut = n_max // 2
@@ -218,7 +220,7 @@ def to_spec(grid: WaveGrid, u, mask=None):
     its own mirror, is averaged with its mirror image.
     """
     c = _pass(np.fft.rfft, u, -1)
-    for axis in grid.irfft_axes[:-1]:  # the order of rfftn over grid.axes
+    for axis in grid.irfft_axes[:-1]:  # the order of numpy 2's rfftn
         c = _pass(np.fft.fft, c, axis)
     c = np.multiply(c, grid.retain if mask is None else mask, order="C")
     c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[grid.mirror + (0,)]))

@@ -219,7 +219,9 @@ class TestCli:
         rc = run_cli([command, "--config", str(cfg), "--out", str(out), "--quiet"])
         assert rc == cli.EXIT_BLOWUP
         assert json.loads((out / report).read_text())["aborted"] == 4
-        assert "blow-up abort in 4 sample(s)" in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert "blow-up abort in 4 sample(s)" in printed.err
+        assert "duality gap" not in printed.out  # no verdict from aborted samples
 
     def test_verify_passes(self, small_cfg, tmp_path):
         rc = run_cli(["verify", "--config", str(small_cfg), "--out", str(tmp_path / "v"), "--quiet"])

@@ -208,8 +208,13 @@ def _nd_to_phys(g, c):
     return np.fft.irfftn(c, s=g.shape, axes=g.irfft_axes, norm="forward")
 
 
-def _nd_to_spec(g, u, mask=None):
-    c = np.fft.rfftn(u, axes=g.axes, norm="forward")
+def _nd_to_spec(g, u, mask=None, rfftn=False):
+    # rfft over the last axis, then fftn over the others, whose passes run in
+    # reverse axis order on every numpy; numpy 2's rfftn runs the same passes
+    if rfftn:
+        c = np.fft.rfftn(u, axes=g.axes, norm="forward")
+    else:
+        c = np.fft.fftn(np.fft.rfft(u, norm="forward"), axes=g.axes[:-1], norm="forward")
     c *= g.retain if mask is None else mask
     c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[g.mirror + (0,)]))
     return c
@@ -233,8 +238,9 @@ def _assert_bitwise(out, ref):
 
 class TestTransformContract:
     """to_phys and to_spec run one 1-D pass at a time, each on a contiguous
-    copy; their outputs stay bitwise those of numpy's n-D routines, whatever
-    the input's layout, batch shape or precision."""
+    copy; their outputs stay bitwise those of numpy's strided passes in the
+    same order (irfftn, and numpy 2's rfftn), whatever the input's layout,
+    batch shape or precision."""
 
     GRIDS = [(2, 3), (2, 4), (2, 8), (3, 3)]
     BATCHES = [(), (7,), (2, 3)]
@@ -261,6 +267,14 @@ class TestTransformContract:
         for mask in (None, g.mask2):
             _assert_bitwise(sp.to_spec(g, u, mask), _nd_to_spec(g, u, mask))
         assert u.tobytes() == before.tobytes()
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1's rfftn runs the 3D complex passes -3 before -2")
+    @pytest.mark.parametrize("dim,n_max", GRIDS)
+    def test_to_spec_is_rfftn_on_numpy2(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        u = np.random.default_rng(66).standard_normal((7, dim) + g.shape)
+        _assert_bitwise(sp.to_spec(g, u), _nd_to_spec(g, u, rfftn=True))
 
 
 class TestSymmetricKernels:
