@@ -42,7 +42,7 @@ def tracking_weight(grid, params, variant: str):
     if variant == "l2":
         return 1.0
     if variant == "v":
-        return 1.0 + params.alpha1 * grid.k2
+        return sp.v_symbol(grid, params)
     raise ValueError(f"unknown tracking variant {variant!r}")
 
 

@@ -79,13 +79,13 @@ def _psi_bank(tree, sim):
     return sp.random_field(sim.grid, rng, batch=(sim.steps,))
 
 
-def _emit(args, name, payload):
+def _emit(args, tree, name, payload):
+    """Write ``payload``, stamped with the config hash, as JSON file ``name`` in --out."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
-    sio.write_json(path, payload)
+    sio.write_json(path, {**payload, "config_hash": cfgmod.config_hash(tree)})
     if not args.quiet:
         print(f"wrote {path}")
-    return path
 
 
 def _aborted(n, sim):
@@ -104,9 +104,8 @@ def cmd_simulate(args, tree, sim, y0, y_d):
     )
     sio.write_norms_csv(os.path.join(args.out, "norms.csv"), sim.dt, res.w24, res.stop)
     stats = fw.energy_stats(res, sim)
-    _emit(args, "manifest.json", {
+    _emit(args, tree, "manifest.json", {
         "config": tree,
-        "config_hash": cfgmod.config_hash(tree),
         "energy": stats,
         "stop": res.stop,
         "aborted": res.aborted,
@@ -119,37 +118,37 @@ def cmd_simulate(args, tree, sim, y0, y_d):
 
 
 def cmd_verify(args, tree, sim, y0, y_d):
-    failures = []
+    variant = str(tree["cost"]["variant"])
     rep_id = sp.verify_identities(int(tree["seed"]) + 1, sim.params, sim.grid, n_triples=10)
-    for key in ("lemma_curl_cross_max_rel", "curl_of_cross_max_rel", "antisymmetry_max_rel"):
-        if not rep_id[key] < 1e-11:
-            failures.append(key)
+    ids = ("lemma_curl_cross_max_rel", "curl_of_cross_max_rel", "antisymmetry_max_rel")
+    failures = [key for key in ids if not rep_id[key] < 1e-11]
     psi = _psi_bank(tree, sim)
-    dual = adj.duality_check(y0, None, psi, y_d, sim, n_samples=4,
-                             variant=str(tree["cost"]["variant"]))
+    dual = adj.duality_check(y0, None, psi, y_d, sim, n_samples=4, variant=variant)
     if not dual["max_rel_gap"] < args.tol:
         failures.append("pathwise_duality")
     # gradient versus finite differences on the frozen-sample cost
     lam = float(tree["cost"]["lam"])
     U = 0.1 * psi
-    grad, _ = ct.cost_gradient(U, y0, y_d, sim, 2, lam, str(tree["cost"]["variant"]))
+    grad, rep = ct.cost_gradient(U, y0, y_d, sim, 2, lam, variant)
     pair = ct.gradient_pairing(sim.grid, grad, psi, sim.dt)
     rho = 1e-4
-    jp = ct.eval_cost(U + rho * psi, y0, y_d, sim, 2, lam, str(tree["cost"]["variant"])).total
-    jm = ct.eval_cost(U - rho * psi, y0, y_d, sim, 2, lam, str(tree["cost"]["variant"])).total
+    jp = ct.eval_cost(U + rho * psi, y0, y_d, sim, 2, lam, variant).total
+    jm = ct.eval_cost(U - rho * psi, y0, y_d, sim, 2, lam, variant).total
     fd = (jp - jm) / (2 * rho)
     grad_rel = abs(fd - pair) / max(1.0, abs(fd))
     if not grad_rel < 1e-4:
         failures.append("gradient_fd")
-    payload = {
+    aborted = dual["aborted"] + rep.aborted
+    _emit(args, tree, "verify.json", {
         "identities": rep_id,
         "duality_max_rel_gap": dual["max_rel_gap"],
         "gradient_fd_rel": grad_rel,
         "failures": failures,
-        "config_hash": cfgmod.config_hash(tree),
-    }
-    _emit(args, "verify.json", payload)
-    for key in ("lemma_curl_cross_max_rel", "curl_of_cross_max_rel", "antisymmetry_max_rel"):
+        "aborted": aborted,
+    })
+    if _aborted(aborted, sim):
+        return EXIT_BLOWUP
+    for key in ids:
         print(f"{key}: {rep_id[key]:.3e}")
     print(f"pathwise duality max rel gap: {dual['max_rel_gap']:.3e}")
     print(f"gradient vs FD rel err: {grad_rel:.3e}")
@@ -164,11 +163,10 @@ def cmd_duality(args, tree, sim, y0, y_d):
     psi = _psi_bank(tree, sim)
     rep = adj.duality_check(y0, None, psi, y_d, sim, n_samples=int(tree["samples"]),
                             variant=str(tree["cost"]["variant"]))
-    _emit(args, "duality.json", {
+    _emit(args, tree, "duality.json", {
         "max_rel_gap": rep["max_rel_gap"],
         "stop": rep["stop"],
         "aborted": rep["aborted"],
-        "config_hash": cfgmod.config_hash(tree),
     })
     if _aborted(rep["aborted"], sim):
         return EXIT_BLOWUP
@@ -181,14 +179,13 @@ def cmd_adapted(args, tree, sim, y0, y_d):
     rep = adj.adapted_duality_check(y0, None, psi, y_d, sim,
                                     n_samples=int(tree["samples"]),
                                     variant=str(tree["cost"]["variant"]))
-    _emit(args, "adapted.json", {
+    _emit(args, tree, "adapted.json", {
         "gap_mean": rep["gap_mean"],
         "gap_se": rep["gap_se"],
         "within_3se": rep["within_3se"],
         "post_exit_max": rep["post_exit_max"],
         "terminal_max": rep["terminal_max"],
         "aborted": rep["aborted"],
-        "config_hash": cfgmod.config_hash(tree),
     })
     if _aborted(rep["aborted"], sim):
         return EXIT_BLOWUP
@@ -200,36 +197,30 @@ def cmd_tangent(args, tree, sim, y0, y_d):
     psi = _psi_bank(tree, sim)
     rhos = [float(r) for r in args.rhos.split(",")]
     rep = tg.gateaux_check(y0, None, psi, sim, rhos, n_samples=min(int(tree["samples"]), 4))
-    _emit(args, "tangent.json", {**rep, "config_hash": cfgmod.config_hash(tree)})
+    _emit(args, tree, "tangent.json", rep)
     print(f"gateaux slope {rep['slope']:.3f} over rhos {rep['rhos']}")
     return EXIT_OK
 
 
 def cmd_optimize(args, tree, sim, y0, y_d):
-    adm = ct.AdmissibleSet(radius=float(tree["control"]["radius"]), p_exp=sim.p_exp)
-    out = ct.optimize(
-        y0, y_d, sim,
-        lam=float(tree["cost"]["lam"]),
-        admissible=adm,
-        n_samples=int(tree["samples"]),
-        iters=int(tree["control"]["iters"]),
-        step0=float(tree["control"]["step0"]),
-        variant=str(tree["cost"]["variant"]),
-        verbose=not args.quiet,
-    )
-    res = ct.optimality_residual(
-        out["U"], y0, y_d, sim, float(tree["cost"]["lam"]), adm,
-        int(tree["samples"]), n_dirs=int(tree["control"]["n_dirs"]),
-        seed=int(tree["seed"]) + 13,
-    )
+    ctl, lam, variant = tree["control"], float(tree["cost"]["lam"]), str(tree["cost"]["variant"])
+    adm = ct.AdmissibleSet(radius=float(ctl["radius"]), p_exp=sim.p_exp)
+    out = ct.optimize(y0, y_d, sim, lam, adm, int(tree["samples"]), iters=int(ctl["iters"]),
+                      step0=float(ctl["step0"]), variant=variant, verbose=not args.quiet)
+    res = ct.optimality_residual(out["U"], y0, y_d, sim, lam, adm, int(tree["samples"]),
+                                 n_dirs=int(ctl["n_dirs"]), seed=int(tree["seed"]) + 13,
+                                 variant=variant)
+    aborted = out["history"][-1]["aborted"]
     os.makedirs(args.out, exist_ok=True)
     np.save(os.path.join(args.out, "control.npy"), out["U"])
-    _emit(args, "optimize.json", {
+    _emit(args, tree, "optimize.json", {
         "history": out["history"],
         "final_cost": out["cost"],
         "optimality_min_pairing": res["min_pairing"],
-        "config_hash": cfgmod.config_hash(tree),
+        "aborted": aborted,
     })
+    if _aborted(aborted, sim):
+        return EXIT_BLOWUP
     print(f"final cost {out['cost']:.6e}, optimality residual {res['min_pairing']:.3e}")
     return EXIT_OK
 
@@ -239,7 +230,7 @@ def cmd_stability(args, tree, sim, y0, y_d):
     U1 = np.stack([sp.random_field(sim.grid, rng, amplitude=0.3)] * sim.steps)
     U2 = U1 + args.scale * np.stack([sp.random_field(sim.grid, rng)] * sim.steps)
     rep = fw.stability_probe(y0, U1, U2, sim, n_samples=int(tree["samples"]))
-    _emit(args, "stability.json", {**rep, "config_hash": cfgmod.config_hash(tree)})
+    _emit(args, tree, "stability.json", rep)
     print(f"V ratio {rep['ratio_v']:.3e}, W ratio {rep['ratio_w']:.3e}")
     return EXIT_OK
 
@@ -249,7 +240,7 @@ def cmd_stop_probe(args, tree, sim, y0, y_d):
     dU = np.stack([sp.random_field(sim.grid, rng)] * sim.steps)
     rhos = [float(r) for r in args.rhos.split(",")]
     rep = fw.stop_time_probe(y0, None, dU, sim, int(tree["samples"]), rhos)
-    _emit(args, "stop_probe.json", {"rows": rep, "config_hash": cfgmod.config_hash(tree)})
+    _emit(args, tree, "stop_probe.json", {"rows": rep})
     for row in rep:
         print(f"rho {row['rho']:g}: P = {row['prob']:.4f}, P/rho = {row['prob_over_rho']:.4f}")
     return EXIT_OK

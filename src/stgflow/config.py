@@ -152,7 +152,7 @@ def build_sim(tree: dict) -> SimConfig:
             K=int(tree["noise"]["K"]),
             family=str(tree["noise"]["family"]),
             c0=float(tree["noise"]["c0"]),
-            modulation=float(tree["noise"].get("modulation", 0.0)),
+            modulation=float(tree["noise"]["modulation"]),
         )
         return SimConfig(
             dim=int(tree["dim"]),
@@ -170,27 +170,22 @@ def build_sim(tree: dict) -> SimConfig:
         raise ConfigError(str(e)) from e
 
 
-def initial_field(tree: dict, cfg: SimConfig):
-    block = tree["init"]
-    rng = np.random.default_rng(int(block["seed"]))
-    kmax = block.get("kmax")
+def _random_block(block: dict, cfg: SimConfig):
+    """The random field of an ``init`` or ``target`` block: its seed, kmax
+    (null: the dealiasing cutoff) and L2 amplitude."""
+    kmax = block["kmax"]
     return sp.random_field(
         cfg.grid,
-        rng,
+        np.random.default_rng(int(block["seed"])),
         kmax=None if kmax is None else int(kmax),
         amplitude=float(block["amplitude"]),
     )
+
+
+def initial_field(tree: dict, cfg: SimConfig):
+    return _random_block(tree["init"], cfg)
 
 
 def target_field(tree: dict, cfg: SimConfig):
     block = tree["target"]
-    if block["kind"] == "zero":
-        return cfg.grid.zeros()
-    rng = np.random.default_rng(int(block["seed"]))
-    kmax = block.get("kmax")
-    return sp.random_field(
-        cfg.grid,
-        rng,
-        kmax=None if kmax is None else int(kmax),
-        amplitude=float(block["amplitude"]),
-    )
+    return cfg.grid.zeros() if block["kind"] == "zero" else _random_block(block, cfg)

@@ -28,19 +28,8 @@ from .forward import EnsembleResult, SimConfig, simulate_ensemble
 from .tangent import control_to_state
 
 
-def ingest_control(grid, U):
-    """Project a raw control array onto solenoidal, mean-free, retained modes."""
-    return sp.leray_project(grid, np.asarray(U, dtype=complex))
-
-
-def h1_norms(grid, U):
-    """Per-step H1 norms of a control array (steps, dim, *spec_shape)."""
-    return sp.h1_norm(grid, np.asarray(U))
-
-
-def bochner_norm(grid, U, dt, p):
-    """|| U ||_{L^p(0,T; H1)} = (sum_n dt ||U_n||_{H1}^p)^{1/p}."""
-    return float(np.sum(dt * h1_norms(grid, U) ** p) ** (1.0 / p))
+# Armijo sufficient-decrease constant, backtracking factor and smallest trial step
+ARMIJO, SHRINK, MIN_STEP = 1e-4, 0.5, 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,8 @@ class AdmissibleSet:
     p_exp: float
 
     def norm(self, grid, U, dt):
-        return bochner_norm(grid, U, dt, self.p_exp)
+        """|| U ||_{L^p(0,T; H1)} = (sum_n dt ||U_n||_{H1}^p)^{1/p}."""
+        return float(np.sum(dt * sp.h1_norm(grid, U) ** self.p_exp) ** (1.0 / self.p_exp))
 
     def contains(self, grid, U, dt, tol=1e-12):
         return self.norm(grid, U, dt) <= self.radius * (1 + tol)
@@ -91,7 +81,7 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l
     for n in range(cfg.steps):
         r = adj.tracking_residual(base.fields[:, n], y_d, n, base.stop > n, cfg, variant)
         tr = tr + 0.5 * cfg.dt * sp.sobolev_inner(g, r, r, unweight)
-    pen = 0.0 if U is None else (lam / cfg.p_exp) * float(np.sum(cfg.dt * h1_norms(g, U) ** cfg.p_exp))
+    pen = 0.0 if U is None else (lam / cfg.p_exp) * float(np.sum(cfg.dt * sp.h1_norm(g, U) ** cfg.p_exp))
     se = float(np.std(tr, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return CostReport(
         total=float(np.mean(tr) + pen),
@@ -119,7 +109,7 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     grad = control_to_state(mean_p, cfg)
     if rep.U is not None and lam != 0.0:
         Un = np.asarray(rep.U, dtype=complex)
-        hn = h1_norms(g, Un)
+        hn = sp.h1_norm(g, Un)
         w = lam * hn ** (cfg.p_exp - 2.0)
         grad += w[(slice(None),) + (None,) * (g.dim + 1)] * ((1.0 + g.k2) * Un)
     return grad
@@ -150,11 +140,7 @@ def optimize(
     iters: int = 20,
     step0: float = 1.0,
     variant="l2",
-    armijo: float = 1e-4,
-    shrink: float = 0.5,
-    min_step: float = 1e-10,
     tol: float = 0.0,
-    U0=None,
     verbose=False,
 ):
     """Projected gradient descent with Armijo backtracking on the SAA cost.
@@ -166,11 +152,7 @@ def optimize(
     than the current iterate is rejected: aborts end tracking sums early.
     """
     g = cfg.grid
-    U = (
-        g.zeros((cfg.steps,))
-        if U0 is None
-        else admissible.project(g, ingest_control(g, U0), cfg.dt)
-    )
+    U = g.zeros((cfg.steps,))
     history = []
     step = step0
     grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam, variant)
@@ -178,16 +160,16 @@ def optimize(
     del rep
     for it in range(iters):
         accepted = False
-        while step >= min_step:
+        while step >= MIN_STEP:
             cand = admissible.project(g, U - step * grad, cfg.dt)
             gmap = (U - cand) / step
             gmap2 = float(np.sum(cfg.dt * sp.l2_inner(g, gmap, gmap)))
             trial = eval_cost(cand, y0, y_d, cfg, n_samples, lam, variant)
-            if trial.aborted <= aborted and trial.total <= J - armijo * step * gmap2:
+            if trial.aborted <= aborted and trial.total <= J - ARMIJO * step * gmap2:
                 accepted = True
                 break
             del trial  # free its ensemble before the next solve
-            step *= shrink
+            step *= SHRINK
         history.append(
             {
                 "iter": it,
@@ -207,7 +189,7 @@ def optimize(
         U, J, aborted = cand, trial.total, trial.aborted
         if tol > 0.0 and np.sqrt(gmap2) * step <= tol:
             break
-        step = min(step / shrink, step0)
+        step = min(step / SHRINK, step0)
         if it < iters - 1:  # only a next iteration reads the accepted trial's gradient
             grad = _gradient(trial, lam, cfg)
         del trial

@@ -67,8 +67,7 @@ class SimConfig:
 
     @cached_property
     def implicit_denominator(self):
-        g = self.grid
-        return 1.0 + self.params.alpha1 * g.k2 + self.dt * self.params.nu * g.k2
+        return sp.v_symbol(self.grid, self.params) + self.dt * self.params.nu * self.grid.k2
 
 
 @dataclass
@@ -216,7 +215,7 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
         raise ValueError("energy_stats needs store_fields=True")
     g = cfg.grid
     S = res.n_samples
-    wv = 1.0 + cfg.params.alpha1 * g.k2
+    wv = sp.v_symbol(g, cfg.params)
     sup_v2 = np.zeros(S)
     int_grad2 = np.zeros(S)
     int_a4 = np.zeros(S)
@@ -232,8 +231,8 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
             live = res.stop > n
             # 2 ||D y||^2 = ||grad y||^2 for solenoidal fields
             grad2 = 0.5 * sp.sobolev_inner(g, yn, yn, g.k2)
-            A = sp.deformation_phys(g, yn * g.mask3)
-            a4 = sp.quad_integral(g, np.sum(A**2, axis=(-g.dim - 1, -g.dim - 2)) ** 2)
+            A = sp.deformation_packed(g, yn * g.mask3)
+            a4 = sp.quad_integral(g, np.sum(g.sym_weight * A**2, axis=-g.dim - 1) ** 2)
             int_grad2 += np.where(live, cfg.dt * grad2, 0.0)
             int_a4 += np.where(live, cfg.dt * a4, 0.0)
     counts = np.bincount(res.stop, minlength=cfg.steps + 1)
@@ -259,7 +258,7 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int, p: float = 2.0, 
     r1 = simulate_ensemble(y0, U1, dW, cfg)
     r2 = simulate_ensemble(y0, U2, dW, cfg)
     taumin = np.minimum(r1.stop, r2.stop)
-    wv = 1.0 + cfg.params.alpha1 * g.k2
+    wv = sp.v_symbol(g, cfg.params)
     dU = np.asarray(U1) - np.asarray(U2)
     du2 = sp.l2_inner(g, dU, dU)  # (steps,)
 

@@ -147,9 +147,11 @@ class WaveGrid:
         # Entries a <= b of a symmetric d x d tensor, packed along one axis:
         # sym_pairs lists them, sym_unpack[a, b] is the packed index of (a, b)
         # and (b, a), sym_weight (broadcast over the grid) counts each packed
-        # entry's multiplicity in the full tensor,
-        # and sym_grad[p, e] maps coefficients c to the packed deformation
-        # A_ab = i (k_b c_a + k_a c_b).
+        # entry's multiplicity in the full tensor.
+        # sym_grad[p, e] maps coefficients c to the packed deformation
+        # A_ab = i (k_b c_a + k_a c_b), and sym_div[p, e] maps a packed symmetric
+        # S to div S: minus half the L2 transpose of sym_grad, each packed entry
+        # counted with its multiplicity (sym_grad is purely imaginary).
         self.sym_pairs = np.triu_indices(dim)
         a, b = self.sym_pairs
         self.sym_unpack = np.zeros((dim, dim), dtype=int)
@@ -157,6 +159,7 @@ class WaveGrid:
         self.sym_weight = np.where(a == b, 1.0, 2.0).reshape((-1,) + (1,) * dim)
         eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
         self.sym_grad = 1j * (self.k[b, None] * eye[a] + self.k[a, None] * eye[b])
+        self.sym_div = 0.5 * self.sym_weight[:, None] * self.sym_grad
 
         # Entries a < b of an antisymmetric d x d tensor, packed along one axis
         # (1 in 2D, 3 in 3D): asym_grad[p, e] maps coefficients c to the packed
@@ -256,8 +259,13 @@ def leray_project(grid: WaveGrid, c):
     return out
 
 
+def v_symbol(grid: WaveGrid, params: PhysicalParams):
+    """Fourier multiplier 1 + alpha1 |k|^2 of the v-map v(u) = u - alpha1 Laplace u."""
+    return 1.0 + params.alpha1 * grid.k2
+
+
 def v_apply(grid: WaveGrid, c, params: PhysicalParams):
-    return c * (1.0 + params.alpha1 * grid.k2)
+    return c * v_symbol(grid, params)
 
 
 def divergence_defect(grid: WaveGrid, c):
@@ -282,19 +290,15 @@ def sobolev_inner(grid: WaveGrid, a, b, weight):
 
 
 def v_inner(grid: WaveGrid, a, b, params: PhysicalParams):
-    return sobolev_inner(grid, a, b, 1.0 + params.alpha1 * grid.k2)
+    return sobolev_inner(grid, a, b, v_symbol(grid, params))
 
 
 def v_norm(grid: WaveGrid, c, params: PhysicalParams):
     return np.sqrt(np.maximum(v_inner(grid, c, c, params), 0.0))
 
 
-def h1_inner(grid: WaveGrid, a, b):
-    return sobolev_inner(grid, a, b, 1.0 + grid.k2)
-
-
 def h1_norm(grid: WaveGrid, c):
-    return np.sqrt(np.maximum(h1_inner(grid, c, c), 0.0))
+    return np.sqrt(np.maximum(sobolev_inner(grid, c, c, 1.0 + grid.k2), 0.0))
 
 
 def jacobian_phys(grid: WaveGrid, c):
@@ -308,26 +312,11 @@ def deformation_packed(grid: WaveGrid, c):
     return to_phys(grid, _contract(grid, "pex,...ex->...px", grid.sym_grad, c))
 
 
-def deformation_phys(grid: WaveGrid, c):
-    """Symmetric deformation tensor A = grad u + (grad u)^T at collocation points."""
-    return np.take(deformation_packed(grid, c), grid.sym_unpack, axis=-grid.dim - 1)
-
-
 def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
     """Spectral divergence out_a = sum_j d_j S[a, j] of a symmetric collocation
     tensor S given by its packed entries a <= b, masked like ``to_spec``; only
-    these are transformed."""
-    S_spec = to_spec(grid, S_packed, mask)
-    ik = 1j * grid.k
-    out = np.zeros(S_spec.shape[: -grid.dim - 1] + (grid.dim,) + grid.spec_shape, dtype=S_spec.dtype)
-    # packed entry p = (a, b) is S_ab = S_ba: it feeds out_a through d_b and out_b through d_a
-    for p, (a, b) in enumerate(zip(*grid.sym_pairs)):
-        Sp, out_a = grid.c(S_spec, p), grid.c(out, a)
-        out_a += ik[b] * Sp
-        if a != b:
-            out_b = grid.c(out, b)
-            out_b += ik[a] * Sp
-    return out
+    these are transformed.  Its symbol is ``WaveGrid.sym_div``."""
+    return _contract(grid, "pex,...px->...ex", grid.sym_div, to_spec(grid, S_packed, mask))
 
 
 def rotation_packed(grid: WaveGrid, c):

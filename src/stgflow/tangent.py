@@ -99,7 +99,7 @@ def gateaux_check(y0, U, psi, cfg: fw.SimConfig, rhos, n_samples: int):
     for rho in rhos:
         Up = psi * rho if U is None else np.asarray(U) + rho * psi
         perts.append(fw.simulate_ensemble(y0, Up, dW, cfg))
-    wv = 1.0 + cfg.params.alpha1 * g.k2
+    wv = sp.v_symbol(g, cfg.params)
     worst = np.zeros((len(rhos), n_samples))
     upto = np.ones(n_samples, dtype=bool)  # base stop >= n: live at step n - 1
 

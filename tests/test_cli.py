@@ -10,6 +10,7 @@ import pytest
 
 from stgflow import cli
 from stgflow import config as cfgmod
+from stgflow import control as ct
 from stgflow import forward as fw
 from stgflow import io as sio
 from stgflow import spectral as sp
@@ -206,9 +207,11 @@ class TestCli:
 
     @pytest.mark.parametrize("command, report", [
         ("duality-check", "duality.json"), ("adapted-check", "adapted.json"),
+        ("verify", "verify.json"), ("optimize", "optimize.json"),
     ])
     def test_check_blowup_exit_code(self, tmp_path, command, report, capsys):
-        # the guard of test_blowup_exit_code aborts every sample at its first step
+        # the guard of test_blowup_exit_code aborts every sample at its first step;
+        # verify counts its 4-sample duality ensemble and its 2-sample gradient check
         cfg = tmp_path / "blow.cfg"
         cfg.write_text(
             "n_max = 2\nsteps = 4\ndt = 0.5\nsamples = 4\nnoise.K = 2\n"
@@ -218,10 +221,11 @@ class TestCli:
         out = tmp_path / "chk"
         rc = run_cli([command, "--config", str(cfg), "--out", str(out), "--quiet"])
         assert rc == cli.EXIT_BLOWUP
-        assert json.loads((out / report).read_text())["aborted"] == 4
+        want = 6 if command == "verify" else 4
+        assert json.loads((out / report).read_text())["aborted"] == want
         printed = capsys.readouterr()
-        assert "blow-up abort in 4 sample(s)" in printed.err
-        assert "duality gap" not in printed.out  # no verdict from aborted samples
+        assert f"blow-up abort in {want} sample(s)" in printed.err
+        assert printed.out == ""  # no verdict or cost line from aborted samples
 
     def test_verify_passes(self, small_cfg, tmp_path):
         rc = run_cli(["verify", "--config", str(small_cfg), "--out", str(tmp_path / "v"), "--quiet"])
@@ -255,6 +259,23 @@ class TestCli:
         assert U.shape[0] == 15
         rep = json.loads((out / "optimize.json").read_text())
         assert rep["optimality_min_pairing"] >= -1e-4
+
+    def test_optimize_certificate_uses_cost_variant(self, small_cfg, tmp_path):
+        # the certificate pairs the gradient of the cost that was minimized
+        sets = ["cost.variant=v", "control.iters=0", "samples=2", "control.n_dirs=6"]
+        out = tmp_path / "optv"
+        rc = run_cli(["optimize", "--config", str(small_cfg), "--out", str(out), "--quiet",
+                      *(a for kv in sets for a in ("--set", kv))])
+        assert rc == 0
+        tree = cfgmod.load(small_cfg, sets)
+        sim = cfgmod.build_sim(tree)
+        adm = ct.AdmissibleSet(radius=float(tree["control"]["radius"]), p_exp=sim.p_exp)
+        want = ct.optimality_residual(
+            np.load(out / "control.npy"), cfgmod.initial_field(tree, sim),
+            cfgmod.target_field(tree, sim), sim, float(tree["cost"]["lam"]), adm, 2,
+            n_dirs=6, seed=int(tree["seed"]) + 13, variant="v")
+        rep = json.loads((out / "optimize.json").read_text())
+        assert rep["optimality_min_pairing"] == want["min_pairing"]
 
     def test_no_scipy_import(self):
         # the transforms are numpy.fft's: importing scipy.fft would add about

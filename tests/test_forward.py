@@ -50,6 +50,13 @@ class TestConfig:
         cfg = make_cfg(dt=0.02, steps=50)
         assert abs(cfg.T - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_implicit_denominator_from_v_symbol(self, dim, n_max):
+        cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
+        g = cfg.grid
+        want = sp.v_symbol(g, cfg.params) + cfg.dt * cfg.params.nu * g.k2
+        assert np.array_equal(cfg.implicit_denominator, want)
+
 
 class TestStep:
     def test_stokes_decay_oracle(self):
@@ -222,6 +229,26 @@ class TestEnergy:
         assert stats["int_sym_grad_sq"]["mean"] > 0
         assert sum(stats["stop_histogram"]) == 4
         assert stats["aborted"] == 0
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 4), (3, 3)])
+    def test_int_deformation_4_against_full_tensor(self, dim, n_max):
+        # reference: dt-sum over n < stop of the quadrature of (sum_ab A_ab^2)^2,
+        # A = J + J^T of the mask3-dealiased y_n, J from jacobian_phys
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=8, p_exp=10.0, M={2: 3.3, 3: 2.9}[dim],
+                       model=nz.NoiseModel(K=8, family="linear", c0=1.0), seed=12)
+        g = cfg.grid
+        y0 = sp.random_field(g, np.random.default_rng(12), amplitude=1.5)
+        res = fw.run_ensemble(y0, None, cfg, 4)
+        assert 0 < np.count_nonzero(res.stop < cfg.steps) < 4  # the stopped sums end early
+        want = np.zeros(4)
+        for n in range(cfg.steps):
+            J = sp.jacobian_phys(g, res.fields[:, n] * g.mask3)
+            A = J + np.swapaxes(J, -dim - 1, -dim - 2)
+            a4 = sp.quad_integral(g, np.sum(A**2, axis=(-dim - 1, -dim - 2)) ** 2)
+            want += np.where(res.stop > n, cfg.dt * a4, 0.0)
+        got = fw.energy_stats(res, cfg)["int_deformation_4"]
+        ci95 = 1.96 * np.std(want, ddof=1) / np.sqrt(4)
+        np.testing.assert_allclose([got["mean"], got["ci95"]], [np.mean(want), ci95], rtol=1e-13)
 
 
 class TestProbes:

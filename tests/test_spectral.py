@@ -119,6 +119,11 @@ def _div_matrix_spec(g, M_phys, mask=None):
     return np.sum(1j * g.k * sp.to_spec(g, M_phys, mask), axis=-g.dim - 1)
 
 
+def _deformation_full(g, c):
+    """The full d x d deformation tensor from its packed entries."""
+    return np.take(sp.deformation_packed(g, c), g.sym_unpack, axis=-g.dim - 1)
+
+
 def _mirror(g, c):
     """c[-k] for every k of the full N^d grid."""
     neg = (-np.arange(g.N)) % g.N
@@ -303,7 +308,7 @@ class TestSymmetricKernels:
         c = np.stack([sp.random_field(g, np.random.default_rng(65 + s)) for s in range(2)])
         J = sp.jacobian_phys(g, c)
         full = J + np.swapaxes(J, -dim - 1, -dim - 2)
-        assert _rel(sp.deformation_phys(g, c), full) <= 1e-12
+        assert _rel(_deformation_full(g, c), full) <= 1e-12
 
     @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
     @pytest.mark.parametrize("mask", ["mask2", "mask3"])
@@ -448,6 +453,11 @@ class TestVMap:
         vc = sp.v_apply(g, c, pa)
         assert abs(vc[1, 1, 0] - 1.5) < 1e-14
 
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_v_symbol_is_v_apply_multiplier(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        assert np.array_equal(sp.v_apply(g, np.ones(g.spec_shape), PARAMS), sp.v_symbol(g, PARAMS))
+
     def test_inverse(self):
         g = grid3()
         rng = np.random.default_rng(9)
@@ -461,8 +471,8 @@ class TestVMap:
         rng = np.random.default_rng(10)
         a = sp.random_field(g, rng, amplitude=1.7)
         b = sp.random_field(g, rng, amplitude=0.9)
-        Da = 0.5 * sp.deformation_phys(g, a)
-        Db = 0.5 * sp.deformation_phys(g, b)
+        Da = 0.5 * _deformation_full(g, a)
+        Db = 0.5 * _deformation_full(g, b)
         direct = sp.l2_inner(g, a, b) + 2 * PARAMS.alpha1 * sp.quad_integral(
             g, np.sum(Da * Db, axis=(-3, -4))
         )
@@ -611,7 +621,7 @@ class TestDrift:
         rng = np.random.default_rng(53)
         y = sp.random_field(g, rng, kmax=g.cubic_cut, amplitude=1.5)
         d = sp.drift_terms(sp.Collocation(g, y, pb))
-        A = sp.deformation_phys(g, y)
+        A = _deformation_full(g, y)
         quartic = sp.quad_integral(g, np.sum(A**2, axis=(-3, -4)) ** 2)
         assert abs(sp.l2_inner(g, d, y) + 0.5 * pb.beta * quartic) < 1e-9
 
