@@ -30,28 +30,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import noise as nz
 from . import spectral as sp
 from .forward import SimConfig, _on_live, simulate_ensemble
 from .tangent import control_to_state, transpose_step
 
 
-def tracking_weight(grid, params, variant: str):
-    """Fourier multiplier of the tracking pairing: 1 for the L2 cost ("l2"),
-    the v-map 1 + alpha1 |k|^2 for the V-norm cost ("v")."""
-    if variant == "l2":
-        return 1.0
-    if variant == "v":
-        return sp.v_symbol(grid, params)
-    raise ValueError(f"unknown tracking variant {variant!r}")
-
-
-def tracking_residual(y_n, y_d, n, live, cfg: SimConfig, variant: str = "l2"):
+def tracking_residual(y_n, y_d, n, live, cfg: SimConfig):
     """g_n per sample: y_n - y_d(n) in the L2 pairing, or its v-image for
-    the V-norm tracking cost; zero on the samples where ``live`` fails."""
+    the V-norm tracking cost (``cfg.tracking``); zero where ``live`` fails."""
     g = cfg.grid
-    weight = tracking_weight(g, cfg.params, variant)
-    diff = weight * (np.asarray(y_n, dtype=complex) - _target_at(y_d, n, g))
+    diff = cfg.tracking_weight * (np.asarray(y_n, dtype=complex) - _target_at(y_d, n, g))
     return np.where(live[(slice(None),) + (None,) * (g.dim + 1)], diff, 0.0)
 
 
@@ -67,7 +55,7 @@ def _costate_kernel(n, cfg: SimConfig):
     return lambda y, p, dw, gn: transpose_step(y, p, dw, n * cfg.dt, cfg) + cfg.dt * gn
 
 
-def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
+def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig):
     """Transpose recursion along a frozen base ensemble.
 
     Yields (n, live, p) for n = steps-1 ... 0, where live = stop > n and p
@@ -81,7 +69,7 @@ def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
         yield n, live, p
         if n > 0 and live.any():
             y_n = np.asarray(fields[:, n], dtype=complex)
-            g_n = tracking_residual(y_n, y_d, n, live, cfg, variant)
+            g_n = tracking_residual(y_n, y_d, n, live, cfg)
             rows, p_n = _on_live(live, _costate_kernel(n, cfg), y_n, p, dW[:, n], g_n)
             p[rows] = p_n
             del p_n  # freed before the reader resumes
@@ -94,26 +82,26 @@ def _lhs_term(psi_n, p, live, cfg: SimConfig):
     return np.where(live, cfg.dt * sp.l2_inner(cfg.grid, psi_n, sp_n), 0.0)
 
 
-def _simulate_with_rhs(y0, U, psi, y_d, dW, cfg: SimConfig, variant, **kw):
+def _simulate_with_rhs(y0, U, psi, y_d, dW, cfg: SimConfig, **kw):
     """Forward ensemble with the tangent along psi beside it, and the
     per-sample rhs = sum_{n < stop} dt (g_n, z_n) of the duality identity
     accumulated in the same loop; z_N, which pairs with nothing, is not formed."""
     rhs = np.zeros(dW.shape[0])
 
     def read(n, live, y, z):
-        g_n = tracking_residual(y, y_d, n, live, cfg, variant)
+        g_n = tracking_residual(y, y_d, n, live, cfg)
         rhs[:] += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, g_n, z), 0.0)
 
     return simulate_ensemble(y0, U, dW, cfg, psi=psi, read=read, **kw), rhs
 
 
-def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2"):
+def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     """End-to-end pathwise duality report on a fresh ensemble."""
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg, variant)
+    dW = cfg.noise_bank(n_samples)
+    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg)
     psi = np.asarray(psi)
     lhs = np.zeros(n_samples)
-    for n, live, p in costate_sweep(base.fields, base.stop, y_d, dW, cfg, variant):
+    for n, live, p in costate_sweep(base.fields, base.stop, y_d, dW, cfg):
         lhs += _lhs_term(psi[n], p, live, cfg)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
@@ -143,7 +131,7 @@ def _features(grid, y, stop_mask):
     return np.concatenate([base, base[:, 1:] ** 2], axis=1) * stop_mask[:, None]
 
 
-def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
+def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig):
     """Adapted costate pair by backward least-squares regression.
 
     Follows the realized-value scheme: the raw transpose recursion of
@@ -174,7 +162,7 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
         return sp.leray_project(g, np.where(live[bsel], fitted, 0.0))
 
     after = design(cfg.steps)
-    for n, live, p in costate_sweep(fields, stop, y_d, dW, cfg, variant):
+    for n, live, p in costate_sweep(fields, stop, y_d, dW, cfg):
         now = design(n)
         # martingale integrand q_{n,k} ~ E[p_{n+1} dW_{n,k}] / dt | state_n
         q_norms = np.zeros((S, K))
@@ -184,7 +172,7 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig, variant="l2"):
         after = now
 
 
-def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, variant="l2"):
+def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     """Expectation-level duality for the adapted pair, with MC error bars.
 
     The post-exit maximum runs over p_hat_{n+1} and q_hat_n at and after
@@ -193,13 +181,13 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, varia
     The fields are stored as complex64 for the backward sweep; the rhs (its
     tangent and g_n) reads the forward loop's unrounded complex128 y_n.
     """
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg, variant, store_dtype=np.complex64)
+    dW = cfg.noise_bank(n_samples)
+    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg, store_dtype=np.complex64)
     psi = np.asarray(psi)
     stop = base.stop
     lhs = np.zeros(n_samples)
     tail = terminal = 0.0
-    for n, live, p_hat, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg, variant):
+    for n, live, p_hat, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg):
         lhs += _lhs_term(psi[n], p_hat, live, cfg)
         if n == cfg.steps - 1:
             terminal = float(np.max(np.abs(p_hat)))

@@ -27,7 +27,6 @@ from . import config as cfgmod
 from . import control as ct
 from . import forward as fw
 from . import io as sio
-from . import noise as nz
 from . import spectral as sp
 from . import tangent as tg
 
@@ -85,7 +84,7 @@ def _emit(args, tree, name, payload):
     path = os.path.join(args.out, name)
     sio.write_json(path, {**payload, "config_hash": cfgmod.config_hash(tree)})
     if not args.quiet:
-        print(f"wrote {path}")
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def _aborted(n, sim):
@@ -96,7 +95,7 @@ def _aborted(n, sim):
 
 
 def cmd_simulate(args, tree, sim, y0, y_d):
-    res = fw.run_ensemble(y0, None, sim, int(tree["samples"]))
+    res = fw.simulate_ensemble(y0, None, sim.noise_bank(int(tree["samples"])), sim)
     os.makedirs(args.out, exist_ok=True)
     sio.write_trajectory(
         os.path.join(args.out, "trajectory.bin"),
@@ -118,22 +117,21 @@ def cmd_simulate(args, tree, sim, y0, y_d):
 
 
 def cmd_verify(args, tree, sim, y0, y_d):
-    variant = str(tree["cost"]["variant"])
     rep_id = sp.verify_identities(int(tree["seed"]) + 1, sim.params, sim.grid, n_triples=10)
     ids = ("lemma_curl_cross_max_rel", "curl_of_cross_max_rel", "antisymmetry_max_rel")
     failures = [key for key in ids if not rep_id[key] < 1e-11]
     psi = _psi_bank(tree, sim)
-    dual = adj.duality_check(y0, None, psi, y_d, sim, n_samples=4, variant=variant)
+    dual = adj.duality_check(y0, None, psi, y_d, sim, n_samples=4)
     if not dual["max_rel_gap"] < args.tol:
         failures.append("pathwise_duality")
     # gradient versus finite differences on the frozen-sample cost
     lam = float(tree["cost"]["lam"])
     U = 0.1 * psi
-    grad, rep = ct.cost_gradient(U, y0, y_d, sim, 2, lam, variant)
+    grad, rep = ct.cost_gradient(U, y0, y_d, sim, 2, lam)
     pair = ct.gradient_pairing(sim.grid, grad, psi, sim.dt)
     rho = 1e-4
-    jp = ct.eval_cost(U + rho * psi, y0, y_d, sim, 2, lam, variant).total
-    jm = ct.eval_cost(U - rho * psi, y0, y_d, sim, 2, lam, variant).total
+    jp = ct.eval_cost(U + rho * psi, y0, y_d, sim, 2, lam).total
+    jm = ct.eval_cost(U - rho * psi, y0, y_d, sim, 2, lam).total
     fd = (jp - jm) / (2 * rho)
     grad_rel = abs(fd - pair) / max(1.0, abs(fd))
     if not grad_rel < 1e-4:
@@ -161,8 +159,7 @@ def cmd_verify(args, tree, sim, y0, y_d):
 
 def cmd_duality(args, tree, sim, y0, y_d):
     psi = _psi_bank(tree, sim)
-    rep = adj.duality_check(y0, None, psi, y_d, sim, n_samples=int(tree["samples"]),
-                            variant=str(tree["cost"]["variant"]))
+    rep = adj.duality_check(y0, None, psi, y_d, sim, n_samples=int(tree["samples"]))
     _emit(args, tree, "duality.json", {
         "max_rel_gap": rep["max_rel_gap"],
         "stop": rep["stop"],
@@ -176,9 +173,7 @@ def cmd_duality(args, tree, sim, y0, y_d):
 
 def cmd_adapted(args, tree, sim, y0, y_d):
     psi = _psi_bank(tree, sim)
-    rep = adj.adapted_duality_check(y0, None, psi, y_d, sim,
-                                    n_samples=int(tree["samples"]),
-                                    variant=str(tree["cost"]["variant"]))
+    rep = adj.adapted_duality_check(y0, None, psi, y_d, sim, n_samples=int(tree["samples"]))
     _emit(args, tree, "adapted.json", {
         "gap_mean": rep["gap_mean"],
         "gap_se": rep["gap_se"],
@@ -198,30 +193,33 @@ def cmd_tangent(args, tree, sim, y0, y_d):
     rhos = [float(r) for r in args.rhos.split(",")]
     rep = tg.gateaux_check(y0, None, psi, sim, rhos, n_samples=min(int(tree["samples"]), 4))
     _emit(args, tree, "tangent.json", rep)
+    if _aborted(rep["aborted"], sim):
+        return EXIT_BLOWUP
     print(f"gateaux slope {rep['slope']:.3f} over rhos {rep['rhos']}")
     return EXIT_OK
 
 
 def cmd_optimize(args, tree, sim, y0, y_d):
-    ctl, lam, variant = tree["control"], float(tree["cost"]["lam"]), str(tree["cost"]["variant"])
+    ctl, lam = tree["control"], float(tree["cost"]["lam"])
     adm = ct.AdmissibleSet(radius=float(ctl["radius"]), p_exp=sim.p_exp)
     out = ct.optimize(y0, y_d, sim, lam, adm, int(tree["samples"]), iters=int(ctl["iters"]),
-                      step0=float(ctl["step0"]), variant=variant, verbose=not args.quiet)
-    res = ct.optimality_residual(out["U"], y0, y_d, sim, lam, adm, int(tree["samples"]),
-                                 n_dirs=int(ctl["n_dirs"]), seed=int(tree["seed"]) + 13,
-                                 variant=variant)
+                      step0=float(ctl["step0"]), verbose=not args.quiet)
     aborted = out["history"][-1]["aborted"]
+    # no certificate for an aborted iterate: its tracking sums ended early
+    pairing = None if aborted else ct.optimality_residual(
+        out["U"], y0, y_d, sim, lam, adm, int(tree["samples"]),
+        n_dirs=int(ctl["n_dirs"]), seed=int(tree["seed"]) + 13)["min_pairing"]
     os.makedirs(args.out, exist_ok=True)
     np.save(os.path.join(args.out, "control.npy"), out["U"])
     _emit(args, tree, "optimize.json", {
         "history": out["history"],
         "final_cost": out["cost"],
-        "optimality_min_pairing": res["min_pairing"],
+        "optimality_min_pairing": pairing,
         "aborted": aborted,
     })
     if _aborted(aborted, sim):
         return EXIT_BLOWUP
-    print(f"final cost {out['cost']:.6e}, optimality residual {res['min_pairing']:.3e}")
+    print(f"final cost {out['cost']:.6e}, optimality residual {pairing:.3e}")
     return EXIT_OK
 
 
@@ -231,6 +229,8 @@ def cmd_stability(args, tree, sim, y0, y_d):
     U2 = U1 + args.scale * np.stack([sp.random_field(sim.grid, rng)] * sim.steps)
     rep = fw.stability_probe(y0, U1, U2, sim, n_samples=int(tree["samples"]))
     _emit(args, tree, "stability.json", rep)
+    if _aborted(rep["aborted"], sim):
+        return EXIT_BLOWUP
     print(f"V ratio {rep['ratio_v']:.3e}, W ratio {rep['ratio_w']:.3e}")
     return EXIT_OK
 
@@ -240,8 +240,10 @@ def cmd_stop_probe(args, tree, sim, y0, y_d):
     dU = np.stack([sp.random_field(sim.grid, rng)] * sim.steps)
     rhos = [float(r) for r in args.rhos.split(",")]
     rep = fw.stop_time_probe(y0, None, dU, sim, int(tree["samples"]), rhos)
-    _emit(args, tree, "stop_probe.json", {"rows": rep})
-    for row in rep:
+    _emit(args, tree, "stop_probe.json", rep)
+    if _aborted(rep["aborted"], sim):
+        return EXIT_BLOWUP
+    for row in rep["rows"]:
         print(f"rho {row['rho']:g}: P = {row['prob']:.4f}, P/rho = {row['prob_over_rho']:.4f}")
     return EXIT_OK
 

@@ -165,6 +165,7 @@ def build_sim(tree: dict) -> SimConfig:
             p_exp=float(tree["p_exp"]),
             seed=int(tree["seed"]),
             blowup_factor=float(tree["stop"]["blowup_factor"]),
+            tracking=str(tree["cost"]["variant"]),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e

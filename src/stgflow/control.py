@@ -4,10 +4,10 @@ The cost of a deterministic control U = (U_0, ..., U_{steps-1}) is
 
     J(U) = 1/2 E sum_{n < stop} dt ||y_n - y_d||^2  +  (lam/p) sum_n dt ||U_n||_{H1}^p
 
-with the tracking misfit in L2 or, optionally, in the V norm.  The
-gradient representative in the L2(0,T; L2) pairing combines the H1
-penalty with the ensemble average of the costate pulled back through
-the control injection:
+with the tracking misfit in L2 or, optionally, in the V norm
+(``SimConfig.tracking``).  The gradient representative in the
+L2(0,T; L2) pairing combines the H1 penalty with the ensemble average
+of the costate pulled back through the control injection:
 
     grad_n = lam ||U_n||_{H1}^{p-2} (1 + |k|^2) U_n + E[1_{n<stop} S^T p_{n+1}].
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjoint as adj
-from . import noise as nz
 from . import spectral as sp
 from .forward import EnsembleResult, SimConfig, simulate_ensemble
 from .tangent import control_to_state
@@ -58,43 +57,37 @@ class CostReport:
     total: float
     tracking: float
     penalty: float
-    tracking_se: float
-    stop: np.ndarray
     aborted: int
     U: np.ndarray | None
     dW: np.ndarray
     ensemble: EnsembleResult
     y_d: np.ndarray
-    variant: str
 
 
-def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l2"):
-    """Sample-average cost on the frozen noise bank of cfg.seed.  An aborted
-    sample leaves the tracking sum at its abort index; ``aborted`` counts them."""
+def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float):
+    """Sample-average cost on the frozen noise bank of cfg.seed, tracking in
+    the norm of ``cfg.tracking``.  An aborted sample leaves the tracking sum
+    at its abort index; ``aborted`` counts them."""
     g = cfg.grid
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(n_samples)
     base = simulate_ensemble(y0, U, dW, cfg)
     # the residual is the weighted misfit w (y_n - y_d), zero from the exit
     # on, so 1/2 ||y_n - y_d||_w^2 = 1/2 (res, res / w); one step at a time
-    unweight = 1.0 / adj.tracking_weight(g, cfg.params, variant)
+    unweight = 1.0 / cfg.tracking_weight
     tr = 0
     for n in range(cfg.steps):
-        r = adj.tracking_residual(base.fields[:, n], y_d, n, base.stop > n, cfg, variant)
+        r = adj.tracking_residual(base.fields[:, n], y_d, n, base.stop > n, cfg)
         tr = tr + 0.5 * cfg.dt * sp.sobolev_inner(g, r, r, unweight)
     pen = 0.0 if U is None else (lam / cfg.p_exp) * float(np.sum(cfg.dt * sp.h1_norm(g, U) ** cfg.p_exp))
-    se = float(np.std(tr, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return CostReport(
         total=float(np.mean(tr) + pen),
         tracking=float(np.mean(tr)),
         penalty=float(pen),
-        tracking_se=se,
-        stop=base.stop,
         aborted=int(np.count_nonzero(base.aborted)),
         U=U,
         dW=dW,
         ensemble=base,
         y_d=y_d,
-        variant=variant,
     )
 
 
@@ -103,9 +96,9 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     every sample, so it acts once, on the live-weighted sample mean of p_{n+1}."""
     g = cfg.grid
     mean_p = np.empty((cfg.steps, g.dim) + g.spec_shape, dtype=complex)
-    sweep = adj.costate_sweep(rep.ensemble.fields, rep.stop, rep.y_d, rep.dW, cfg, rep.variant)
-    for n, live, p in sweep:
-        mean_p[n] = np.einsum("s,s...->...", live / rep.stop.shape[0], p)
+    base = rep.ensemble
+    for n, live, p in adj.costate_sweep(base.fields, base.stop, rep.y_d, rep.dW, cfg):
+        mean_p[n] = np.einsum("s,s...->...", live / base.n_samples, p)
     grad = control_to_state(mean_p, cfg)
     if rep.U is not None and lam != 0.0:
         Un = np.asarray(rep.U, dtype=complex)
@@ -115,13 +108,13 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     return grad
 
 
-def cost_gradient(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float, variant="l2"):
+def cost_gradient(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float):
     """Adjoint gradient of the sample-average cost; stop indices frozen.
 
     Returns (grad, report): grad of shape (steps, dim, *spec_shape) and the
     CostReport of U.
     """
-    rep = eval_cost(U, y0, y_d, cfg, n_samples, lam, variant)
+    rep = eval_cost(U, y0, y_d, cfg, n_samples, lam)
     return _gradient(rep, lam, cfg), rep
 
 
@@ -139,7 +132,6 @@ def optimize(
     n_samples: int,
     iters: int = 20,
     step0: float = 1.0,
-    variant="l2",
     tol: float = 0.0,
     verbose=False,
 ):
@@ -147,25 +139,27 @@ def optimize(
 
     The noise bank is frozen (cfg.seed), so the objective is a fixed
     deterministic function of U throughout the run.  An accepted trial's
-    gradient comes from its cost report; only the iterate's cost and
-    gradient are kept across trials.  A trial with more aborted samples
-    than the current iterate is rejected: aborts end tracking sums early.
+    gradient comes from its cost report; only the iterate's cost report is
+    kept across trials.  Aborts end tracking sums early, so a trial with an
+    aborted sample is rejected, and a starting iterate with one ends the
+    search before any step: its history holds only the final entry.
     """
     g = cfg.grid
     U = g.zeros((cfg.steps,))
     history = []
     step = step0
-    grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam, variant)
+    rep = eval_cost(U, y0, y_d, cfg, n_samples, lam)
     J, aborted = rep.total, rep.aborted
-    del rep
-    for it in range(iters):
+    for it in range(0 if aborted else iters):
+        grad = _gradient(rep, lam, cfg)
+        del rep  # free the iterate's ensemble before the trials
         accepted = False
         while step >= MIN_STEP:
             cand = admissible.project(g, U - step * grad, cfg.dt)
             gmap = (U - cand) / step
             gmap2 = float(np.sum(cfg.dt * sp.l2_inner(g, gmap, gmap)))
-            trial = eval_cost(cand, y0, y_d, cfg, n_samples, lam, variant)
-            if trial.aborted <= aborted and trial.total <= J - ARMIJO * step * gmap2:
+            trial = eval_cost(cand, y0, y_d, cfg, n_samples, lam)
+            if not trial.aborted and trial.total <= J - ARMIJO * step * gmap2:
                 accepted = True
                 break
             del trial  # free its ensemble before the next solve
@@ -186,13 +180,11 @@ def optimize(
             print(f"iter {it:3d}  J = {J:.8e}  step = {step:.2e}")
         if not accepted:
             break
-        U, J, aborted = cand, trial.total, trial.aborted
+        U, J, rep = cand, trial.total, trial
+        del trial
         if tol > 0.0 and np.sqrt(gmap2) * step <= tol:
             break
         step = min(step / SHRINK, step0)
-        if it < iters - 1:  # only a next iteration reads the accepted trial's gradient
-            grad = _gradient(trial, lam, cfg)
-        del trial
     history.append(
         {"iter": iters, "cost": J, "step": step, "grad_norm": None, "accepted": True,
          "aborted": aborted}
@@ -227,7 +219,7 @@ def sample_directions(grid, steps, admissible: AdmissibleSet, dt, rng, n_dirs, U
 
 def optimality_residual(
     U, y0, y_d, cfg: SimConfig, lam: float, admissible: AdmissibleSet,
-    n_samples: int, n_dirs: int = 64, seed: int = 0, variant="l2",
+    n_samples: int, n_dirs: int = 64, seed: int = 0,
 ):
     """min over sampled admissible W of sum_n dt (grad_n, W_n - U_n).
 
@@ -235,7 +227,7 @@ def optimality_residual(
     order condition of the projected problem over the sampled set.
     """
     g = cfg.grid
-    grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam, variant)
+    grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for W in sample_directions(g, cfg.steps, admissible, cfg.dt, rng, n_dirs, U):

@@ -46,6 +46,7 @@ class SimConfig:
     p_exp: float = 8.0
     seed: int = 0
     blowup_factor: float = 10.0
+    tracking: str = "l2"
 
     def __post_init__(self):
         if self.dt <= 0 or self.steps < 1:
@@ -56,6 +57,8 @@ class SimConfig:
             )
         if self.M <= 0:
             raise ValueError("stopping threshold M must be positive")
+        if self.tracking not in ("l2", "v"):
+            raise ValueError(f"tracking must be 'l2' or 'v', got {self.tracking!r}")
 
     @property
     def T(self):
@@ -68,6 +71,16 @@ class SimConfig:
     @cached_property
     def implicit_denominator(self):
         return sp.v_symbol(self.grid, self.params) + self.dt * self.params.nu * self.grid.k2
+
+    @cached_property
+    def tracking_weight(self):
+        """Fourier multiplier of the tracking pairing: 1 for the L2 cost ("l2"),
+        the v-map 1 + alpha1 |k|^2 for the V-norm cost ("v")."""
+        return 1.0 if self.tracking == "l2" else sp.v_symbol(self.grid, self.params)
+
+    def noise_bank(self, n_samples: int):
+        """The frozen increments dW (n_samples, steps, K) of this run's seed."""
+        return nz.sample_paths(self.seed, n_samples, self.dt, self.steps, self.model.K)
 
 
 @dataclass
@@ -189,11 +202,6 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields: bool = True,
     return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted)
 
 
-def run_ensemble(y0, U, cfg: SimConfig, n_samples: int, **kw) -> EnsembleResult:
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
-    return simulate_ensemble(y0, U, dW, cfg, **kw)
-
-
 # ---------------------------------------------------------------------------
 # energy functionals and probes
 
@@ -251,10 +259,10 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int, p: float = 2.0, 
 
     Returns E sup ||y1 - y2||_V^p over [0, tau1 ^ tau2] divided by
     E int_0^{tau1 ^ tau2} ||U1 - U2||_{L2}^p dt, plus the same ratio in
-    the W norm with exponent 2 + eps.
+    the W norm with exponent 2 + eps, and the samples aborted in either run.
     """
     g = cfg.grid
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(n_samples)
     r1 = simulate_ensemble(y0, U1, dW, cfg)
     r2 = simulate_ensemble(y0, U2, dW, cfg)
     taumin = np.minimum(r1.stop, r2.stop)
@@ -286,36 +294,24 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int, p: float = 2.0, 
         "den_v": float(edv),
         "p": p,
         "eps": eps,
+        "aborted": int(np.count_nonzero(r1.aborted) + np.count_nonzero(r2.aborted)),
     }
-
-
-def stability_sweep(y0, U1, U2, cfg: SimConfig, n_samples: int, scales, p: float = 2.0, eps: float = 0.5):
-    """stability_probe along U2_s = U1 + s (U2 - U1) for each scale s.
-
-    Same noise bank throughout (cfg.seed), so ratios across the sweep
-    share common random numbers.
-    """
-    dU = np.asarray(U2) - np.asarray(U1)
-    out = []
-    for s in scales:
-        rep = stability_probe(y0, U1, np.asarray(U1) + s * dU, cfg, n_samples, p, eps)
-        rep["scale"] = float(s)
-        out.append(rep)
-    return out
 
 
 def stop_time_probe(y0, U, dU, cfg: SimConfig, n_samples: int, rhos):
     """Probability that the exit index moves under a control perturbation.
 
     For each rho, runs U + rho dU with the same noise as the base run and
-    reports P(stop differs) and P / rho.
+    reports P(stop differs) and P / rho in ``rows``; ``aborted`` counts the
+    aborted samples over all the runs.
     """
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(n_samples)
     base = simulate_ensemble(y0, U, dW, cfg, store_fields=False)
-    out = []
+    rows, aborted = [], np.count_nonzero(base.aborted)
     for rho in rhos:
         Up = np.asarray(U) + rho * np.asarray(dU) if U is not None else rho * np.asarray(dU)
         pert = simulate_ensemble(y0, Up, dW, cfg, store_fields=False)
         p = float(np.mean(pert.stop != base.stop))
-        out.append({"rho": float(rho), "prob": p, "prob_over_rho": p / rho})
-    return out
+        rows.append({"rho": float(rho), "prob": p, "prob_over_rho": p / rho})
+        aborted += np.count_nonzero(pert.aborted)
+    return {"rows": rows, "aborted": int(aborted)}

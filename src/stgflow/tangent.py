@@ -90,11 +90,12 @@ def gateaux_check(y0, U, psi, cfg: fw.SimConfig, rhos, n_samples: int):
     For each rho compares (y(U + rho psi) - y(U)) / rho with z in the
     sup-over-time V norm, averaged over samples, and fits the log-log
     slope (2 is exact first-order consistency of the Jacobian, anything
-    well above 1 witnesses the quadratic remainder).
+    well above 1 witnesses the quadratic remainder).  ``aborted`` counts the
+    aborted samples over the base and the perturbed runs.
     """
     g = cfg.grid
     psi = np.asarray(psi)
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(n_samples)
     perts = []
     for rho in rhos:
         Up = psi * rho if U is None else np.asarray(U) + rho * psi
@@ -111,10 +112,11 @@ def gateaux_check(y0, U, psi, cfg: fw.SimConfig, rhos, n_samples: int):
             worst[i] = np.where(both, np.maximum(worst[i], v2), worst[i])
         upto[:] = live
 
-    fw.simulate_ensemble(y0, U, dW, cfg, store_fields=False, psi=psi, read=compare,
-                         read_to=cfg.steps)
+    base = fw.simulate_ensemble(y0, U, dW, cfg, store_fields=False, psi=psi, read=compare,
+                                read_to=cfg.steps)
+    aborted = sum(np.count_nonzero(r.aborted) for r in (base, *perts))
     errs = [float(np.mean(w)) for w in worst]
     lr = np.log(np.asarray(rhos, dtype=float))
     le = np.log(np.maximum(np.asarray(errs), 1e-300))
     slope = float(np.polyfit(lr, le, 1)[0])
-    return {"rhos": list(map(float, rhos)), "errors": errs, "slope": slope}
+    return {"rhos": list(map(float, rhos)), "errors": errs, "slope": slope, "aborted": int(aborted)}

@@ -118,8 +118,8 @@ def test_criterion_04_stop_time_probe():
     g = sp.WaveGrid(2, 4)
     rng = np.random.default_rng(107)
     y0 = sp.random_field(g, rng, amplitude=0.8)
-    base = fw.run_ensemble(y0, None, fw.SimConfig(M=1e9, **probe_cfg), S,
-                           store_fields=False)
+    free = fw.SimConfig(M=1e9, **probe_cfg)
+    base = fw.simulate_ensemble(y0, None, free.noise_bank(S), free, store_fields=False)
     # threshold just above the unperturbed sup: exit moves only when the
     # perturbation itself pushes a path across, so P(tau differs) -> 0
     # superlinearly as rho -> 0
@@ -127,7 +127,7 @@ def test_criterion_04_stop_time_probe():
     cfg = fw.SimConfig(M=M, **probe_cfg)
     dU = np.stack([sp.random_field(g, np.random.default_rng(9), amplitude=20.0)] * steps)
     rho0 = 0.4
-    rows = fw.stop_time_probe(y0, None, dU, cfg, S, [rho0, rho0 / 2, rho0 / 4, rho0 / 8])
+    rows = fw.stop_time_probe(y0, None, dU, cfg, S, [rho0, rho0 / 2, rho0 / 4, rho0 / 8])["rows"]
     probs = [r["prob"] for r in rows]
     ratios = [r["prob_over_rho"] for r in rows]
     mono = all(a >= b for a, b in zip(probs, probs[1:]))
@@ -148,8 +148,9 @@ def test_criterion_05_stability_sweep():
     y0 = sp.random_field(g, rng, amplitude=0.8)
     U1 = rand_fields(g, steps, rng, amplitude=0.3)
     U2 = U1 + rand_fields(g, steps, rng, amplitude=0.3)
-    rows = fw.stability_sweep(y0, U1, U2, cfg, S, scales=[1.0, 0.5, 0.25, 0.125])
-    ratios = [r["ratio_v"] for r in rows]
+    # one noise bank (cfg.seed) for every scale: the ratios share common random numbers
+    ratios = [fw.stability_probe(y0, U1, U1 + s * (U2 - U1), cfg, S)["ratio_v"]
+              for s in [1.0, 0.5, 0.25, 0.125]]
     spread = max(ratios) / min(ratios)
     report(5, "V-stability ratio under CRN sweep", spread < 2.0,
            f"ratio spread x{spread:.3f} < 2 across scales 1..1/8 ({ratios[0]:.3e}..{ratios[-1]:.3e})")
@@ -169,7 +170,7 @@ def test_criterion_06_energy_dissipation():
     for trial in range(5):
         y0 = sp.random_field(g, np.random.default_rng(300 + trial),
                              kmax=g.cubic_cut, amplitude=1.0)
-        res = fw.run_ensemble(y0, None, cfg, 1)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
         y = np.asarray(res.fields[0], dtype=complex)
         v2 = sp.sobolev_inner(g, y, y, wv)
         envelope = 5.0 * dt * v2[0]

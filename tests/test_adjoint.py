@@ -39,27 +39,27 @@ def stopping_setup(cfg, amp=0.8, force=None, seed=21):
 class TestTrackingResidual:
     def test_l2_variant(self):
         cfg = make_cfg(steps=6)
-        g = cfg.grid
+        assert cfg.tracking == "l2"
         y0, _, _, y_d = stopping_setup(cfg)
-        dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(2)
         base = fw.simulate_ensemble(y0, None, dW, cfg)
-        gf = adj.tracking_residual(base.fields[:, 3], y_d, 3, base.stop > 3, cfg, "l2")
+        gf = adj.tracking_residual(base.fields[:, 3], y_d, 3, base.stop > 3, cfg)
         assert np.max(np.abs(gf - (base.fields[:, 3] - y_d))) < 1e-12
 
     def test_v_variant(self):
-        cfg = make_cfg(steps=4)
+        cfg = make_cfg(steps=4, tracking="v")
         g = cfg.grid
         y0, _, _, y_d = stopping_setup(cfg)
-        dW = nz.sample_paths(cfg.seed, 1, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(1)
         base = fw.simulate_ensemble(y0, None, dW, cfg)
-        gf = adj.tracking_residual(base.fields[:, 2], y_d, 2, base.stop > 2, cfg, "v")
+        gf = adj.tracking_residual(base.fields[:, 2], y_d, 2, base.stop > 2, cfg)
         want = sp.v_apply(g, np.asarray(base.fields[:, 2], dtype=complex) - y_d, cfg.params)
         assert np.max(np.abs(gf - want)) < 1e-12
 
     def test_zero_after_stop(self):
         cfg = make_cfg(steps=20, M=2.0)
         y0, U, _, y_d = stopping_setup(cfg, amp=0.3, force=20.0)
-        dW = nz.sample_paths(cfg.seed, 3, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(3)
         base = fw.simulate_ensemble(y0, U, dW, cfg)
         assert np.any(base.stop < cfg.steps)
         for n in range(cfg.steps):
@@ -69,12 +69,9 @@ class TestTrackingResidual:
                     assert np.max(np.abs(gf[s])) == 0.0
 
     def test_unknown_variant(self):
-        cfg = make_cfg(steps=2)
-        y0, _, _, y_d = stopping_setup(cfg)
-        dW = nz.sample_paths(cfg.seed, 1, cfg.dt, cfg.steps, cfg.model.K)
-        base = fw.simulate_ensemble(y0, None, dW, cfg)
-        with pytest.raises(ValueError):
-            adj.tracking_residual(base.fields[:, 0], y_d, 0, base.stop > 0, cfg, "h2")
+        # the tracking norm is checked once, where the problem is configured
+        with pytest.raises(ValueError, match="tracking"):
+            make_cfg(steps=2, tracking="h2")
 
 
 def costate_trajectory(fields, stop, y_d, dW, cfg):
@@ -99,16 +96,16 @@ def adjoint_weak_residual(fields, stop, y_d, p_traj, dW, cfg):
     return worst
 
 
-def duality_rhs_reference(y0, U, psi, y_d, cfg, S, variant="l2"):
+def duality_rhs_reference(y0, U, psi, y_d, cfg, S):
     """sum_{n < stop} dt (g_n, z_n) per sample, with z_n from the stored-field
     tangent recursion ``_freeze_tangent`` along a stored base ensemble."""
-    dW = nz.sample_paths(cfg.seed, S, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(S)
     base = fw.simulate_ensemble(y0, U, dW, cfg)
     ztraj = _freeze_tangent(psi, base.fields, base.stop, dW, cfg)
     rhs = np.zeros(S)
     for n in range(cfg.steps):
         live = base.stop > n
-        gn = adj.tracking_residual(base.fields[:, n], y_d, n, live, cfg, variant)
+        gn = adj.tracking_residual(base.fields[:, n], y_d, n, live, cfg)
         rhs += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, gn, ztraj[:, n]), 0.0)
     return rhs
 
@@ -136,10 +133,24 @@ class TestPathwiseDuality:
         assert rep["max_rel_gap"] < 1e-10
 
     def test_duality_with_v_tracking(self):
-        cfg = make_cfg(steps=25)
+        cfg = make_cfg(steps=25, tracking="v")
         y0, U, psi, y_d = stopping_setup(cfg, force=3.0)
-        rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=4, variant="v")
+        rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=4)
         assert rep["max_rel_gap"] < 1e-10
+
+    @pytest.mark.parametrize("variant", ["l2", "v"])
+    def test_duality_with_time_varying_target(self, variant):
+        cfg = make_cfg(steps=20, M=4.0, tracking=variant,
+                       model=nz.NoiseModel(K=8, family="linear", c0=2.0))
+        y0, U, psi, _ = stopping_setup(cfg, amp=0.3, force=20.0)
+        rng = np.random.default_rng(23)
+        y_d = np.stack([sp.random_field(cfg.grid, rng, amplitude=0.5) for _ in range(cfg.steps)])
+        rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=4)
+        assert len(set(rep["stop"])) > 1  # the target's rows end at different exits
+        assert rep["max_rel_gap"] <= 1e-10
+        # each step pairs with its own row, not the first one
+        first = adj.duality_check(y0, U, psi, y_d[0], cfg, n_samples=4)
+        assert np.all(first["rhs"] != rep["rhs"])
 
     def test_last_tangent_step_skipped(self, monkeypatch):
         # z_N pairs with nothing, so the duality rhs advances the tangent
@@ -158,12 +169,12 @@ class TestPathwiseDuality:
     @pytest.mark.parametrize("variant", ["l2", "v"])
     def test_rhs_matches_stored_field_reference(self, blowup, variant):
         # stops at 10..16 of 16 steps; with blowup_factor = 1 they are aborts
-        cfg = make_cfg(steps=16, M=4.0, blowup_factor=blowup,
+        cfg = make_cfg(steps=16, M=4.0, blowup_factor=blowup, tracking=variant,
                        model=nz.NoiseModel(K=8, family="linear", c0=2.0))
         y0, U, psi, y_d = stopping_setup(cfg, amp=0.3, force=20.0)
-        rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=6, variant=variant)
+        rep = adj.duality_check(y0, U, psi, y_d, cfg, n_samples=6)
         assert len(set(rep["stop"])) > 1
-        ref = duality_rhs_reference(y0, U, psi, y_d, cfg, 6, variant)
+        ref = duality_rhs_reference(y0, U, psi, y_d, cfg, 6)
         assert np.array_equal(rep["rhs"], ref)
         assert rep["max_rel_gap"] < 1e-10
 
@@ -171,7 +182,7 @@ class TestPathwiseDuality:
         # every reader pairs p_{n+1} with step n, so the sweep stops at p_1
         cfg = make_cfg(steps=12)
         y0, U, _, y_d = stopping_setup(cfg, force=2.0)
-        dW = nz.sample_paths(cfg.seed, 3, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(3)
         base = fw.simulate_ensemble(y0, U, dW, cfg)
         calls = []
         transpose = tg.transpose_step
@@ -183,7 +194,7 @@ class TestPathwiseDuality:
     def test_costate_zero_after_stop(self):
         cfg = make_cfg(steps=20, M=2.5)
         y0, U, psi, y_d = stopping_setup(cfg, amp=0.3, force=25.0)
-        dW = nz.sample_paths(cfg.seed, 3, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(3)
         base = fw.simulate_ensemble(y0, U, dW, cfg)
         assert np.any(base.stop < cfg.steps)
         ptraj = costate_trajectory(base.fields, base.stop, y_d, dW, cfg)
@@ -196,7 +207,7 @@ class TestPathwiseDuality:
     def test_weak_residual_zero_for_exact_costate(self):
         cfg = make_cfg(steps=15)
         y0, U, psi, y_d = stopping_setup(cfg, force=2.0)
-        dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(2)
         base = fw.simulate_ensemble(y0, U, dW, cfg)
         ptraj = costate_trajectory(base.fields, base.stop, y_d, dW, cfg)
         res = adjoint_weak_residual(base.fields, base.stop, y_d, ptraj, dW, cfg)
@@ -237,7 +248,7 @@ class TestAdapted:
         rng = np.random.default_rng(6)
         y0 = sp.random_field(g, rng, amplitude=0.5)
         y_d = sp.random_field(g, rng, amplitude=0.3)
-        dW = nz.sample_paths(cfg.seed, 50, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(50)
         base = fw.simulate_ensemble(y0, None, dW, cfg, store_dtype=np.complex64)
         seen = []
         for n, live, p_hat, q_norms in adj.adapted_pair(base.fields, base.stop, y_d, dW, cfg):
@@ -318,7 +329,7 @@ class TestLiveCompaction:
         # stops at 10..16 of 16 steps: all live first, then a shrinking live set
         self.cfg = make_cfg(steps=16, M=4.0, model=nz.NoiseModel(K=8, family="linear", c0=2.0))
         self.y0, self.U, self.psi, self.y_d = stopping_setup(self.cfg, amp=0.3, force=20.0)
-        self.dW = nz.sample_paths(self.cfg.seed, 6, self.cfg.dt, self.cfg.steps, self.cfg.model.K)
+        self.dW = self.cfg.noise_bank(6)
 
     def test_kernels_see_live_samples_only(self, monkeypatch):
         cfg, dW = self.cfg, self.dW

@@ -160,7 +160,8 @@ class TestCli:
         assert np.array_equal(fields[(Ellipsis,) + np.ix_(neg, neg)], np.conj(fields))
         tree = cfgmod.load(small_cfg)
         sim = cfgmod.build_sim(tree)
-        res = fw.run_ensemble(cfgmod.initial_field(tree, sim), None, sim, int(tree["samples"]))
+        res = fw.simulate_ensemble(cfgmod.initial_field(tree, sim), None,
+                                   sim.noise_bank(int(tree["samples"])), sim)
         assert np.array_equal(fields[..., : g.N // 2 + 1], res.fields[0])
 
     def test_rerun_byte_identical(self, small_cfg, tmp_path):
@@ -177,7 +178,8 @@ class TestCli:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("override", ["noise.co=5", "stopp.M=1", "target.kind=zer0"])
+    @pytest.mark.parametrize("override", ["noise.co=5", "stopp.M=1", "target.kind=zer0",
+                                          "cost.variant=V"])
     def test_unknown_config_input_exit_code(self, small_cfg, tmp_path, override):
         # a misspelled key or an enum value outside its choices must not be ignored
         rc = run_cli([
@@ -205,27 +207,48 @@ class TestCli:
         rc = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "z"), "--quiet"])
         assert rc == 3
 
+    BLOWUP_CFG = ("n_max = 2\nsteps = 4\ndt = 0.5\nsamples = 4\nnoise.K = 2\n"
+                  "stop.M = 1e6\nstop.blowup_factor = 1e-9\n"
+                  "init.amplitude = 10.0\nnoise.c0 = 0.0\n")
+
+    # the count runs over all of a command's ensembles: verify's 4-sample duality
+    # and 2-sample gradient checks, tangent-check's base run and its three
+    # perturbed runs of 4 samples, stop-probe's likewise, stability-probe's two
+    BLOWUP_ABORTS = {"verify": 6, "tangent-check": 16, "stability-probe": 8, "stop-probe": 16}
+
     @pytest.mark.parametrize("command, report", [
         ("duality-check", "duality.json"), ("adapted-check", "adapted.json"),
         ("verify", "verify.json"), ("optimize", "optimize.json"),
+        ("tangent-check", "tangent.json"), ("stability-probe", "stability.json"),
+        ("stop-probe", "stop_probe.json"),
     ])
     def test_check_blowup_exit_code(self, tmp_path, command, report, capsys):
-        # the guard of test_blowup_exit_code aborts every sample at its first step;
-        # verify counts its 4-sample duality ensemble and its 2-sample gradient check
+        # the guard of test_blowup_exit_code aborts every sample at its first step
         cfg = tmp_path / "blow.cfg"
-        cfg.write_text(
-            "n_max = 2\nsteps = 4\ndt = 0.5\nsamples = 4\nnoise.K = 2\n"
-            "stop.M = 1e6\nstop.blowup_factor = 1e-9\n"
-            "init.amplitude = 10.0\nnoise.c0 = 0.0\n"
-        )
+        cfg.write_text(self.BLOWUP_CFG)
         out = tmp_path / "chk"
         rc = run_cli([command, "--config", str(cfg), "--out", str(out), "--quiet"])
         assert rc == cli.EXIT_BLOWUP
-        want = 6 if command == "verify" else 4
+        want = self.BLOWUP_ABORTS.get(command, 4)
         assert json.loads((out / report).read_text())["aborted"] == want
         printed = capsys.readouterr()
         assert f"blow-up abort in {want} sample(s)" in printed.err
         assert printed.out == ""  # no verdict or cost line from aborted samples
+
+    def test_optimize_aborted_iterate_ends_search(self, tmp_path, capsys):
+        # an iterate with aborted samples takes no step: no iteration line even
+        # without --quiet, and the history holds only the final entry
+        cfg = tmp_path / "blow.cfg"
+        cfg.write_text(self.BLOWUP_CFG)
+        out = tmp_path / "opt"
+        rc = run_cli(["optimize", "--config", str(cfg), "--set", "control.iters=2",
+                      "--out", str(out)])
+        assert rc == cli.EXIT_BLOWUP
+        assert capsys.readouterr().out == ""
+        rep = json.loads((out / "optimize.json").read_text())
+        assert [h["iter"] for h in rep["history"]] == [2]
+        assert rep["aborted"] == 4
+        assert rep["optimality_min_pairing"] is None  # no certificate for an aborted iterate
 
     def test_verify_passes(self, small_cfg, tmp_path):
         rc = run_cli(["verify", "--config", str(small_cfg), "--out", str(tmp_path / "v"), "--quiet"])
@@ -269,11 +292,12 @@ class TestCli:
         assert rc == 0
         tree = cfgmod.load(small_cfg, sets)
         sim = cfgmod.build_sim(tree)
+        assert sim.tracking == "v"
         adm = ct.AdmissibleSet(radius=float(tree["control"]["radius"]), p_exp=sim.p_exp)
         want = ct.optimality_residual(
             np.load(out / "control.npy"), cfgmod.initial_field(tree, sim),
             cfgmod.target_field(tree, sim), sim, float(tree["cost"]["lam"]), adm, 2,
-            n_dirs=6, seed=int(tree["seed"]) + 13, variant="v")
+            n_dirs=6, seed=int(tree["seed"]) + 13)
         rep = json.loads((out / "optimize.json").read_text())
         assert rep["optimality_min_pairing"] == want["min_pairing"]
 

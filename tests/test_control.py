@@ -99,7 +99,7 @@ class TestCost:
         y_d = sp.random_field(g, rng, amplitude=0.2)
         U = np.stack([sp.random_field(g, rng, amplitude=25.0)] * 20)
         rep = ct.eval_cost(U, y0, y_d, cfg, 3, lam=0.0)
-        assert np.all(rep.stop < cfg.steps)
+        assert np.all(rep.ensemble.stop < cfg.steps)
         # trajectory is frozen after stop, so doubling the horizon past the
         # exit must not change the tracking value
         cfgL = make_cfg(steps=40, M=2.0)
@@ -108,13 +108,22 @@ class TestCost:
         assert abs(rep.tracking - repL.tracking) < 1e-10
 
     def test_unknown_variant(self):
-        # eval_cost and cost_gradient share one variant check
-        cfg = make_cfg(steps=4)
+        # the cost and its gradient read the one tracking norm the config holds
+        with pytest.raises(ValueError, match="tracking"):
+            make_cfg(steps=4, tracking="V")
+
+    @pytest.mark.parametrize("variant", ["l2", "v"])
+    def test_time_indexed_target_constant_rows(self, variant):
+        # a target given per step, every row the single field, prices and
+        # differentiates the cost bitwise as the single field does
+        cfg = make_cfg(steps=12, tracking=variant)
         y0, y_d, U, _ = setup(cfg)
-        with pytest.raises(ValueError):
-            ct.eval_cost(U, y0, y_d, cfg, 2, lam=0.1, variant="V")
-        with pytest.raises(ValueError):
-            ct.cost_gradient(U, y0, y_d, cfg, 2, 0.1, "V")
+        stack = np.stack([y_d] * cfg.steps)
+        assert stack.shape == (cfg.steps, cfg.dim) + cfg.grid.spec_shape
+        grad, rep = ct.cost_gradient(U, y0, y_d, cfg, 3, 0.1)
+        grad_t, rep_t = ct.cost_gradient(U, y0, stack, cfg, 3, 0.1)
+        assert rep_t.total == rep.total
+        assert np.array_equal(grad_t, grad)
 
     def test_deterministic_given_seed(self):
         cfg = make_cfg(steps=8)
@@ -127,16 +136,16 @@ class TestCost:
 class TestGradient:
     @pytest.mark.parametrize("variant", ["l2", "v"])
     def test_matches_finite_differences(self, variant):
-        cfg = make_cfg()
+        cfg = make_cfg(tracking=variant)
         g = cfg.grid
         y0, y_d, U, psi = setup(cfg)
         lam = 0.05
         S = 4
-        grad, _ = ct.cost_gradient(U, y0, y_d, cfg, S, lam, variant)
+        grad, _ = ct.cost_gradient(U, y0, y_d, cfg, S, lam)
         pair = ct.gradient_pairing(g, grad, psi, cfg.dt)
         rho = 1e-4
-        Jp = ct.eval_cost(U + rho * psi, y0, y_d, cfg, S, lam, variant).total
-        Jm = ct.eval_cost(U - rho * psi, y0, y_d, cfg, S, lam, variant).total
+        Jp = ct.eval_cost(U + rho * psi, y0, y_d, cfg, S, lam).total
+        Jm = ct.eval_cost(U - rho * psi, y0, y_d, cfg, S, lam).total
         fd = (Jp - Jm) / (2 * rho)
         assert abs(fd - pair) <= 1e-4 * max(1.0, abs(fd))
 
@@ -157,7 +166,7 @@ class TestGradient:
         cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"), steps=10)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(41), amplitude=0.5)
-        res = fw.run_ensemble(y0, None, cfg, 1)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
         y_d = np.asarray(res.fields[0, :-1], dtype=complex)
         grad, rep = ct.cost_gradient(None, y0, y_d, cfg, 1, lam=0.0)
         assert rep.tracking < 1e-25
@@ -228,11 +237,11 @@ class TestOptimize:
         U = g.zeros((cfg.steps,))
         grad, _ = ct.cost_gradient(U, y0, y_d, cfg, 3, 0.0)
         first = adm.project(g, U - 1e6 * grad, cfg.dt)
-        assert fw.run_ensemble(y0, first, cfg, 3).aborted.all()
-        assert not fw.run_ensemble(y0, U, cfg, 3).aborted.any()
+        assert fw.simulate_ensemble(y0, first, cfg.noise_bank(3), cfg).aborted.all()
+        assert not fw.simulate_ensemble(y0, U, cfg.noise_bank(3), cfg).aborted.any()
         assert ct.eval_cost(first, y0, y_d, cfg, 3, 0.0).total < ct.eval_cost(U, y0, y_d, cfg, 3, 0.0).total
         out = ct.optimize(y0, y_d, cfg, lam=0.0, admissible=adm, n_samples=3, iters=2, step0=1e6)
-        assert not fw.run_ensemble(y0, out["U"], cfg, 3).aborted.any()
+        assert not fw.simulate_ensemble(y0, out["U"], cfg.noise_bank(3), cfg).aborted.any()
         assert out["history"][0]["accepted"] and out["history"][0]["step"] < 1e6
         assert all(h["aborted"] == 0 for h in out["history"])
 

@@ -108,8 +108,8 @@ class TestSimulate:
     def test_reproducible(self):
         cfg = make_cfg(steps=20)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(1))
-        r1 = fw.run_ensemble(y0, None, cfg, 3)
-        r2 = fw.run_ensemble(y0, None, cfg, 3)
+        r1 = fw.simulate_ensemble(y0, None, cfg.noise_bank(3), cfg)
+        r2 = fw.simulate_ensemble(y0, None, cfg.noise_bank(3), cfg)
         assert np.array_equal(r1.fields, r2.fields)
         assert np.array_equal(r1.stop, r2.stop)
 
@@ -118,14 +118,14 @@ class TestSimulate:
         # every stored snapshot keeps last-axis modes 0..N/2 only
         cfg = make_cfg(dim=dim, n_max=n_max, steps=3, p_exp=10.0)
         g = cfg.grid
-        res = fw.run_ensemble(sp.random_field(g, np.random.default_rng(5)), None, cfg, 2)
+        res = fw.simulate_ensemble(sp.random_field(g, np.random.default_rng(5)), None, cfg.noise_bank(2), cfg)
         assert res.fields.shape == (2, 4, dim) + (g.N,) * (dim - 1) + (g.N // 2 + 1,)
         assert res.fields[:, -1].shape == (2, dim) + g.spec_shape
 
     def test_batch_matches_single(self):
         cfg = make_cfg(steps=15)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(2))
-        res = fw.run_ensemble(y0, None, cfg, 4)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(4), cfg)
         for s in range(4):
             path = nz.sample_path(cfg.seed, s, cfg.dt, cfg.steps, cfg.model.K)
             tr = fw.simulate_ensemble(y0, None, path[None], cfg)
@@ -138,7 +138,8 @@ class TestSimulate:
         cfg = make_cfg(M=0.9, steps=30)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(3), amplitude=0.2)
-        res = fw.run_ensemble(y0, 5.0 * np.stack([sp.random_field(g, np.random.default_rng(4))] * 30), cfg, 2)
+        U = 5.0 * np.stack([sp.random_field(g, np.random.default_rng(4))] * 30)
+        res = fw.simulate_ensemble(y0, U, cfg.noise_bank(2), cfg)
         for s in range(2):
             st = res.stop[s]
             assert st < cfg.steps
@@ -149,7 +150,7 @@ class TestSimulate:
     def test_initial_state_beyond_threshold(self):
         cfg = make_cfg(M=0.1, steps=5)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(5), amplitude=3.0)
-        res = fw.run_ensemble(y0, None, cfg, 1)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
         assert res.stop[0] == 0
         assert np.array_equal(res.fields[0, -1], res.fields[0, 0])
 
@@ -159,7 +160,7 @@ class TestSimulate:
         stops = []
         for M in (1.5, 3.0, 50.0):
             cfg = make_cfg(M=M, steps=40)
-            stops.append(fw.run_ensemble(y0, None, cfg, 3).stop)
+            stops.append(fw.simulate_ensemble(y0, None, cfg.noise_bank(3), cfg).stop)
         assert np.all(stops[0] <= stops[1])
         assert np.all(stops[1] <= stops[2])
 
@@ -170,14 +171,14 @@ class TestSimulate:
         rng = np.random.default_rng(7)
         y0 = sp.random_field(g, rng, amplitude=0.01)
         U = 5000.0 * np.stack([sp.random_field(g, rng)] * 10)
-        res = fw.run_ensemble(y0, U, cfg, 1)
+        res = fw.simulate_ensemble(y0, U, cfg.noise_bank(1), cfg)
         assert res.aborted[0]
         assert np.all(np.isfinite(res.w24))
 
     def test_store_dtype(self):
         cfg = make_cfg(steps=8)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(8))
-        res = fw.run_ensemble(y0, None, cfg, 2, store_dtype=np.complex64)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, store_dtype=np.complex64)
         assert res.fields.dtype == np.complex64
 
     @pytest.mark.parametrize("steps", [2, 3])
@@ -189,7 +190,7 @@ class TestSimulate:
         g = cfg.grid
         rng = np.random.default_rng(9)
         y0, field = sp.random_field(g, rng), sp.random_field(g, rng)
-        dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(2)
         kw = {"U": field} if arg == "U" else {"U": None, "psi": field, "read": lambda *a: None}
         want = f"{arg} must be (steps, dim, *spec_shape) = {(steps, 2) + g.spec_shape}"
         with pytest.raises(ValueError, match=re.escape(want)):
@@ -204,7 +205,7 @@ class TestEnergy:
         cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"), dt=0.005, steps=100)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(9), kmax=g.cubic_cut, amplitude=1.0)
-        res = fw.run_ensemble(y0, None, cfg, 1)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
         wv = 1.0 + cfg.params.alpha1 * g.k2
         v2 = np.array(
             [sp.sobolev_inner(g, res.fields[0, n], res.fields[0, n], wv) for n in range(101)]
@@ -215,7 +216,7 @@ class TestEnergy:
     def test_energy_stats_fields_required(self):
         cfg = make_cfg(steps=5)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(10))
-        res = fw.run_ensemble(y0, None, cfg, 2, store_fields=False)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, store_fields=False)
         assert res.fields is None
         with pytest.raises(ValueError):
             fw.energy_stats(res, cfg)
@@ -223,7 +224,7 @@ class TestEnergy:
     def test_energy_stats_contents(self):
         cfg = make_cfg(steps=20)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(11))
-        res = fw.run_ensemble(y0, None, cfg, 4)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(4), cfg)
         stats = fw.energy_stats(res, cfg)
         assert stats["sup_v_sq"]["mean"] > 0
         assert stats["int_sym_grad_sq"]["mean"] > 0
@@ -238,7 +239,7 @@ class TestEnergy:
                        model=nz.NoiseModel(K=8, family="linear", c0=1.0), seed=12)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(12), amplitude=1.5)
-        res = fw.run_ensemble(y0, None, cfg, 4)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(4), cfg)
         assert 0 < np.count_nonzero(res.stop < cfg.steps) < 4  # the stopped sums end early
         want = np.zeros(4)
         for n in range(cfg.steps):
@@ -262,6 +263,7 @@ class TestProbes:
         rep = fw.stability_probe(y0, U1, U2, cfg, n_samples=4)
         assert np.isfinite(rep["ratio_v"]) and rep["ratio_v"] > 0
         assert np.isfinite(rep["ratio_w"]) and rep["ratio_w"] > 0
+        assert rep["aborted"] == 0
 
     def test_stop_time_probe_decreasing(self):
         # with M just above the base sup-norm the disagreement vanishes as rho -> 0
@@ -269,10 +271,11 @@ class TestProbes:
         g = cfg0.grid
         rng = np.random.default_rng(13)
         y0 = sp.random_field(g, rng, amplitude=0.8)
-        base = fw.run_ensemble(y0, None, cfg0, 8, store_fields=False)
+        base = fw.simulate_ensemble(y0, None, cfg0.noise_bank(8), cfg0, store_fields=False)
         M = 1.02 * float(np.max(base.w24))
         cfg = make_cfg(steps=30, M=M)
         dU = np.stack([sp.random_field(g, rng)] * 30)
         rep = fw.stop_time_probe(y0, None, dU, cfg, 8, rhos=[0.4, 0.2, 0.1])
-        probs = [r["prob"] for r in rep]
+        probs = [r["prob"] for r in rep["rows"]]
         assert probs[0] >= probs[1] >= probs[2]
+        assert rep["aborted"] == 0

@@ -150,7 +150,7 @@ def tangent_sweep(fields, stop, psi, dW, cfg):
 def gateaux_reference(y0, U, psi, cfg, rhos, n_samples):
     """``gateaux_check``'s errors from stored ensembles and ``tangent_sweep``."""
     g = cfg.grid
-    dW = nz.sample_paths(cfg.seed, n_samples, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(n_samples)
     base = fw.simulate_ensemble(y0, U, dW, cfg)
     perts = [fw.simulate_ensemble(y0, psi * rho if U is None else U + rho * psi, dW, cfg)
              for rho in rhos]
@@ -187,7 +187,7 @@ def stopping_case(cfg, S, seed=8):
     w0 = float(sp.w24_norm(g, y0))
     U = np.stack([sp.random_field(g, rng, amplitude=15.0 * w0)] * cfg.steps)
     psi = np.stack([sp.random_field(g, rng) for _ in range(cfg.steps)])
-    dW = nz.sample_paths(cfg.seed, S, cfg.dt, cfg.steps, cfg.model.K)
+    dW = cfg.noise_bank(S)
     return dataclasses.replace(cfg, M=1.25 * w0), y0, U, psi, dW
 
 
@@ -196,7 +196,7 @@ class TestTangentTrajectory:
         cfg = make_cfg(steps=12)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(7))
-        dW = nz.sample_paths(cfg.seed, 2, cfg.dt, cfg.steps, cfg.model.K)
+        dW = cfg.noise_bank(2)
         psi = np.zeros((cfg.steps, 2) + g.spec_shape)
         _, ztraj, seen = fused_tangent(y0, None, psi, dW, cfg)
         assert np.max(np.abs(ztraj)) == 0.0
@@ -221,6 +221,7 @@ class TestTangentTrajectory:
         rep = tg.gateaux_check(y0, None, psi, cfg, rhos=[1e-2, 1e-3, 1e-4], n_samples=3)
         assert rep["slope"] >= 1.8
         assert rep["errors"][0] > rep["errors"][-1]
+        assert rep["aborted"] == 0
 
 
 class TestFusedTangent:
