@@ -21,9 +21,12 @@ The pathwise p peeks at the future of the noise; ``adapted_pair``
 additionally conditions it back onto the current state by least-squares
 Monte Carlo, producing an adapted pair (p_hat, q_hat) that satisfies the
 same duality in expectation up to regression and sampling error.  The
-rhs of each duality check accumulates in the forward loop, which
-advances the tangent z_n beside y_n (``forward.simulate_ensemble`` given
-a direction).
+regression stays in feature space: the Leray projection acts on the mode
+axes and the regression basis holds per-sample scalars, so the pair is
+carried as a few projected coefficient fields on a basis of the state
+features, and no per-sample fitted field is formed.  The rhs of each
+duality check accumulates in the forward loop, which advances the tangent
+z_n beside y_n (``forward.simulate_ensemble`` given a direction).
 """
 
 from __future__ import annotations
@@ -75,11 +78,9 @@ def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig):
             del p_n  # freed before the reader resumes
 
 
-def _lhs_term(psi_n, p, live, cfg: SimConfig):
-    """Per-sample dt (psi_n, S^T p) on the live samples: one step of the lhs."""
-    sp_n = control_to_state(p, cfg)
-    psi_n = np.broadcast_to(psi_n, sp_n.shape)
-    return np.where(live, cfg.dt * sp.l2_inner(cfg.grid, psi_n, sp_n), 0.0)
+def _lhs_term(psi_n, p, cfg: SimConfig):
+    """dt (psi_n, S^T p) for each field of the batch p: one step of the lhs."""
+    return cfg.dt * sp.l2_inner(cfg.grid, psi_n, control_to_state(p, cfg))
 
 
 def _simulate_with_rhs(y0, U, psi, y_d, dW, cfg: SimConfig, **kw):
@@ -102,7 +103,7 @@ def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     psi = np.asarray(psi)
     lhs = np.zeros(n_samples)
     for n, live, p in costate_sweep(base.fields, base.stop, y_d, dW, cfg):
-        lhs += _lhs_term(psi[n], p, live, cfg)
+        lhs += np.where(live, _lhs_term(psi[n], p, cfg), 0.0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
     return {
@@ -141,43 +142,73 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig):
     live-sample indicator (a design column), which keeps the conditioned
     pair unbiased inside expectation functionals.
 
-    Yields (n, live, p_hat, q_norms) for n = steps-1 ... 0: p_hat is
-    p_hat_{n+1}, the raw p_{n+1} conditioned on the features of y_{n+1},
-    and q_norms (S, K) the per-channel L2 norms of q_hat_n, the targets
-    conditioned on the features of y_n.  Each design matrix and its
-    pseudo-inverse are made once and serve both steps that read them.
+    The fit stays in feature space.  Q (S, r) is an orthonormal basis of
+    the design's columns (the left singular vectors pinv keeps; the raw
+    design spans 13 decades of singular values on simulated ensembles, so
+    X (X^+ T) would carry rounding of about 1e-7).  The fit of T is Q beta,
+    beta = Q^T T, and P(Q beta) = Q (P beta) since the Leray projection P
+    acts on the mode axes: only r (K+1) coefficient fields are projected.
+
+    Yields (n, live, Q, B, q_norms) for n = steps-1 ... 0: p_hat_{n+1}, the
+    raw p_{n+1} conditioned on the features of y_{n+1}, is Q @ B, with Q
+    the basis for y_{n+1} (exact zero rows on the samples stopped at or
+    before n+1) and B = P beta; q_norms (S, K) are the per-channel L2 norms
+    of q_hat_n, the targets conditioned on the features of y_n.  Each basis
+    is made once and serves both steps that read it.
     """
     g = cfg.grid
-    S, K = fields.shape[0], cfg.model.K
-    nc = g.dim * g.nspec
-    bsel = (slice(None),) + (None,) * (g.dim + 1)
 
-    def design(n):
+    def basis(n):
         live = stop > n
         X = _features(g, np.asarray(fields[:, n], dtype=complex), live.astype(float))
-        return X, np.linalg.pinv(X), live
+        u, s, _ = np.linalg.svd(X, full_matrices=False)
+        # pinv's rank cutoff; the rows that are zero in X are made exactly zero
+        return u[:, s > 1e-15 * s[0]] * live[:, None]
 
-    def fit(X, Xp, live, target):
-        fitted = (X @ (Xp @ target.reshape(S, nc))).reshape(target.shape)
-        return sp.leray_project(g, np.where(live[bsel], fitted, 0.0))
-
-    after = design(cfg.steps)
+    Q_after = basis(cfg.steps)
     for n, live, p in costate_sweep(fields, stop, y_d, dW, cfg):
-        now = design(n)
-        # martingale integrand q_{n,k} ~ E[p_{n+1} dW_{n,k}] / dt | state_n
-        q_norms = np.zeros((S, K))
-        for k in range(K):
-            q_norms[:, k] = sp.l2_norm(g, fit(*now, p * (dW[:, n, k] / cfg.dt)[bsel]))
-        yield n, live, fit(*after, p), q_norms
-        after = now
+        Q = basis(n)
+        B, q_norms = _regress(Q_after, Q, p, dW[:, n] / cfg.dt, cfg)
+        yield n, live, Q_after, B, q_norms
+        Q_after = Q
+
+
+def _regress(Q_after, Q, p, w, cfg: SimConfig):
+    """The projected coefficients B of p's fit on Q_after, and the L2 norms
+    (S, K) of the fits of p w[:, k] on Q; temporaries die on return."""
+    g = cfg.grid
+    (S, r), ra, K = Q.shape, Q_after.shape[1], w.shape[1]
+    shape, nc = (g.dim,) + g.spec_shape, g.dim * g.nspec
+    # rows: Q_after^T for p, then w[:, k] Q^T for the K targets; one real
+    # matmul on the real view of p fits all K+1 of them
+    lsq = np.empty((ra + K * r, S))
+    lsq[:ra] = Q_after.T
+    np.multiply(Q.T, w.T[:, None, :], out=lsq[ra:].reshape(K, r, S))
+    coef = (lsq @ p.reshape(S, nc).view(float)).view(complex)
+    B = sp.leray_project(g, coef.reshape((-1,) + shape))
+    # ||Q_s B_k||^2 = Q_s G_k Q_s^T with the Gram matrix G_k = R_k^T R_k of
+    # B_k in l2_inner's weights; via R_k no difference of squares is taken
+    root_w = np.sqrt(np.repeat(np.broadcast_to(g.vol * g.herm_weight, shape).ravel(), 2))
+    R = np.linalg.qr(B[ra:].reshape(K, r, nc).view(float).swapaxes(1, 2) * root_w[:, None],
+                     mode="r")
+    return B[:ra].copy(), np.linalg.norm(Q @ R.swapaxes(1, 2), axis=-1).T
+
+
+def _row_bound(Q, B):
+    """max over the rows s of Q of sum_f |Q_sf| max |B_f|, a bound on the
+    entries of the fields Q_s B that is exactly 0 on zero rows."""
+    sup = np.abs(B).max(axis=tuple(range(1, B.ndim)), initial=0.0)
+    return float(np.max(np.abs(Q) @ sup, initial=0.0))
 
 
 def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     """Expectation-level duality for the adapted pair, with MC error bars.
 
-    The post-exit maximum runs over p_hat_{n+1} and q_hat_n at and after
-    each stopped sample's exit; p_hat_0, which no pairing reads, is not
-    formed.  The terminal maximum is that of p_hat_N over all samples.
+    The lhs term of a sample is Q_s [dt (psi_n, S B_f)]_f.  The post-exit
+    maximum runs over p_hat_{n+1} and q_hat_n at and after each stopped
+    sample's exit; p_hat_0, which no pairing reads, is not formed.  The
+    terminal maximum is that of p_hat_N over all samples.  Both bound p_hat
+    by the basis rows (``_row_bound``), exact zeros on stopped samples.
     The fields are stored as complex64 for the backward sweep; the rhs (its
     tangent and g_n) reads the forward loop's unrounded complex128 y_n.
     """
@@ -187,12 +218,12 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     stop = base.stop
     lhs = np.zeros(n_samples)
     tail = terminal = 0.0
-    for n, live, p_hat, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg):
-        lhs += _lhs_term(psi[n], p_hat, live, cfg)
+    for n, live, Q, B, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg):
+        lhs += Q @ _lhs_term(psi[n], B, cfg)
         if n == cfg.steps - 1:
-            terminal = float(np.max(np.abs(p_hat)))
+            terminal = _row_bound(Q, B)
         exited = (stop <= n + 1) & (stop < cfg.steps)
-        tail = max(tail, float(np.max(np.abs(p_hat[exited]), initial=0.0)),
+        tail = max(tail, _row_bound(Q[exited], B),
                    float(np.max(q_norms[stop <= n], initial=0.0)))
     S = n_samples
     diff = lhs - rhs

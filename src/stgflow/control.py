@@ -143,11 +143,16 @@ def optimize(
     kept across trials.  Aborts end tracking sums early, so a trial with an
     aborted sample is rejected, and a starting iterate with one ends the
     search before any step: its history holds only the final entry.
+
+    The history holds one entry per iteration made, then a final entry
+    with the last cost, the number of iterations made and whether the
+    last line search was accepted (False when none ran).
     """
     g = cfg.grid
     U = g.zeros((cfg.steps,))
     history = []
     step = step0
+    accepted = False
     rep = eval_cost(U, y0, y_d, cfg, n_samples, lam)
     J, aborted = rep.total, rep.aborted
     for it in range(0 if aborted else iters):
@@ -186,8 +191,8 @@ def optimize(
             break
         step = min(step / SHRINK, step0)
     history.append(
-        {"iter": iters, "cost": J, "step": step, "grad_norm": None, "accepted": True,
-         "aborted": aborted}
+        {"iter": len(history), "cost": J, "step": step, "grad_norm": None,
+         "accepted": accepted, "aborted": aborted}
     )
     return {"U": U, "cost": J, "history": history}
 

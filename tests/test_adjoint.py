@@ -241,8 +241,9 @@ class TestAdapted:
         assert np.any(rep["stop"] < cfg.steps)
 
     def test_adapted_p_is_function_of_features(self):
-        # p_hat_{n+1} is a regression on the features of y_{n+1}, Leray
-        # projected per sample: its rows lie in the span of the design columns
+        # p_hat_{n+1} = Q B, with Q an orthonormal basis of the features of
+        # y_{n+1} and B Leray projected: its rows lie in the span of the
+        # design columns, and it is solenoidal
         cfg = self.small_cfg()
         g = cfg.grid
         rng = np.random.default_rng(6)
@@ -251,18 +252,68 @@ class TestAdapted:
         dW = cfg.noise_bank(50)
         base = fw.simulate_ensemble(y0, None, dW, cfg, store_dtype=np.complex64)
         seen = []
-        for n, live, p_hat, q_norms in adj.adapted_pair(base.fields, base.stop, y_d, dW, cfg):
+        for n, live, Q, B, q_norms in adj.adapted_pair(base.fields, base.stop, y_d, dW, cfg):
             seen.append(n)
-            assert p_hat.shape == (50, 2) + g.spec_shape
+            r = Q.shape[1]
+            assert Q.shape == (50, r) and B.shape == (r, 2) + g.spec_shape
             assert q_norms.shape == (50, 5) and np.all(q_norms >= 0.0)
             X = adj._features(g, np.asarray(base.fields[:, n + 1], dtype=complex),
                               (base.stop > n + 1).astype(float))
+            assert np.max(np.abs(Q.T @ Q - np.eye(r)), initial=0.0) <= 1e-12
+            assert np.max(np.abs(Q @ (Q.T @ X) - X)) <= 1e-12 * max(np.max(np.abs(X)), 1e-300)
+            p_hat = np.tensordot(Q, B, axes=1)
             P = p_hat.reshape(50, -1)
             scale = max(np.max(np.abs(P)), 1e-30)
             assert np.max(np.abs(X @ (np.linalg.pinv(X) @ P) - P)) <= 1e-6 * scale
             # p_hat is solenoidal
             assert sp.divergence_defect(g, p_hat[0]) < 1e-5
         assert seen == list(range(cfg.steps - 1, -1, -1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_feature_space_pair_matches_fitted_reference(self, dim):
+        # P(X beta) = X (P beta): the pair made in feature space against the
+        # per-sample fit, projection and norms it replaces.  The states are
+        # spread widely, which keeps the design well conditioned: on a
+        # simulated ensemble X is so near singular that X (X^+ T) itself
+        # carries rounding of about 1e-7
+        K = 4
+        cfg = make_cfg(dim=dim, n_max=3 if dim == 2 else 2, dt=0.02, steps=8, p_exp=10.0,
+                       model=nz.NoiseModel(K=K, family="linear", c0=0.3))
+        g, S = cfg.grid, 40
+        rng = np.random.default_rng(40 + dim)
+        fields = np.stack([sp.random_field(g, rng, amplitude=a, batch=(cfg.steps + 1,))
+                           for a in rng.uniform(0.2, 2.0, S)])
+        stop = rng.integers(cfg.steps // 2, cfg.steps + 1, S)
+        assert 0 < np.count_nonzero(stop < cfg.steps) < S
+        y_d = sp.random_field(g, rng, amplitude=0.5)
+        psi = np.stack([sp.random_field(g, rng) for _ in range(cfg.steps)])
+        dW = cfg.noise_bank(S)
+        bsel = (slice(None),) + (None,) * (dim + 1)
+
+        def fitted(n, T):
+            live = stop > n
+            X = adj._features(g, fields[:, n], live.astype(float))
+            fit = (X @ (np.linalg.pinv(X) @ T.reshape(S, -1))).reshape(T.shape)
+            return sp.leray_project(g, np.where(live[bsel], fit, 0.0))
+
+        def close(a, ref):
+            return np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        sweeps = zip(adj.adapted_pair(fields, stop, y_d, dW, cfg),
+                     adj.costate_sweep(fields, stop, y_d, dW, cfg))
+        for (n, live, Q, B, q_norms), (_, _, p) in sweeps:
+            p_ref = fitted(n + 1, p)
+            p_hat = np.tensordot(Q, B, axes=1)
+            assert close(p_hat, p_ref)
+            q_ref = np.stack([sp.l2_norm(g, fitted(n, p * (dW[:, n, k] / cfg.dt)[bsel]))
+                              for k in range(K)], axis=1)
+            assert close(q_norms, q_ref)
+            lhs_ref = np.where(live, adj._lhs_term(psi[n], p_ref, cfg), 0.0)
+            assert close(Q @ adj._lhs_term(psi[n], B, cfg), lhs_ref)
+            # the rows of stopped samples are exact zeros
+            gone = stop <= n + 1
+            assert np.all(Q[gone] == 0.0) and np.all(p_hat[gone] == 0.0)
+            assert np.all(q_norms[stop <= n] == 0.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_features_probe_modes(self, dim):

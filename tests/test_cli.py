@@ -237,7 +237,8 @@ class TestCli:
 
     def test_optimize_aborted_iterate_ends_search(self, tmp_path, capsys):
         # an iterate with aborted samples takes no step: no iteration line even
-        # without --quiet, and the history holds only the final entry
+        # without --quiet, and the history holds only the final entry, which
+        # records that no iteration was made and no line search accepted
         cfg = tmp_path / "blow.cfg"
         cfg.write_text(self.BLOWUP_CFG)
         out = tmp_path / "opt"
@@ -246,7 +247,7 @@ class TestCli:
         assert rc == cli.EXIT_BLOWUP
         assert capsys.readouterr().out == ""
         rep = json.loads((out / "optimize.json").read_text())
-        assert [h["iter"] for h in rep["history"]] == [2]
+        assert [(h["iter"], h["accepted"]) for h in rep["history"]] == [(0, False)]
         assert rep["aborted"] == 4
         assert rep["optimality_min_pairing"] is None  # no certificate for an aborted iterate
 

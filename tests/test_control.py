@@ -224,6 +224,18 @@ class TestOptimize:
         assert out["history"] == ref["history"]
         assert np.array_equal(out["U"], ref["U"])
 
+    def test_final_entry_after_tol_stop(self):
+        # a tol larger than any step ends the search after its first iteration
+        cfg = make_cfg(steps=15)
+        y0, y_d, _, _ = setup(cfg)
+        adm = ct.AdmissibleSet(radius=2.0, p_exp=cfg.p_exp)
+        out = ct.optimize(y0, y_d, cfg, lam=0.05, admissible=adm, n_samples=3, iters=5,
+                          step0=2.0, tol=1e9)
+        first, final = out["history"]
+        assert first["iter"] == 0 and first["accepted"]
+        assert final["iter"] == 1 and final["accepted"] and final["grad_norm"] is None
+        assert final["cost"] == out["cost"] < first["cost"]
+
     def test_aborting_trial_rejected(self):
         # the first trial drives every sample past blowup_factor * M at step
         # 0, which ends each tracking sum there: its cost is 0, yet it must
