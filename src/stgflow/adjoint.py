@@ -121,11 +121,12 @@ def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
 
 def _features(grid, y, stop_mask):
     """Regression design matrix from F_n-measurable state summaries: the L2
-    and H1 norms and the first velocity component at the first three of the
-    probe modes e_1, ..., e_d, (1, ..., 1), then the squares of all of these."""
+    and H1 norms and the first velocity component at the second and third
+    of the probe modes e_1, ..., e_d, (1, ..., 1), then the squares of all
+    of these.  Mode e_1 is skipped: k . c = 0 makes that component 0 there."""
     cols = [np.ones(y.shape[0]), sp.l2_norm(grid, y), sp.h1_norm(grid, y)]
     probes = [tuple(int(i == j) for i in range(grid.dim)) for j in range(grid.dim)]
-    for kv in (probes + [(1,) * grid.dim])[:3]:
+    for kv in (probes + [(1,) * grid.dim])[1:3]:
         idx = (slice(None), 0) + kv
         cols += [y[idx].real, y[idx].imag]
     base = np.stack(cols, axis=1)

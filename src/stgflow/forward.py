@@ -254,14 +254,18 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
     }
 
 
-def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int, p: float = 2.0, eps: float = 0.5):
+# stability_probe's exponents: p in the V norm, 2 + eps in the W norm
+STABILITY_P, STABILITY_EPS = 2.0, 0.5
+
+
+def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int):
     """Ratio of state separation to control separation under common noise.
 
     Returns E sup ||y1 - y2||_V^p over [0, tau1 ^ tau2] divided by
     E int_0^{tau1 ^ tau2} ||U1 - U2||_{L2}^p dt, plus the same ratio in
     the W norm with exponent 2 + eps, and the samples aborted in either run.
     """
-    g = cfg.grid
+    g, p, eps = cfg.grid, STABILITY_P, STABILITY_EPS
     dW = cfg.noise_bank(n_samples)
     r1 = simulate_ensemble(y0, U1, dW, cfg)
     r2 = simulate_ensemble(y0, U2, dW, cfg)

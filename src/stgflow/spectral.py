@@ -175,16 +175,6 @@ class WaveGrid:
         k2s = np.where(self.k2 == 0, 1.0, self.k2)
         self.leray_tensor = eye - self.k[:, None] * self.k[None, :] / k2s
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WaveGrid)
-            and self.dim == other.dim
-            and self.n_max == other.n_max
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.n_max))
-
     def __repr__(self):
         return f"WaveGrid(dim={self.dim}, n_max={self.n_max})"
 
@@ -378,22 +368,19 @@ def quad_integral(grid: WaveGrid, f_phys):
     return grid.vol * np.mean(f_phys, axis=grid.axes)
 
 
-def trilinear_b(grid: WaveGrid, u, z, w, refine: int = 1):
-    """b(u, z, w) = int (u . grad z) . w dx, pseudo-spectrally.
+def trilinear_b(grid: WaveGrid, u, z, w):
+    """b(u, z, w) = int (u . grad z) . w dx, pseudo-spectrally on ``grid``.
 
-    With refine > 1 the product is evaluated on a zero-padded grid so the
-    quadrature is exact for full-band inputs.
+    The quadrature is exact when the three fields' bands sum to less than
+    N, as for fields embedded onto ``refined(g, 2)`` from a grid g.
     """
-    for f in (z, w):
+    for f in (u, z, w):
         if f.shape[-grid.dim :] != grid.spec_shape:
             raise ValueError("trilinear_b: fields on mismatched grids")
-    g = grid if refine == 1 else refined(grid, refine)
-    if refine != 1:
-        u, z, w = (embed(grid, g, f) for f in (u, z, w))
-    up = to_phys(g, u)
-    wp = to_phys(g, w)
-    Jz = jacobian_phys(g, z)  # [a, i] = d z_a / d x_i
-    return quad_integral(g, _contract(g, "...ix,...aix,...ax->...x", up, Jz, wp))
+    up = to_phys(grid, u)
+    wp = to_phys(grid, w)
+    Jz = jacobian_phys(grid, z)  # [a, i] = d z_a / d x_i
+    return quad_integral(grid, _contract(grid, "...ix,...aix,...ax->...x", up, Jz, wp))
 
 
 # ---------------------------------------------------------------------------
@@ -536,81 +523,65 @@ def curl_cross_phys(grid: WaveGrid, y, u, params: PhysicalParams):
     return rotate(grid, rotation_packed(grid, v_apply(grid, y, params)), to_phys(grid, u))
 
 
-def curl_v_of_cross(grid: WaveGrid, big: WaveGrid, y, p, params: PhysicalParams):
-    """Collocation (on ``big``) of curl v(y x p): the divergence of the packed
+def curl_v_of_cross(grid: WaveGrid, y, p, params: PhysicalParams):
+    """Collocation values of curl v(y x p): the divergence of the packed
     wedge y_i p_j - y_j p_i, which is y x p (a scalar in 2D) in packed form."""
-    yp = wedge(big, to_phys(big, embed(grid, big, y)), to_phys(big, embed(grid, big, p)))
-    return to_phys(big, v_apply(big, div_asym_spec(big, yp), params))
+    yp = wedge(grid, to_phys(grid, y), to_phys(grid, p))
+    return to_phys(grid, v_apply(grid, div_asym_spec(grid, yp), params))
 
 
-def verify_identities(seed: int, params: PhysicalParams, grid: WaveGrid = None, n_triples: int = 20):
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-30)
+
+
+# verify_identities' report keys of the worst relative defects, in its order
+IDENTITIES = ("lemma_curl_cross_max_rel", "curl_of_cross_max_rel", "antisymmetry_max_rel")
+
+
+def verify_identities(seed: int, params: PhysicalParams, grid: WaveGrid, n_triples: int):
     """Numerically witness the curl/trilinear identities on random fields.
 
-    Returns a report dict with the worst relative defects and the empirical
-    constant of the |b(delta, y, v(delta))| bound.  On the periodic box the
-    3D boundary integral vanishes identically, so the 2D form of the
-    curl-of-cross identity is asserted in both dimensions.
+    Returns a report dict with the worst relative defects (keys
+    ``IDENTITIES``) and the empirical constant of the |b(delta, y, v(delta))|
+    bound.  On the periodic box the 3D boundary integral vanishes
+    identically, so the 2D form of the curl-of-cross identity is asserted in
+    both dimensions.  Each triple and its v-images are embedded once onto
+    ``refined(grid, 2)``, where every product below is exact.
     """
-    if grid is None:
-        grid = WaveGrid(2, 8)
     rng = np.random.default_rng(seed)
     big = refined(grid, 2)
-    worst31 = worst_ipp = worst_anti = 0.0
+    worst = [0.0] * len(IDENTITIES)
     c_emp = 0.0
+
+    def b(*fields):
+        return trilinear_b(big, *fields)
+
+    def pairing(f_phys, g_phys):
+        return quad_integral(big, np.sum(f_phys * g_phys, axis=-grid.dim - 1))
+
     for _ in range(n_triples):
-        y = random_field(grid, rng, amplitude=rng.uniform(0.5, 2.0))
-        u = random_field(grid, rng, amplitude=rng.uniform(0.5, 2.0))
-        phi = random_field(grid, rng, amplitude=rng.uniform(0.5, 2.0))
-
-        vy = v_apply(grid, y, params)
-        # (curl v(y) x u, phi) = b(phi, u, v(y)) - b(u, phi, v(y))
-        lhs = quad_integral(
-            big,
-            np.sum(
-                curl_cross_phys(big, embed(grid, big, y), embed(grid, big, u), params)
-                * to_phys(big, embed(grid, big, phi)),
-                axis=-grid.dim - 1,
-            ),
+        y, u, phi = (random_field(grid, rng, amplitude=rng.uniform(0.5, 2.0)) for _ in range(3))
+        Y, U, PHI = (embed(grid, big, f) for f in (y, u, phi))
+        vY, vU, vPHI = (v_apply(big, f, params) for f in (Y, U, PHI))
+        phi_p = to_phys(big, PHI)
+        sides = (  # (lhs, rhs) of each identity, in the order of IDENTITIES
+            # (curl v(y) x u, phi) = b(phi, u, v(y)) - b(u, phi, v(y))
+            (pairing(curl_cross_phys(big, Y, U, params), phi_p), b(PHI, U, vY) - b(U, PHI, vY)),
+            # (curl v(y x p), phi) = b(p, y, v(phi)) - b(y, p, v(phi))
+            (pairing(curl_v_of_cross(big, Y, U, params), phi_p), b(U, Y, vPHI) - b(Y, U, vPHI)),
+            # antisymmetry b(y, z, phi) = -b(y, phi, z)
+            (b(Y, U, PHI), -b(Y, PHI, U)),
         )
-        rhs = trilinear_b(grid, phi, u, vy, refine=2) - trilinear_b(
-            grid, u, phi, vy, refine=2
-        )
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        worst31 = max(worst31, abs(lhs - rhs) / scale)
-
-        # (curl v(y x p), phi) = b(p, y, v(phi)) - b(y, p, v(phi))
-        vphi = v_apply(grid, phi, params)
-        lhs2 = quad_integral(
-            big,
-            np.sum(
-                curl_v_of_cross(grid, big, y, u, params)
-                * to_phys(big, embed(grid, big, phi)),
-                axis=-grid.dim - 1,
-            ),
-        )
-        rhs2 = trilinear_b(grid, u, y, vphi, refine=2) - trilinear_b(
-            grid, y, u, vphi, refine=2
-        )
-        scale2 = max(abs(lhs2), abs(rhs2), 1e-30)
-        worst_ipp = max(worst_ipp, abs(lhs2 - rhs2) / scale2)
-
-        # antisymmetry b(y, z, phi) = -b(y, phi, z)
-        s1 = trilinear_b(grid, y, u, phi, refine=2)
-        s2 = trilinear_b(grid, y, phi, u, refine=2)
-        worst_anti = max(
-            worst_anti, abs(s1 + s2) / max(abs(s1), abs(s2), 1e-30)
-        )
+        worst = [max(w, _rel(lhs, rhs)) for w, (lhs, rhs) in zip(worst, sides)]
 
         # |b(delta, y, v(delta))| <= C ||y||_{W^{2,4}} ||delta||_V^2
-        bval = abs(trilinear_b(grid, u, y, v_apply(grid, u, params), refine=2))
+        bval = abs(b(U, Y, vU))
         denom = w24_norm(grid, y) * v_norm(grid, u, params) ** 2
         if denom > 0:
             c_emp = max(c_emp, bval / float(denom))
 
     return {
-        "lemma_curl_cross_max_rel": worst31,
-        "curl_of_cross_max_rel": worst_ipp,
-        "antisymmetry_max_rel": worst_anti,
+        **dict(zip(IDENTITIES, worst)),
         "technical_bound_C": c_emp,
         "triples": n_triples,
         "dim": grid.dim,

@@ -220,20 +220,26 @@ class TestCli:
         ("duality-check", "duality.json"), ("adapted-check", "adapted.json"),
         ("verify", "verify.json"), ("optimize", "optimize.json"),
         ("tangent-check", "tangent.json"), ("stability-probe", "stability.json"),
-        ("stop-probe", "stop_probe.json"),
+        ("stop-probe", "stop_probe.json"), ("simulate", "manifest.json"),
     ])
     def test_check_blowup_exit_code(self, tmp_path, command, report, capsys):
         # the guard of test_blowup_exit_code aborts every sample at its first step
         cfg = tmp_path / "blow.cfg"
         cfg.write_text(self.BLOWUP_CFG)
-        out = tmp_path / "chk"
-        rc = run_cli([command, "--config", str(cfg), "--out", str(out), "--quiet"])
-        assert rc == cli.EXIT_BLOWUP
         want = self.BLOWUP_ABORTS.get(command, 4)
-        assert json.loads((out / report).read_text())["aborted"] == want
-        printed = capsys.readouterr()
-        assert f"blow-up abort in {want} sample(s)" in printed.err
-        assert printed.out == ""  # no verdict or cost line from aborted samples
+        abort_line = f"blow-up abort in {want} sample(s); guard = 1e-09 * M"
+        for quiet in (True, False):
+            out = tmp_path / f"chk{quiet}"
+            argv = [command, "--config", str(cfg), "--out", str(out)] + ["--quiet"] * quiet
+            assert run_cli(argv) == cli.EXIT_BLOWUP
+            # simulate's manifest keeps the per-sample list
+            assert np.sum(json.loads((out / report).read_text())["aborted"]) == want
+            printed = capsys.readouterr()
+            # the report is noted first, then the abort line, and no verdict or
+            # cost line comes from aborted samples, also without --quiet
+            wrote = [] if quiet else [f"wrote {out / report}"]
+            assert printed.err.splitlines() == wrote + [abort_line]
+            assert printed.out == ""
 
     def test_optimize_aborted_iterate_ends_search(self, tmp_path, capsys):
         # an iterate with aborted samples takes no step: no iteration line even
@@ -256,6 +262,30 @@ class TestCli:
         assert rc == 0
         rep = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert rep["failures"] == []
+
+    def test_verify_failure_exit_code(self, small_cfg, tmp_path, capsys):
+        # --tol 0 fails the duality check: the report lines go to stdout, the
+        # failed checks to stderr after the wrote note, and the exit code is 4
+        out = tmp_path / "v"
+        rc = run_cli(["verify", "--config", str(small_cfg), "--out", str(out), "--tol", "0"])
+        assert rc == cli.EXIT_VERIFY
+        printed = capsys.readouterr()
+        lines = printed.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "lemma_curl_cross_max_rel", "curl_of_cross_max_rel", "antisymmetry_max_rel",
+            "pathwise duality max rel gap", "gradient vs FD rel err"]
+        assert "all checks passed" not in printed.out
+        assert printed.err.splitlines() == [f"wrote {out / 'verify.json'}",
+                                            "FAILED: pathwise_duality"]
+        assert json.loads((out / "verify.json").read_text())["failures"] == ["pathwise_duality"]
+
+    def test_duality_check_failure_exit_code(self, small_cfg, tmp_path, capsys):
+        rc = run_cli(["duality-check", "--config", str(small_cfg), "--out", str(tmp_path / "d"),
+                      "--quiet", "--tol", "0"])
+        assert rc == cli.EXIT_VERIFY
+        printed = capsys.readouterr()
+        assert printed.out.startswith("max rel duality gap over 3 samples: ")
+        assert len(printed.out.splitlines()) == 1 and printed.err == ""
 
     def test_duality_check(self, small_cfg, tmp_path):
         rc = run_cli(["duality-check", "--config", str(small_cfg), "--out", str(tmp_path / "d"), "--quiet"])

@@ -514,6 +514,12 @@ class TestDerivatives:
         assert np.max(np.abs(w + 1.7 * np.sin(X1))) < 1e-12
 
 
+def _refined_b(g, factor, *fields):
+    """trilinear_b on fields embedded onto the grid ``factor`` times as fine."""
+    big = sp.refined(g, factor)
+    return sp.trilinear_b(big, *(sp.embed(g, big, f) for f in fields))
+
+
 class TestTrilinear:
     def test_antisymmetry(self):
         for g in (grid2(), grid3()):
@@ -521,8 +527,8 @@ class TestTrilinear:
             y = sp.random_field(g, rng, amplitude=1.5)
             z = sp.random_field(g, rng)
             w = sp.random_field(g, rng)
-            s1 = sp.trilinear_b(g, y, z, w, refine=2)
-            s2 = sp.trilinear_b(g, y, w, z, refine=2)
+            s1 = _refined_b(g, 2, y, z, w)
+            s2 = _refined_b(g, 2, y, w, z)
             assert abs(s1 + s2) < 1e-12 * max(1.0, abs(s1))
 
     def test_dense_quadrature_oracle(self):
@@ -533,8 +539,8 @@ class TestTrilinear:
         u = sp.random_field(g, rng, kmax=2)
         z = sp.random_field(g, rng, kmax=2)
         w = sp.random_field(g, rng, kmax=2)
-        native = sp.trilinear_b(g, u, z, w, refine=1)
-        dense = sp.trilinear_b(g, u, z, w, refine=4)
+        native = sp.trilinear_b(g, u, z, w)
+        dense = _refined_b(g, 4, u, z, w)
         assert abs(native - dense) < 1e-12 * max(1.0, abs(dense))
 
     def test_closed_form_2d(self):
@@ -548,13 +554,23 @@ class TestTrilinear:
         u = sp.to_spec(g, np.stack([np.sin(X2), 0 * X1]))
         z = sp.to_spec(g, np.stack([0 * X1, np.sin(X1)]))
         w = sp.to_spec(g, np.stack([np.cos(X2), 0 * X1]))
-        assert abs(sp.trilinear_b(g, u, z, w, refine=2)) < 1e-13
+        assert abs(_refined_b(g, 2, u, z, w)) < 1e-13
         # and a nonzero one with a hand value:
         # b(u, z2, w2) with z2 = (0, sin x2 is not div-free) -- use
         # u = (sin x2, 0), z = (sin x2, 0), w = (0, ...): d_i z_a only
         # d2 z1 = cos x2, so (u . grad z)_1 = 0 (u2 = 0). Stays zero.
         z3 = sp.to_spec(g, np.stack([np.sin(X2), 0 * X1]))
-        assert abs(sp.trilinear_b(g, u, z3, w, refine=2)) < 1e-13
+        assert abs(_refined_b(g, 2, u, z3, w)) < 1e-13
+
+    def test_mismatched_grids_rejected(self):
+        # every field, u included, must live on the grid b is evaluated on
+        g = grid2()
+        big = sp.refined(g, 2)
+        f = sp.random_field(g, np.random.default_rng(33))
+        F = sp.embed(g, big, f)
+        for args in ((f, F, F), (F, f, F), (F, F, f)):
+            with pytest.raises(ValueError, match="mismatched grids"):
+                sp.trilinear_b(big, *args)
 
 
 class TestNorms:
