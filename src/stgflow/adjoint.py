@@ -11,8 +11,8 @@ so the discrete duality
     sum_{n < stop} dt (psi_n, S_n^T p_{n+1}) = sum_{n < stop} dt (g_n, z_n)
 
 holds sample by sample to rounding error.  ``costate_sweep`` is the one
-backward recursion over a frozen ensemble: it yields p_{n+1} at step n,
-for n = steps-1 ... 0, and makes the tracking residual g_n on the fly.
+backward recursion along the y_n and noise bank of a forward ``EnsembleResult``:
+it yields p_{n+1} at step n, n = steps-1 ... 0, making the tracking residual g_n on the fly.
 Every reader pairs p_{n+1} with step n, so p_0 is never formed.  The
 yielded array is advanced in place when the sweep resumes: a reader
 keeps what it needs from it before asking for the next step.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral as sp
-from .forward import SimConfig, _on_live, simulate_ensemble
+from .forward import EnsembleResult, SimConfig, _on_live, simulate_ensemble
 from .tangent import control_to_state, transpose_step
 
 
@@ -42,7 +42,7 @@ def tracking_residual(y_n, y_d, n, live, cfg: SimConfig):
     """g_n per sample: y_n - y_d(n) in the L2 pairing, or its v-image for
     the V-norm tracking cost (``cfg.tracking``); zero where ``live`` fails."""
     g = cfg.grid
-    diff = cfg.tracking_weight * (np.asarray(y_n, dtype=complex) - _target_at(y_d, n, g))
+    diff = cfg.tracking_weight * (y_n - _target_at(y_d, n, g))
     return np.where(live[(slice(None),) + (None,) * (g.dim + 1)], diff, 0.0)
 
 
@@ -58,22 +58,21 @@ def _costate_kernel(n, cfg: SimConfig):
     return lambda y, p, dw, gn: transpose_step(y, p, dw, n * cfg.dt, cfg) + cfg.dt * gn
 
 
-def costate_sweep(fields, stop, y_d, dW, cfg: SimConfig):
+def costate_sweep(ens: EnsembleResult, y_d, cfg: SimConfig):
     """Transpose recursion along a frozen base ensemble.
 
     Yields (n, live, p) for n = steps-1 ... 0, where live = stop > n and p
     holds p_{n+1} (p_N = 0), zero on the samples stopped at or before n+1.
     p is advanced to p_n in place when the sweep resumes; p_0 is not formed.
     """
-    g = cfg.grid
-    p = g.zeros((fields.shape[0],))
+    p = cfg.grid.zeros((ens.n_samples,))
     for n in range(cfg.steps - 1, -1, -1):
-        live = stop > n
+        live = ens.stop > n
         yield n, live, p
         if n > 0 and live.any():
-            y_n = np.asarray(fields[:, n], dtype=complex)
+            y_n = ens.y(n)
             g_n = tracking_residual(y_n, y_d, n, live, cfg)
-            rows, p_n = _on_live(live, _costate_kernel(n, cfg), y_n, p, dW[:, n], g_n)
+            rows, p_n = _on_live(live, _costate_kernel(n, cfg), y_n, p, ens.dW[:, n], g_n)
             p[rows] = p_n
             del p_n  # freed before the reader resumes
 
@@ -83,26 +82,25 @@ def _lhs_term(psi_n, p, cfg: SimConfig):
     return cfg.dt * sp.l2_inner(cfg.grid, psi_n, control_to_state(p, cfg))
 
 
-def _simulate_with_rhs(y0, U, psi, y_d, dW, cfg: SimConfig, **kw):
-    """Forward ensemble with the tangent along psi beside it, and the
-    per-sample rhs = sum_{n < stop} dt (g_n, z_n) of the duality identity
+def _simulate_with_rhs(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, **kw):
+    """Forward ensemble on cfg's noise bank with the tangent along psi beside it,
+    and the per-sample rhs = sum_{n < stop} dt (g_n, z_n) of the duality identity
     accumulated in the same loop; z_N, which pairs with nothing, is not formed."""
-    rhs = np.zeros(dW.shape[0])
+    rhs = np.zeros(n_samples)
 
     def read(n, live, y, z):
         g_n = tracking_residual(y, y_d, n, live, cfg)
         rhs[:] += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, g_n, z), 0.0)
 
-    return simulate_ensemble(y0, U, dW, cfg, psi=psi, read=read, **kw), rhs
+    return simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, psi=psi, read=read, **kw), rhs
 
 
 def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     """End-to-end pathwise duality report on a fresh ensemble."""
-    dW = cfg.noise_bank(n_samples)
-    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg)
+    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, cfg, n_samples)
     psi = np.asarray(psi)
     lhs = np.zeros(n_samples)
-    for n, live, p in costate_sweep(base.fields, base.stop, y_d, dW, cfg):
+    for n, live, p in costate_sweep(base, y_d, cfg):
         lhs += np.where(live, _lhs_term(psi[n], p, cfg), 0.0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
@@ -133,7 +131,7 @@ def _features(grid, y, stop_mask):
     return np.concatenate([base, base[:, 1:] ** 2], axis=1) * stop_mask[:, None]
 
 
-def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig):
+def adapted_pair(ens: EnsembleResult, y_d, cfg: SimConfig):
     """Adapted costate pair by backward least-squares regression.
 
     Follows the realized-value scheme: the raw transpose recursion of
@@ -157,19 +155,17 @@ def adapted_pair(fields, stop, y_d, dW, cfg: SimConfig):
     of q_hat_n, the targets conditioned on the features of y_n.  Each basis
     is made once and serves both steps that read it.
     """
-    g = cfg.grid
-
     def basis(n):
-        live = stop > n
-        X = _features(g, np.asarray(fields[:, n], dtype=complex), live.astype(float))
+        live = ens.stop > n
+        X = _features(cfg.grid, ens.y(n), live.astype(float))
         u, s, _ = np.linalg.svd(X, full_matrices=False)
         # pinv's rank cutoff; the rows that are zero in X are made exactly zero
         return u[:, s > 1e-15 * s[0]] * live[:, None]
 
     Q_after = basis(cfg.steps)
-    for n, live, p in costate_sweep(fields, stop, y_d, dW, cfg):
+    for n, live, p in costate_sweep(ens, y_d, cfg):
         Q = basis(n)
-        B, q_norms = _regress(Q_after, Q, p, dW[:, n] / cfg.dt, cfg)
+        B, q_norms = _regress(Q_after, Q, p, ens.dW[:, n] / cfg.dt, cfg)
         yield n, live, Q_after, B, q_norms
         Q_after = Q
 
@@ -213,13 +209,12 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     The fields are stored as complex64 for the backward sweep; the rhs (its
     tangent and g_n) reads the forward loop's unrounded complex128 y_n.
     """
-    dW = cfg.noise_bank(n_samples)
-    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, dW, cfg, store_dtype=np.complex64)
+    base, rhs = _simulate_with_rhs(y0, U, psi, y_d, cfg, n_samples, store_fields=np.complex64)
     psi = np.asarray(psi)
     stop = base.stop
     lhs = np.zeros(n_samples)
     tail = terminal = 0.0
-    for n, live, Q, B, q_norms in adapted_pair(base.fields, stop, y_d, dW, cfg):
+    for n, live, Q, B, q_norms in adapted_pair(base, y_d, cfg):
         lhs += Q @ _lhs_term(psi[n], B, cfg)
         if n == cfg.steps - 1:
             terminal = _row_bound(Q, B)

@@ -65,14 +65,22 @@ def _parser():
     d.add_argument("--tol", type=float, default=1e-10)
     common("adapted-check", cmd_adapted)
     t = common("tangent-check", cmd_tangent)
-    t.add_argument("--rhos", default="1e-2,1e-3,1e-4")
+    t.add_argument("--rhos", type=_rhos, default="1e-2,1e-3,1e-4")
     common("optimize", cmd_optimize)
     s = common("stability-probe", cmd_stability)
     s.add_argument("--scale", type=float, default=0.5,
                    help="relative size of the control perturbation")
     q = common("stop-probe", cmd_stop_probe)
-    q.add_argument("--rhos", default="0.4,0.2,0.1")
+    q.add_argument("--rhos", type=_rhos, default="0.4,0.2,0.1")
     return p
+
+
+def _rhos(text):
+    """argparse type of --rhos: comma-separated numbers, each finite and > 0."""
+    rhos = [float(r) for r in text.split(",")]  # argparse exits 2 on a ValueError
+    if not all(0 < r < np.inf for r in rhos):
+        raise argparse.ArgumentTypeError(f"each rho must be finite and > 0, got {text!r}")
+    return rhos
 
 
 def _psi_bank(tree, sim):
@@ -159,8 +167,7 @@ def cmd_adapted(args, tree, sim, y0, y_d):
 
 def cmd_tangent(args, tree, sim, y0, y_d):
     psi = _psi_bank(tree, sim)
-    rhos = [float(r) for r in args.rhos.split(",")]
-    rep = tg.gateaux_check(y0, None, psi, sim, rhos, n_samples=min(int(tree["samples"]), 4))
+    rep = tg.gateaux_check(y0, None, psi, sim, args.rhos, n_samples=min(int(tree["samples"]), 4))
     line = f"gateaux slope {rep['slope']:.3f} over rhos {rep['rhos']}"
     return Report("tangent.json", rep, [line])
 
@@ -199,8 +206,7 @@ def cmd_stability(args, tree, sim, y0, y_d):
 def cmd_stop_probe(args, tree, sim, y0, y_d):
     rng = np.random.default_rng(int(tree["seed"]) + 29)
     dU = np.stack([sp.random_field(sim.grid, rng)] * sim.steps)
-    rhos = [float(r) for r in args.rhos.split(",")]
-    rep = fw.stop_time_probe(y0, None, dU, sim, int(tree["samples"]), rhos)
+    rep = fw.stop_time_probe(y0, None, dU, sim, int(tree["samples"]), args.rhos)
     lines = [f"rho {row['rho']:g}: P = {row['prob']:.4f}, P/rho = {row['prob_over_rho']:.4f}"
              for row in rep["rows"]]
     return Report("stop_probe.json", rep, lines)

@@ -57,11 +57,13 @@ class CostReport:
     total: float
     tracking: float
     penalty: float
-    aborted: int
     U: np.ndarray | None
-    dW: np.ndarray
     ensemble: EnsembleResult
     y_d: np.ndarray
+
+    @property
+    def aborted(self):
+        return int(np.count_nonzero(self.ensemble.aborted))
 
 
 def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float):
@@ -69,23 +71,20 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float):
     the norm of ``cfg.tracking``.  An aborted sample leaves the tracking sum
     at its abort index; ``aborted`` counts them."""
     g = cfg.grid
-    dW = cfg.noise_bank(n_samples)
-    base = simulate_ensemble(y0, U, dW, cfg)
+    base = simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg)
     # the residual is the weighted misfit w (y_n - y_d), zero from the exit
     # on, so 1/2 ||y_n - y_d||_w^2 = 1/2 (res, res / w); one step at a time
     unweight = 1.0 / cfg.tracking_weight
     tr = 0
     for n in range(cfg.steps):
-        r = adj.tracking_residual(base.fields[:, n], y_d, n, base.stop > n, cfg)
+        r = adj.tracking_residual(base.y(n), y_d, n, base.stop > n, cfg)
         tr = tr + 0.5 * cfg.dt * sp.sobolev_inner(g, r, r, unweight)
     pen = 0.0 if U is None else (lam / cfg.p_exp) * float(np.sum(cfg.dt * sp.h1_norm(g, U) ** cfg.p_exp))
     return CostReport(
         total=float(np.mean(tr) + pen),
         tracking=float(np.mean(tr)),
         penalty=float(pen),
-        aborted=int(np.count_nonzero(base.aborted)),
         U=U,
-        dW=dW,
         ensemble=base,
         y_d=y_d,
     )
@@ -96,9 +95,8 @@ def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     every sample, so it acts once, on the live-weighted sample mean of p_{n+1}."""
     g = cfg.grid
     mean_p = np.empty((cfg.steps, g.dim) + g.spec_shape, dtype=complex)
-    base = rep.ensemble
-    for n, live, p in adj.costate_sweep(base.fields, base.stop, rep.y_d, rep.dW, cfg):
-        mean_p[n] = np.einsum("s,s...->...", live / base.n_samples, p)
+    for n, live, p in adj.costate_sweep(rep.ensemble, rep.y_d, cfg):
+        mean_p[n] = np.einsum("s,s...->...", live / rep.ensemble.n_samples, p)
     grad = control_to_state(mean_p, cfg)
     if rep.U is not None and lam != 0.0:
         Un = np.asarray(rep.U, dtype=complex)

@@ -19,7 +19,10 @@ not stepped: both ensemble loops (forward, costate) run their kernels on
 the live samples only, through ``_on_live``, and leave the frozen ones
 untouched.  Given a direction psi, the forward loop also advances the
 tangent z_n beside y_n, ``step`` and ``tangent.tangent_step`` reading one
-set of y_n's collocation pieces (``fused_step``).
+set of y_n's collocation pieces (``fused_step``).  The loop returns an
+``EnsembleResult``, the one trajectory store that every backward sweep and
+probe reads: the noise bank, stop, aborted, and y_n kept in the dtype
+``store_fields`` picks and read as complex128 through ``y(n)``.
 """
 
 from __future__ import annotations
@@ -89,10 +92,17 @@ class EnsembleResult:
     stop: np.ndarray  # (S,) int, stop index in [0, steps]
     w24: np.ndarray  # (S, steps+1)
     aborted: np.ndarray  # (S,) bool
+    dW: np.ndarray  # (S, steps, K), the increments the ensemble ran on
 
     @property
     def n_samples(self):
         return self.stop.shape[0]
+
+    def y(self, n):
+        """y_n of every sample as complex128; a view when stored as complex128."""
+        if self.fields is None:
+            raise ValueError("the ensemble stored no fields (store_fields=False)")
+        return np.asarray(self.fields[:, n], dtype=complex)
 
 
 def step(y, u_n, dW_n, t, cfg: SimConfig, yc=None):
@@ -133,12 +143,14 @@ def _per_step(name, a, cfg: SimConfig):
     return np.asarray(a)
 
 
-def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields: bool = True,
-                      store_dtype=np.complex128, psi=None, read=None, read_to=None):
+def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, read=None,
+                      read_to=None):
     """Run S coupled samples; dW has shape (S, steps, K).
 
     ``y0`` is a single field or a batch (S, dim, *spec_shape); ``U`` is a
     deterministic control array (steps, dim, *spec_shape) or None.
+    ``store_fields`` keeps y_0 ... y_N as complex128 (True), not at all
+    (False), or in the complex dtype it names.
 
     Given a direction ``psi`` of that shape too, the tangent z_n along it
     (z_0 = 0) advances next to y_n through ``fused_step`` and is rolled back
@@ -164,8 +176,9 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields: bool = True,
     stop[w24[:, 0] >= cfg.M] = 0
 
     fields = None
-    if store_fields:
-        fields = np.empty((S, cfg.steps + 1, g.dim) + g.spec_shape, dtype=store_dtype)
+    if store_fields is not False:
+        dtype = complex if store_fields is True else store_fields
+        fields = np.empty((S, cfg.steps + 1, g.dim) + g.spec_shape, dtype=dtype)
         fields[:, 0] = y
 
     def advance(n, y, dW_n, *z):
@@ -194,12 +207,12 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields: bool = True,
             read(n, stop > n, *state)
         for i in range(len(new)):  # a loop variable would keep new[-1] alive into step n + 1
             state[i][rows] = new[i]
-        if store_fields:
+        if fields is not None:
             fields[:, n + 1] = y
     if psi is not None and read_to == cfg.steps:
         read(cfg.steps, stop > cfg.steps, *state)
 
-    return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted)
+    return EnsembleResult(fields=fields, stop=stop, w24=w24, aborted=aborted, dW=dW)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +232,6 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
     sup norms run over n <= stop, time integrals over n < stop (the
     stopped trajectory contributes nothing after its exit).
     """
-    if res.fields is None:
-        raise ValueError("energy_stats needs store_fields=True")
     g = cfg.grid
     S = res.n_samples
     wv = sp.v_symbol(g, cfg.params)
@@ -229,7 +240,7 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
     int_a4 = np.zeros(S)
     sup_wt_p = np.zeros(S)
     for n in range(cfg.steps + 1):
-        yn = np.asarray(res.fields[:, n], dtype=complex)
+        yn = res.y(n)
         upto = res.stop >= n
         v2 = sp.sobolev_inner(g, yn, yn, wv)
         wt2 = v2 + sp.sobolev_inner(g, yn, yn, g.k2 * wv**2)
@@ -266,9 +277,8 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int):
     the W norm with exponent 2 + eps, and the samples aborted in either run.
     """
     g, p, eps = cfg.grid, STABILITY_P, STABILITY_EPS
-    dW = cfg.noise_bank(n_samples)
-    r1 = simulate_ensemble(y0, U1, dW, cfg)
-    r2 = simulate_ensemble(y0, U2, dW, cfg)
+    r1 = simulate_ensemble(y0, U1, cfg.noise_bank(n_samples), cfg)
+    r2 = simulate_ensemble(y0, U2, r1.dW, cfg)
     taumin = np.minimum(r1.stop, r2.stop)
     wv = sp.v_symbol(g, cfg.params)
     dU = np.asarray(U1) - np.asarray(U2)
@@ -279,7 +289,7 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int):
     den_v = np.zeros(n_samples)
     den_w = np.zeros(n_samples)
     for n in range(cfg.steps + 1):
-        d = np.asarray(r1.fields[:, n] - r2.fields[:, n], dtype=complex)
+        d = r1.y(n) - r2.y(n)
         v2 = sp.sobolev_inner(g, d, d, wv)
         w2 = v2 + sp.sobolev_inner(g, d, d, wv**2)
         upto = taumin >= n
@@ -309,12 +319,11 @@ def stop_time_probe(y0, U, dU, cfg: SimConfig, n_samples: int, rhos):
     reports P(stop differs) and P / rho in ``rows``; ``aborted`` counts the
     aborted samples over all the runs.
     """
-    dW = cfg.noise_bank(n_samples)
-    base = simulate_ensemble(y0, U, dW, cfg, store_fields=False)
+    base = simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, store_fields=False)
     rows, aborted = [], np.count_nonzero(base.aborted)
     for rho in rhos:
         Up = np.asarray(U) + rho * np.asarray(dU) if U is not None else rho * np.asarray(dU)
-        pert = simulate_ensemble(y0, Up, dW, cfg, store_fields=False)
+        pert = simulate_ensemble(y0, Up, base.dW, cfg, store_fields=False)
         p = float(np.mean(pert.stop != base.stop))
         rows.append({"rho": float(rho), "prob": p, "prob_over_rho": p / rho})
         aborted += np.count_nonzero(pert.aborted)

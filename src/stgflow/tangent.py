@@ -106,7 +106,7 @@ def gateaux_check(y0, U, psi, cfg: fw.SimConfig, rhos, n_samples: int):
 
     def compare(n, live, y, z):
         for i, (rho, pert) in enumerate(zip(rhos, perts)):
-            diff = (np.asarray(pert.fields[:, n], dtype=complex) - y) / rho - z
+            diff = (pert.y(n) - y) / rho - z
             v2 = sp.sobolev_inner(g, diff, diff, wv)
             both = upto & (pert.stop >= n)
             worst[i] = np.where(both, np.maximum(worst[i], v2), worst[i])

@@ -171,7 +171,7 @@ def test_criterion_06_energy_dissipation():
         y0 = sp.random_field(g, np.random.default_rng(300 + trial),
                              kmax=g.cubic_cut, amplitude=1.0)
         res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
-        y = np.asarray(res.fields[0], dtype=complex)
+        y = res.fields[0]
         v2 = sp.sobolev_inner(g, y, y, wv)
         envelope = 5.0 * dt * v2[0]
         worst = max(worst, float(np.max(np.diff(v2)) / envelope))

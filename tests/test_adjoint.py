@@ -41,29 +41,26 @@ class TestTrackingResidual:
         cfg = make_cfg(steps=6)
         assert cfg.tracking == "l2"
         y0, _, _, y_d = stopping_setup(cfg)
-        dW = cfg.noise_bank(2)
-        base = fw.simulate_ensemble(y0, None, dW, cfg)
-        gf = adj.tracking_residual(base.fields[:, 3], y_d, 3, base.stop > 3, cfg)
-        assert np.max(np.abs(gf - (base.fields[:, 3] - y_d))) < 1e-12
+        base = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg)
+        gf = adj.tracking_residual(base.y(3), y_d, 3, base.stop > 3, cfg)
+        assert np.max(np.abs(gf - (base.y(3) - y_d))) < 1e-12
 
     def test_v_variant(self):
         cfg = make_cfg(steps=4, tracking="v")
         g = cfg.grid
         y0, _, _, y_d = stopping_setup(cfg)
-        dW = cfg.noise_bank(1)
-        base = fw.simulate_ensemble(y0, None, dW, cfg)
-        gf = adj.tracking_residual(base.fields[:, 2], y_d, 2, base.stop > 2, cfg)
-        want = sp.v_apply(g, np.asarray(base.fields[:, 2], dtype=complex) - y_d, cfg.params)
+        base = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
+        gf = adj.tracking_residual(base.y(2), y_d, 2, base.stop > 2, cfg)
+        want = sp.v_apply(g, base.y(2) - y_d, cfg.params)
         assert np.max(np.abs(gf - want)) < 1e-12
 
     def test_zero_after_stop(self):
         cfg = make_cfg(steps=20, M=2.0)
         y0, U, _, y_d = stopping_setup(cfg, amp=0.3, force=20.0)
-        dW = cfg.noise_bank(3)
-        base = fw.simulate_ensemble(y0, U, dW, cfg)
+        base = fw.simulate_ensemble(y0, U, cfg.noise_bank(3), cfg)
         assert np.any(base.stop < cfg.steps)
         for n in range(cfg.steps):
-            gf = adj.tracking_residual(base.fields[:, n], y_d, n, base.stop > n, cfg)
+            gf = adj.tracking_residual(base.y(n), y_d, n, base.stop > n, cfg)
             for s in range(3):
                 if base.stop[s] <= n:
                     assert np.max(np.abs(gf[s])) == 0.0
@@ -74,22 +71,22 @@ class TestTrackingResidual:
             make_cfg(steps=2, tracking="h2")
 
 
-def costate_trajectory(fields, stop, y_d, dW, cfg):
+def costate_trajectory(ens, y_d, cfg):
     """p_1 ... p_N collected from the costate sweep (p_0 is not formed)."""
-    traj = np.zeros(fields.shape, dtype=complex)
-    for n, _, p in adj.costate_sweep(fields, stop, y_d, dW, cfg):
+    traj = np.zeros(ens.fields.shape, dtype=complex)
+    for n, _, p in adj.costate_sweep(ens, y_d, cfg):
         traj[:, n + 1] = p
     return traj
 
 
-def adjoint_weak_residual(fields, stop, y_d, p_traj, dW, cfg):
+def adjoint_weak_residual(ens, y_d, p_traj, cfg):
     """Backward one-step defect of a stored costate p_1 ... p_N, normalized."""
     worst = 0.0
     pmax = max(float(np.max(np.abs(p_traj))), 1e-30)
     for n in range(1, cfg.steps):
-        live = stop > n
-        gn = adj.tracking_residual(fields[:, n], y_d, n, live, cfg)
-        pred = tg.transpose_step(fields[:, n], p_traj[:, n + 1], dW[:, n], n * cfg.dt, cfg)
+        live = ens.stop > n
+        gn = adj.tracking_residual(ens.y(n), y_d, n, live, cfg)
+        pred = tg.transpose_step(ens.y(n), p_traj[:, n + 1], ens.dW[:, n], n * cfg.dt, cfg)
         pred = pred + cfg.dt * gn
         pred = np.where(live[BSEL], pred, p_traj[:, n + 1])
         worst = max(worst, float(np.max(np.abs(p_traj[:, n] - pred))) / pmax)
@@ -99,13 +96,12 @@ def adjoint_weak_residual(fields, stop, y_d, p_traj, dW, cfg):
 def duality_rhs_reference(y0, U, psi, y_d, cfg, S):
     """sum_{n < stop} dt (g_n, z_n) per sample, with z_n from the stored-field
     tangent recursion ``_freeze_tangent`` along a stored base ensemble."""
-    dW = cfg.noise_bank(S)
-    base = fw.simulate_ensemble(y0, U, dW, cfg)
-    ztraj = _freeze_tangent(psi, base.fields, base.stop, dW, cfg)
+    base = fw.simulate_ensemble(y0, U, cfg.noise_bank(S), cfg)
+    ztraj = _freeze_tangent(psi, base, cfg)
     rhs = np.zeros(S)
     for n in range(cfg.steps):
         live = base.stop > n
-        gn = adj.tracking_residual(base.fields[:, n], y_d, n, live, cfg)
+        gn = adj.tracking_residual(base.y(n), y_d, n, live, cfg)
         rhs += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, gn, ztraj[:, n]), 0.0)
     return rhs
 
@@ -182,22 +178,20 @@ class TestPathwiseDuality:
         # every reader pairs p_{n+1} with step n, so the sweep stops at p_1
         cfg = make_cfg(steps=12)
         y0, U, _, y_d = stopping_setup(cfg, force=2.0)
-        dW = cfg.noise_bank(3)
-        base = fw.simulate_ensemble(y0, U, dW, cfg)
+        base = fw.simulate_ensemble(y0, U, cfg.noise_bank(3), cfg)
         calls = []
         transpose = tg.transpose_step
         monkeypatch.setattr(adj, "transpose_step", lambda *a: calls.append(1) or transpose(*a))
-        steps = [n for n, _, _ in adj.costate_sweep(base.fields, base.stop, y_d, dW, cfg)]
+        steps = [n for n, _, _ in adj.costate_sweep(base, y_d, cfg)]
         assert steps == list(range(cfg.steps - 1, -1, -1))
         assert len(calls) == cfg.steps - 1
 
     def test_costate_zero_after_stop(self):
         cfg = make_cfg(steps=20, M=2.5)
         y0, U, psi, y_d = stopping_setup(cfg, amp=0.3, force=25.0)
-        dW = cfg.noise_bank(3)
-        base = fw.simulate_ensemble(y0, U, dW, cfg)
+        base = fw.simulate_ensemble(y0, U, cfg.noise_bank(3), cfg)
         assert np.any(base.stop < cfg.steps)
-        ptraj = costate_trajectory(base.fields, base.stop, y_d, dW, cfg)
+        ptraj = costate_trajectory(base, y_d, cfg)
         for s in range(3):
             st = base.stop[s]
             if st < cfg.steps:
@@ -207,15 +201,14 @@ class TestPathwiseDuality:
     def test_weak_residual_zero_for_exact_costate(self):
         cfg = make_cfg(steps=15)
         y0, U, psi, y_d = stopping_setup(cfg, force=2.0)
-        dW = cfg.noise_bank(2)
-        base = fw.simulate_ensemble(y0, U, dW, cfg)
-        ptraj = costate_trajectory(base.fields, base.stop, y_d, dW, cfg)
-        res = adjoint_weak_residual(base.fields, base.stop, y_d, ptraj, dW, cfg)
+        base = fw.simulate_ensemble(y0, U, cfg.noise_bank(2), cfg)
+        ptraj = costate_trajectory(base, y_d, cfg)
+        res = adjoint_weak_residual(base, y_d, ptraj, cfg)
         assert res < 1e-12
         # a perturbed costate must be flagged
         bad = ptraj.copy()
         bad[:, 5] += 1e-3
-        assert adjoint_weak_residual(base.fields, base.stop, y_d, bad, dW, cfg) > 1e-6
+        assert adjoint_weak_residual(base, y_d, bad, cfg) > 1e-6
 
 
 class TestAdapted:
@@ -249,16 +242,14 @@ class TestAdapted:
         rng = np.random.default_rng(6)
         y0 = sp.random_field(g, rng, amplitude=0.5)
         y_d = sp.random_field(g, rng, amplitude=0.3)
-        dW = cfg.noise_bank(50)
-        base = fw.simulate_ensemble(y0, None, dW, cfg, store_dtype=np.complex64)
+        base = fw.simulate_ensemble(y0, None, cfg.noise_bank(50), cfg, store_fields=np.complex64)
         seen = []
-        for n, live, Q, B, q_norms in adj.adapted_pair(base.fields, base.stop, y_d, dW, cfg):
+        for n, live, Q, B, q_norms in adj.adapted_pair(base, y_d, cfg):
             seen.append(n)
             r = Q.shape[1]
             assert Q.shape == (50, r) and B.shape == (r, 2) + g.spec_shape
             assert q_norms.shape == (50, 5) and np.all(q_norms >= 0.0)
-            X = adj._features(g, np.asarray(base.fields[:, n + 1], dtype=complex),
-                              (base.stop > n + 1).astype(float))
+            X = adj._features(g, base.y(n + 1), (base.stop > n + 1).astype(float))
             assert np.max(np.abs(Q.T @ Q - np.eye(r)), initial=0.0) <= 1e-12
             assert np.max(np.abs(Q @ (Q.T @ X) - X)) <= 1e-12 * max(np.max(np.abs(X)), 1e-300)
             p_hat = np.tensordot(Q, B, axes=1)
@@ -289,6 +280,9 @@ class TestAdapted:
         psi = np.stack([sp.random_field(g, rng) for _ in range(cfg.steps)])
         dW = cfg.noise_bank(S)
         bsel = (slice(None),) + (None,) * (dim + 1)
+        # synthetic fields: the store as the forward loop would return it
+        ens = fw.EnsembleResult(fields=fields, stop=stop, w24=np.zeros((S, cfg.steps + 1)),
+                                aborted=np.zeros(S, dtype=bool), dW=dW)
 
         def fitted(n, T):
             live = stop > n
@@ -299,8 +293,7 @@ class TestAdapted:
         def close(a, ref):
             return np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        sweeps = zip(adj.adapted_pair(fields, stop, y_d, dW, cfg),
-                     adj.costate_sweep(fields, stop, y_d, dW, cfg))
+        sweeps = zip(adj.adapted_pair(ens, y_d, cfg), adj.costate_sweep(ens, y_d, cfg))
         for (n, live, Q, B, q_norms), (_, _, p) in sweeps:
             p_ref = fitted(n + 1, p)
             p_hat = np.tensordot(Q, B, axes=1)
@@ -363,7 +356,8 @@ def _freeze_simulate(y0, U, dW, cfg):
     return np.stack(fields, axis=1), stop, w24
 
 
-def _freeze_adjoint(fields, stop, y_d, dW, cfg):
+def _freeze_adjoint(ens, y_d, cfg):
+    fields, stop, dW = ens.fields, ens.stop, ens.dW
     p = np.zeros_like(fields[:, 0])
     traj = np.zeros_like(fields)
     for n in range(cfg.steps - 1, -1, -1):
@@ -374,7 +368,8 @@ def _freeze_adjoint(fields, stop, y_d, dW, cfg):
     return traj
 
 
-def _freeze_tangent(psi, fields, stop, dW, cfg):
+def _freeze_tangent(psi, ens, cfg):
+    fields, stop, dW = ens.fields, ens.stop, ens.dW
     z = np.zeros_like(fields[:, 0])
     traj = np.zeros_like(fields)
     for n in range(cfg.steps):
@@ -415,15 +410,14 @@ class TestLiveCompaction:
         assert not base.aborted.any()
         live = [int(np.count_nonzero(base.stop > n)) for n in range(cfg.steps)]
         assert live[0] == 6 and 0 < min(live) < 6
-        fields, stop = base.fields, base.stop
         assert seen(lambda: [fw.simulate_ensemble(self.y0, self.U, dW, cfg)]) == live
         # the fused loop: step n, then tangent step n, on the same live samples
         fused = [m for m in live for _ in range(2)]
         assert seen(lambda: [fw.simulate_ensemble(self.y0, self.U, dW, cfg, psi=self.psi,
                                                   read=lambda *a: None, read_to=cfg.steps)]) == fused
         # p_0 is not formed, and the duality rhs does not form z_N
-        assert seen(lambda: adj.costate_sweep(fields, stop, self.y_d, dW, cfg)) == live[:0:-1]
-        assert seen(lambda: adj.adapted_pair(fields, stop, self.y_d, dW, cfg)) == live[:0:-1]
+        assert seen(lambda: adj.costate_sweep(base, self.y_d, cfg)) == live[:0:-1]
+        assert seen(lambda: adj.adapted_pair(base, self.y_d, cfg)) == live[:0:-1]
         assert seen(lambda: [adj.duality_check(self.y0, self.U, self.psi, self.y_d, cfg, 6)]) == (
             fused[:-1] + live[:0:-1])
 
@@ -433,10 +427,13 @@ class TestLiveCompaction:
         base = fw.simulate_ensemble(self.y0, self.U, dW, cfg)
         assert np.array_equal(base.fields, fields)
         assert np.array_equal(base.stop, stop) and np.array_equal(base.w24, w24)
-        ref = _freeze_adjoint(fields, stop, self.y_d, dW, cfg)
-        for n, _, p in adj.costate_sweep(fields, stop, self.y_d, dW, cfg):
+        # the sweeps run along the freeze reference's own trajectory
+        ref_ens = fw.EnsembleResult(fields=fields, stop=stop, w24=w24,
+                                    aborted=np.zeros(len(stop), dtype=bool), dW=dW)
+        ref = _freeze_adjoint(ref_ens, self.y_d, cfg)
+        for n, _, p in adj.costate_sweep(ref_ens, self.y_d, cfg):
             assert np.array_equal(p, ref[:, n + 1])
-        ref = _freeze_tangent(self.psi, fields, stop, dW, cfg)
+        ref = _freeze_tangent(self.psi, ref_ens, cfg)
         seen = []
 
         def read(n, live, y, z):

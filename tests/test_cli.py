@@ -241,6 +241,19 @@ class TestCli:
             assert printed.err.splitlines() == wrote + [abort_line]
             assert printed.out == ""
 
+    @pytest.mark.parametrize("command", ["tangent-check", "stop-probe"])
+    @pytest.mark.parametrize("rhos", ["x", "0", "-1e-3"])
+    def test_bad_rhos_exit_code(self, small_cfg, tmp_path, command, rhos):
+        # --rhos is parsed and checked by argparse: a non-number or a rho <= 0
+        # is a configuration error, not a traceback from inside the command
+        out = tmp_path / "x"
+        proc = subprocess.run([sys.executable, "-m", "stgflow.cli", command, "--config",
+                               str(small_cfg), f"--rhos={rhos}", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in proc.stderr and "argument --rhos" in proc.stderr
+        assert not out.exists()
+
     def test_optimize_aborted_iterate_ends_search(self, tmp_path, capsys):
         # an iterate with aborted samples takes no step: no iteration line even
         # without --quiet, and the history holds only the final entry, which

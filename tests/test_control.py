@@ -167,7 +167,7 @@ class TestGradient:
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(41), amplitude=0.5)
         res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
-        y_d = np.asarray(res.fields[0, :-1], dtype=complex)
+        y_d = res.fields[0, :-1]
         grad, rep = ct.cost_gradient(None, y0, y_d, cfg, 1, lam=0.0)
         assert rep.tracking < 1e-25
         assert np.max(np.abs(grad)) < 1e-12

@@ -176,10 +176,34 @@ class TestSimulate:
         assert np.all(np.isfinite(res.w24))
 
     def test_store_dtype(self):
+        # a complex dtype as store_fields keeps the fields in it, and y(n)
+        # hands them out widened to complex128
         cfg = make_cfg(steps=8)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(8))
-        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, store_dtype=np.complex64)
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, store_fields=np.complex64)
         assert res.fields.dtype == np.complex64
+        for n in range(cfg.steps + 1):
+            assert res.y(n).dtype == np.complex128
+            assert np.array_equal(res.y(n), res.fields[:, n].astype(complex))
+
+    def test_store_reads_without_copy(self):
+        # by default y(n) is a view of the complex128 store, not a copy
+        cfg = make_cfg(steps=4)
+        y0 = sp.random_field(cfg.grid, np.random.default_rng(8))
+        res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg)
+        assert res.fields.dtype == np.complex128
+        for n in range(cfg.steps + 1):
+            assert np.shares_memory(res.y(n), res.fields)
+            assert np.array_equal(res.y(n), res.fields[:, n])
+
+    @pytest.mark.parametrize("store", [True, False, np.complex64])
+    def test_store_holds_its_noise_bank(self, store):
+        # the backward sweeps read the increments from the ensemble itself
+        cfg = make_cfg(steps=4)
+        y0 = sp.random_field(cfg.grid, np.random.default_rng(8))
+        dW = cfg.noise_bank(3)
+        res = fw.simulate_ensemble(y0, None, dW, cfg, store_fields=store)
+        assert res.dW is dW
 
     @pytest.mark.parametrize("steps", [2, 3])
     @pytest.mark.parametrize("arg", ["U", "psi"])
@@ -218,7 +242,9 @@ class TestEnergy:
         y0 = sp.random_field(cfg.grid, np.random.default_rng(10))
         res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, store_fields=False)
         assert res.fields is None
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="store_fields=False"):
+            res.y(0)
+        with pytest.raises(ValueError, match="store_fields=False"):
             fw.energy_stats(res, cfg)
 
     def test_energy_stats_contents(self):

@@ -133,18 +133,18 @@ class TestStepPair:
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def tangent_sweep(fields, stop, psi, dW, cfg):
+def tangent_sweep(ens, psi, cfg):
     """The stored-field tangent recursion the fused loop replaced: yields
     (n, live, z_n) for n = 0 ... steps along a frozen base ensemble, each
     step on the live samples only (live = stop > n), z_0 = 0."""
-    z = cfg.grid.zeros((fields.shape[0],))
+    z = cfg.grid.zeros((ens.n_samples,))
     for n in range(cfg.steps + 1):
-        live = stop > n
+        live = ens.stop > n
         yield n, live, z
         if live.any():
             rows = np.flatnonzero(live)
-            y = np.asarray(fields[rows, n], dtype=complex)
-            z[rows] = tg.tangent_step(y, z[rows], psi[n], dW[rows, n], n * cfg.dt, cfg)
+            y = ens.y(n)[rows]
+            z[rows] = tg.tangent_step(y, z[rows], psi[n], ens.dW[rows, n], n * cfg.dt, cfg)
 
 
 def gateaux_reference(y0, U, psi, cfg, rhos, n_samples):
@@ -156,9 +156,9 @@ def gateaux_reference(y0, U, psi, cfg, rhos, n_samples):
              for rho in rhos]
     wv = 1.0 + cfg.params.alpha1 * g.k2
     worst = np.zeros((len(rhos), n_samples))
-    for n, _, z in tangent_sweep(base.fields, base.stop, psi, dW, cfg):
+    for n, _, z in tangent_sweep(base, psi, cfg):
         for i, (rho, pert) in enumerate(zip(rhos, perts)):
-            diff = (pert.fields[:, n] - base.fields[:, n]) / rho - z
+            diff = (pert.y(n) - base.y(n)) / rho - z
             v2 = sp.sobolev_inner(g, diff, diff, wv)
             upto = np.minimum(base.stop, pert.stop) >= n
             worst[i] = np.where(upto, np.maximum(worst[i], v2), worst[i])
@@ -237,7 +237,7 @@ class TestFusedTangent:
         stop = base.stop
         assert len(set(stop)) > 1 and np.any(stop < cfg.steps)
         assert not base.aborted.any()
-        for n, live, z in tangent_sweep(base.fields, stop, psi, dW, cfg):
+        for n, live, z in tangent_sweep(base, psi, cfg):
             assert np.array_equal(ztraj[:, n], z), n
             assert seen[n][0] == n and np.array_equal(seen[n][1], live)
 
@@ -253,7 +253,7 @@ class TestFusedTangent:
             for n in range(st, cfg.steps + 1):
                 assert np.array_equal(ztraj[s, n], ztraj[s, st])
             assert np.max(np.abs(ztraj[s, st])) > 0.0
-        for n, _, z in tangent_sweep(base.fields, base.stop, psi, dW, cfg):
+        for n, _, z in tangent_sweep(base, psi, cfg):
             assert np.array_equal(ztraj[:, n], z), n
 
     @pytest.mark.parametrize("blowup", [10.0, 1.0])
