@@ -12,8 +12,9 @@ so the discrete duality
 
 holds sample by sample to rounding error.  ``costate_sweep`` is the one
 backward recursion along the y_n and noise bank of a forward ``EnsembleResult``:
-it yields p_{n+1} at step n, n = steps-1 ... 0, making the tracking residual g_n on the fly.
-Every reader pairs p_{n+1} with step n, so p_0 is never formed.  The
+it yields (n, p_{n+1}) for n = steps-1 ... 0, making the tracking residual g_n on the fly.
+Every reader pairs p_{n+1} with step n, so p_0 is never formed, and sums
+over all samples: p is exactly 0 from each exit on, aborts included.  The
 yielded array is advanced in place when the sweep resumes: a reader
 keeps what it needs from it before asking for the next step.
 
@@ -24,7 +25,8 @@ same duality in expectation up to regression and sampling error.  The
 regression stays in feature space: the Leray projection acts on the mode
 axes and the regression basis holds per-sample scalars, so the pair is
 carried as a few projected coefficient fields on a basis of the state
-features, and no per-sample fitted field is formed.  The rhs of each
+features, and no per-sample fitted field is formed: p_hat and q_hat are
+each yielded as a basis and its coefficient fields.  The rhs of each
 duality check accumulates in the forward loop, which advances the tangent
 z_n beside y_n (``forward.simulate_ensemble`` given a direction).
 """
@@ -41,38 +43,29 @@ from .tangent import control_to_state, transpose_step
 def tracking_residual(y_n, y_d, n, live, cfg: SimConfig):
     """g_n per sample: y_n - y_d(n) in the L2 pairing, or its v-image for
     the V-norm tracking cost (``cfg.tracking``); zero where ``live`` fails."""
-    g = cfg.grid
-    diff = cfg.tracking_weight * (y_n - _target_at(y_d, n, g))
+    g, y_d = cfg.grid, np.asarray(y_d)
+    if y_d.ndim == g.dim + 2:  # time-indexed target
+        y_d = y_d[n]
+    diff = cfg.tracking_weight * (y_n - y_d)
     return np.where(live[(slice(None),) + (None,) * (g.dim + 1)], diff, 0.0)
-
-
-def _target_at(y_d, n, grid):
-    y_d = np.asarray(y_d)
-    if y_d.ndim == grid.dim + 2:  # time-indexed target
-        return y_d[n]
-    return y_d
-
-
-def _costate_kernel(n, cfg: SimConfig):
-    """(y_n, p_{n+1}, dW_n, g_n) -> F_n^T p_{n+1} + dt g_n, batched over samples."""
-    return lambda y, p, dw, gn: transpose_step(y, p, dw, n * cfg.dt, cfg) + cfg.dt * gn
 
 
 def costate_sweep(ens: EnsembleResult, y_d, cfg: SimConfig):
     """Transpose recursion along a frozen base ensemble.
 
-    Yields (n, live, p) for n = steps-1 ... 0, where live = stop > n and p
-    holds p_{n+1} (p_N = 0), zero on the samples stopped at or before n+1.
+    Yields (n, p) for n = steps-1 ... 0, where p holds p_{n+1} (p_N = 0),
+    exactly 0 on the samples stopped at or before n+1 (aborts included).
     p is advanced to p_n in place when the sweep resumes; p_0 is not formed.
     """
     p = cfg.grid.zeros((ens.n_samples,))
     for n in range(cfg.steps - 1, -1, -1):
+        yield n, p
         live = ens.stop > n
-        yield n, live, p
         if n > 0 and live.any():
             y_n = ens.y(n)
-            g_n = tracking_residual(y_n, y_d, n, live, cfg)
-            rows, p_n = _on_live(live, _costate_kernel(n, cfg), y_n, p, ens.dW[:, n], g_n)
+            rows, p_n = _on_live(live, lambda *a: transpose_step(*a, n * cfg.dt, cfg),
+                                 y_n, p, ens.dW[:, n])
+            p_n += cfg.dt * tracking_residual(y_n[rows], y_d, n, live[rows], cfg)
             p[rows] = p_n
             del p_n  # freed before the reader resumes
 
@@ -90,7 +83,7 @@ def _simulate_with_rhs(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, **kw):
 
     def read(n, live, y, z):
         g_n = tracking_residual(y, y_d, n, live, cfg)
-        rhs[:] += np.where(live, cfg.dt * sp.l2_inner(cfg.grid, g_n, z), 0.0)
+        rhs[:] += cfg.dt * sp.l2_inner(cfg.grid, g_n, z)  # g_n is 0 where not live
 
     return simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, psi=psi, read=read, **kw), rhs
 
@@ -100,8 +93,8 @@ def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     base, rhs = _simulate_with_rhs(y0, U, psi, y_d, cfg, n_samples)
     psi = np.asarray(psi)
     lhs = np.zeros(n_samples)
-    for n, live, p in costate_sweep(base, y_d, cfg):
-        lhs += np.where(live, _lhs_term(psi[n], p, cfg), 0.0)
+    for n, p in costate_sweep(base, y_d, cfg):
+        lhs += _lhs_term(psi[n], p, cfg)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rel = np.abs(lhs - rhs) / scale
     return {
@@ -148,12 +141,12 @@ def adapted_pair(ens: EnsembleResult, y_d, cfg: SimConfig):
     beta = Q^T T, and P(Q beta) = Q (P beta) since the Leray projection P
     acts on the mode axes: only r (K+1) coefficient fields are projected.
 
-    Yields (n, live, Q, B, q_norms) for n = steps-1 ... 0: p_hat_{n+1}, the
-    raw p_{n+1} conditioned on the features of y_{n+1}, is Q @ B, with Q
-    the basis for y_{n+1} (exact zero rows on the samples stopped at or
-    before n+1) and B = P beta; q_norms (S, K) are the per-channel L2 norms
-    of q_hat_n, the targets conditioned on the features of y_n.  Each basis
-    is made once and serves both steps that read it.
+    Yields (n, (Q, B), (Qq, Bq)) for n = steps-1 ... 0: p_hat_{n+1}, the raw
+    p_{n+1} conditioned on the features of y_{n+1}, is Q @ B with Q their
+    basis and B = P beta, and q_hat_n, the targets conditioned on the
+    features of y_n, is Qq @ Bq[k] in channel k.  A basis has exact zero rows
+    on the samples stopped at or before its step.  Each basis is made once
+    and serves both steps that read it.
     """
     def basis(n):
         live = ens.stop > n
@@ -163,16 +156,16 @@ def adapted_pair(ens: EnsembleResult, y_d, cfg: SimConfig):
         return u[:, s > 1e-15 * s[0]] * live[:, None]
 
     Q_after = basis(cfg.steps)
-    for n, live, p in costate_sweep(ens, y_d, cfg):
+    for n, p in costate_sweep(ens, y_d, cfg):
         Q = basis(n)
-        B, q_norms = _regress(Q_after, Q, p, ens.dW[:, n] / cfg.dt, cfg)
-        yield n, live, Q_after, B, q_norms
+        B, Bq = _regress(Q_after, Q, p, ens.dW[:, n] / cfg.dt, cfg)
+        yield n, (Q_after, B), (Q, Bq)
         Q_after = Q
 
 
 def _regress(Q_after, Q, p, w, cfg: SimConfig):
-    """The projected coefficients B of p's fit on Q_after, and the L2 norms
-    (S, K) of the fits of p w[:, k] on Q; temporaries die on return."""
+    """The projected coefficients B of p's fit on Q_after, and Bq (K, r, ...)
+    of the fits of p w[:, k] on Q; temporaries die on return."""
     g = cfg.grid
     (S, r), ra, K = Q.shape, Q_after.shape[1], w.shape[1]
     shape, nc = (g.dim,) + g.spec_shape, g.dim * g.nspec
@@ -183,12 +176,7 @@ def _regress(Q_after, Q, p, w, cfg: SimConfig):
     np.multiply(Q.T, w.T[:, None, :], out=lsq[ra:].reshape(K, r, S))
     coef = (lsq @ p.reshape(S, nc).view(float)).view(complex)
     B = sp.leray_project(g, coef.reshape((-1,) + shape))
-    # ||Q_s B_k||^2 = Q_s G_k Q_s^T with the Gram matrix G_k = R_k^T R_k of
-    # B_k in l2_inner's weights; via R_k no difference of squares is taken
-    root_w = np.sqrt(np.repeat(np.broadcast_to(g.vol * g.herm_weight, shape).ravel(), 2))
-    R = np.linalg.qr(B[ra:].reshape(K, r, nc).view(float).swapaxes(1, 2) * root_w[:, None],
-                     mode="r")
-    return B[:ra].copy(), np.linalg.norm(Q @ R.swapaxes(1, 2), axis=-1).T
+    return B[:ra], B[ra:].reshape((K, r) + shape)
 
 
 def _row_bound(Q, B):
@@ -204,8 +192,8 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     The lhs term of a sample is Q_s [dt (psi_n, S B_f)]_f.  The post-exit
     maximum runs over p_hat_{n+1} and q_hat_n at and after each stopped
     sample's exit; p_hat_0, which no pairing reads, is not formed.  The
-    terminal maximum is that of p_hat_N over all samples.  Both bound p_hat
-    by the basis rows (``_row_bound``), exact zeros on stopped samples.
+    terminal maximum is that of p_hat_N over all samples.  Both bound the
+    fields by their basis rows (``_row_bound``): 0 only where those are 0.
     The fields are stored as complex64 for the backward sweep; the rhs (its
     tangent and g_n) reads the forward loop's unrounded complex128 y_n.
     """
@@ -214,13 +202,12 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     stop = base.stop
     lhs = np.zeros(n_samples)
     tail = terminal = 0.0
-    for n, live, Q, B, q_norms in adapted_pair(base, y_d, cfg):
+    for n, (Q, B), (Qq, Bq) in adapted_pair(base, y_d, cfg):
         lhs += Q @ _lhs_term(psi[n], B, cfg)
         if n == cfg.steps - 1:
             terminal = _row_bound(Q, B)
         exited = (stop <= n + 1) & (stop < cfg.steps)
-        tail = max(tail, _row_bound(Q[exited], B),
-                   float(np.max(q_norms[stop <= n], initial=0.0)))
+        tail = max(tail, _row_bound(Q[exited], B), _row_bound(Qq[stop <= n], Bq.swapaxes(0, 1)))
     S = n_samples
     diff = lhs - rhs
     mean = float(np.mean(diff))

@@ -65,21 +65,26 @@ def _parser():
     d.add_argument("--tol", type=float, default=1e-10)
     common("adapted-check", cmd_adapted)
     t = common("tangent-check", cmd_tangent)
-    t.add_argument("--rhos", type=_rhos, default="1e-2,1e-3,1e-4")
+    t.add_argument("--rhos", type=_rhos(2), default="1e-2,1e-3,1e-4")
     common("optimize", cmd_optimize)
     s = common("stability-probe", cmd_stability)
     s.add_argument("--scale", type=float, default=0.5,
                    help="relative size of the control perturbation")
     q = common("stop-probe", cmd_stop_probe)
-    q.add_argument("--rhos", type=_rhos, default="0.4,0.2,0.1")
+    q.add_argument("--rhos", type=_rhos(1), default="0.4,0.2,0.1")
     return p
 
 
-def _rhos(text):
-    """argparse type of --rhos: comma-separated numbers, each finite and > 0."""
-    rhos = [float(r) for r in text.split(",")]  # argparse exits 2 on a ValueError
-    if not all(0 < r < np.inf for r in rhos):
-        raise argparse.ArgumentTypeError(f"each rho must be finite and > 0, got {text!r}")
+def _rhos(least):
+    """argparse type of --rhos: comma-separated numbers, each finite and > 0,
+    at least ``least`` of them distinct (tangent-check fits a slope through 2)."""
+    def rhos(text):
+        vals = [float(r) for r in text.split(",")]  # argparse exits 2 on a ValueError
+        if not all(0 < r < np.inf for r in vals):
+            raise argparse.ArgumentTypeError(f"each rho must be finite and > 0, got {text!r}")
+        if len(set(vals)) < least:
+            raise argparse.ArgumentTypeError(f"need at least {least} distinct rhos, got {text!r}")
+        return vals
     return rhos
 
 

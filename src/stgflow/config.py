@@ -107,6 +107,8 @@ def _check_keys(tree: dict, defaults: dict, prefix: str = ""):
             raise ConfigError(f"unknown config key {prefix + key!r}")
         if isinstance(defaults[key], dict) and not isinstance(val, dict):
             raise ConfigError(f"config key {prefix + key!r} is a section, got {val!r}")
+        if type(defaults[key]) is int and type(val) is not int:  # a bool is no int here
+            raise ConfigError(f"config key {prefix + key!r} must be an integer, got {val!r}")
         if isinstance(val, dict):
             sub = defaults[key] if isinstance(defaults[key], dict) else {}
             _check_keys(val, sub, prefix + key + ".")
@@ -115,7 +117,8 @@ def _check_keys(tree: dict, defaults: dict, prefix: str = ""):
 def load(path=None, overrides=()) -> dict:
     """Merged mapping: defaults <- file <- key=value override strings.
 
-    Raises ConfigError for a key not in DEFAULTS and for a value outside CHOICES.
+    Raises ConfigError for a key not in DEFAULTS, a value outside CHOICES, a non-integer
+    where DEFAULTS holds an integer, and no sample, direction or positive radius.
     """
     tree = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -132,6 +135,13 @@ def load(path=None, overrides=()) -> dict:
     for (section, key), allowed in CHOICES.items():
         if tree[section][key] not in allowed:
             raise ConfigError(f"{section}.{key} must be one of {allowed}, got {tree[section][key]!r}")
+    samples, n_dirs, radius = tree["samples"], tree["control"]["n_dirs"], tree["control"]["radius"]
+    for key, val, ok, want in (
+            ("samples", samples, samples >= 1, ">= 1"),
+            ("control.n_dirs", n_dirs, n_dirs >= 1, ">= 1"),
+            ("control.radius", radius, type(radius) in (int, float) and radius > 0, "a number > 0")):
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {want}, got {val!r}")
     return tree
 
 

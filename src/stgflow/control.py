@@ -92,11 +92,12 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float):
 
 def _gradient(rep: CostReport, lam: float, cfg: SimConfig):
     """Adjoint gradient of the cost in ``rep``.  S^T is linear and the same for
-    every sample, so it acts once, on the live-weighted sample mean of p_{n+1}."""
+    every sample, so it acts once, on the sample mean of p_{n+1} (0 where stopped)."""
     g = cfg.grid
     mean_p = np.empty((cfg.steps, g.dim) + g.spec_shape, dtype=complex)
-    for n, live, p in adj.costate_sweep(rep.ensemble, rep.y_d, cfg):
-        mean_p[n] = np.einsum("s,s...->...", live / rep.ensemble.n_samples, p)
+    weight = np.full(rep.ensemble.n_samples, 1.0 / rep.ensemble.n_samples)
+    for n, p in adj.costate_sweep(rep.ensemble, rep.y_d, cfg):
+        mean_p[n] = np.einsum("s,s...->...", weight, p)
     grad = control_to_state(mean_p, cfg)
     if rep.U is not None and lam != 0.0:
         Un = np.asarray(rep.U, dtype=complex)

@@ -229,8 +229,8 @@ def _ci(x):
 def energy_stats(res: EnsembleResult, cfg: SimConfig):
     """Monte Carlo estimates of the a priori energy functionals.
 
-    sup norms run over n <= stop, time integrals over n < stop (the
-    stopped trajectory contributes nothing after its exit).
+    sup norms run over every n, the fields being frozen from each stop on
+    (aborts too), time integrals over n < stop (none after the exit).
     """
     g = cfg.grid
     S = res.n_samples
@@ -241,11 +241,10 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
     sup_wt_p = np.zeros(S)
     for n in range(cfg.steps + 1):
         yn = res.y(n)
-        upto = res.stop >= n
         v2 = sp.sobolev_inner(g, yn, yn, wv)
         wt2 = v2 + sp.sobolev_inner(g, yn, yn, g.k2 * wv**2)
-        sup_v2 = np.where(upto, np.maximum(sup_v2, v2), sup_v2)
-        sup_wt_p = np.where(upto, np.maximum(sup_wt_p, wt2 ** (cfg.p_exp / 2)), sup_wt_p)
+        sup_v2 = np.maximum(sup_v2, v2)
+        sup_wt_p = np.maximum(sup_wt_p, wt2 ** (cfg.p_exp / 2))
         if n < cfg.steps:
             live = res.stop > n
             # 2 ||D y||^2 = ||grad y||^2 for solenoidal fields

@@ -88,22 +88,8 @@ def write_norms_csv(path, dt, w24, stop):
 
 
 def write_json(path, payload):
+    """``payload`` as indented JSON with sorted keys; json hands each numpy
+    array or scalar to ``default``, which writes its ``tolist()``."""
     with open(path, "w") as f:
-        json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, default=lambda x: x.tolist())
         f.write("\n")
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    return x

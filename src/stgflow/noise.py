@@ -9,7 +9,9 @@ Leray-projected back onto the solenoidal space:
 Every family shares the structure sigma_k(lam) = c_k * f(lam) with a
 common profile f, so the time steppers need only the per-sample scalar
 s = sum_k c_k dW_k (times the time factor).  For the smooth family the
-fused forms transform once each way; the linear and zero families have a
+fused forms transform once each way and leave out P, which the step kernels
+apply once to the sum (S = P D^-1 ends ``forward.step`` and ``tangent_step``,
+a final P ``transpose_step``); the linear and zero families have a
 constant f', and for a solenoidal field on the retained modes their fused
 forms are the spectral multiple s f' y of the field itself, with no
 transform at all.  The reference operators ``apply_G``, ``apply_grad_G``
@@ -155,7 +157,7 @@ def _scale(grid: WaveGrid, t, dW, model: NoiseModel):
 
 
 def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel):
-    """G(t, y) dW as a single spectral field, batched over samples, for a
+    """G(t, y) dW before P, one spectral field batched over samples, for a
     solenoidal y on the retained modes (every state the scheme makes).
 
     With a constant f' this is s f' y: P s f' y = s f' y for such a y.
@@ -163,14 +165,14 @@ def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel):
     s = _scale(grid, t, dW, model)
     if model.constant_deriv is not None:
         return s * model.constant_deriv * y
-    return leray_project(grid, to_spec(grid, s * model.profile(to_phys(grid, y))))
+    return to_spec(grid, s * model.profile(to_phys(grid, y)))
 
 
 def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel):
-    """(grad_y G)(t, y)[v] dW for a solenoidal v on the retained modes; equals
+    """(grad_y G)(t, y)[v] dW before P, for a solenoidal v on the retained modes;
     its own transpose in v by diagonality.  With a constant f' it is s f' v."""
     s = _scale(grid, t, dW, model)
     if model.constant_deriv is not None:
         return s * model.constant_deriv * v
     fp = model.profile_deriv(to_phys(grid, y))
-    return leray_project(grid, to_spec(grid, s * (fp * to_phys(grid, v))))
+    return to_spec(grid, s * (fp * to_phys(grid, v)))

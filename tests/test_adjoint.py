@@ -74,7 +74,7 @@ class TestTrackingResidual:
 def costate_trajectory(ens, y_d, cfg):
     """p_1 ... p_N collected from the costate sweep (p_0 is not formed)."""
     traj = np.zeros(ens.fields.shape, dtype=complex)
-    for n, _, p in adj.costate_sweep(ens, y_d, cfg):
+    for n, p in adj.costate_sweep(ens, y_d, cfg):
         traj[:, n + 1] = p
     return traj
 
@@ -182,7 +182,7 @@ class TestPathwiseDuality:
         calls = []
         transpose = tg.transpose_step
         monkeypatch.setattr(adj, "transpose_step", lambda *a: calls.append(1) or transpose(*a))
-        steps = [n for n, _, _ in adj.costate_sweep(base, y_d, cfg)]
+        steps = [n for n, _ in adj.costate_sweep(base, y_d, cfg)]
         assert steps == list(range(cfg.steps - 1, -1, -1))
         assert len(calls) == cfg.steps - 1
 
@@ -197,6 +197,21 @@ class TestPathwiseDuality:
             if st < cfg.steps:
                 assert np.max(np.abs(ptraj[s, max(st, 1):])) == 0.0
         assert np.max(np.abs(ptraj[:, cfg.steps])) == 0.0
+
+    @pytest.mark.parametrize("dim,n_max,m_rel", [(2, 8, 1.1), (3, 3, 1.2)])
+    def test_costate_zero_after_stop_and_abort(self, dim, n_max, m_rel):
+        # readers sum p_{n+1} over every sample unmasked: the sweep's rows are
+        # exactly 0 at and after each exit, a stop or (blowup_factor = 1.01) an abort
+        model = nz.NoiseModel(K=8, family="linear", c0=2.0)
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=16, p_exp=10.0, model=model)
+        y0, U, _, y_d = stopping_setup(cfg, amp=0.3, force=20.0)
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=16, p_exp=10.0, model=model,
+                       M=m_rel * float(sp.w24_norm(cfg.grid, y0)), blowup_factor=1.01)
+        base = fw.simulate_ensemble(y0, U, cfg.noise_bank(8), cfg)
+        assert base.aborted.any() and np.any(~base.aborted & (base.stop < cfg.steps))
+        for n, p in adj.costate_sweep(base, y_d, cfg):
+            assert np.all(p[base.stop <= n + 1] == 0.0)
+            assert np.all(np.any(p[base.stop > n + 1] != 0.0, axis=tuple(range(1, p.ndim))))
 
     def test_weak_residual_zero_for_exact_costate(self):
         cfg = make_cfg(steps=15)
@@ -244,11 +259,11 @@ class TestAdapted:
         y_d = sp.random_field(g, rng, amplitude=0.3)
         base = fw.simulate_ensemble(y0, None, cfg.noise_bank(50), cfg, store_fields=np.complex64)
         seen = []
-        for n, live, Q, B, q_norms in adj.adapted_pair(base, y_d, cfg):
+        for n, (Q, B), (Qq, Bq) in adj.adapted_pair(base, y_d, cfg):
             seen.append(n)
-            r = Q.shape[1]
+            r, rq = Q.shape[1], Qq.shape[1]
             assert Q.shape == (50, r) and B.shape == (r, 2) + g.spec_shape
-            assert q_norms.shape == (50, 5) and np.all(q_norms >= 0.0)
+            assert Qq.shape == (50, rq) and Bq.shape == (5, rq, 2) + g.spec_shape
             X = adj._features(g, base.y(n + 1), (base.stop > n + 1).astype(float))
             assert np.max(np.abs(Q.T @ Q - np.eye(r)), initial=0.0) <= 1e-12
             assert np.max(np.abs(Q @ (Q.T @ X) - X)) <= 1e-12 * max(np.max(np.abs(X)), 1e-300)
@@ -294,19 +309,50 @@ class TestAdapted:
             return np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         sweeps = zip(adj.adapted_pair(ens, y_d, cfg), adj.costate_sweep(ens, y_d, cfg))
-        for (n, live, Q, B, q_norms), (_, _, p) in sweeps:
+        for (n, (Q, B), (Qq, Bq)), (_, p) in sweeps:
             p_ref = fitted(n + 1, p)
             p_hat = np.tensordot(Q, B, axes=1)
             assert close(p_hat, p_ref)
-            q_ref = np.stack([sp.l2_norm(g, fitted(n, p * (dW[:, n, k] / cfg.dt)[bsel]))
-                              for k in range(K)], axis=1)
-            assert close(q_norms, q_ref)
-            lhs_ref = np.where(live, adj._lhs_term(psi[n], p_ref, cfg), 0.0)
+            for k in range(K):
+                q_ref = fitted(n, p * (dW[:, n, k] / cfg.dt)[bsel])
+                q_hat = np.tensordot(Qq, Bq[k], axes=1)
+                assert close(q_hat, q_ref)
+                assert np.all(q_hat[stop <= n] == 0.0)
+            lhs_ref = np.where(stop > n, adj._lhs_term(psi[n], p_ref, cfg), 0.0)
             assert close(Q @ adj._lhs_term(psi[n], B, cfg), lhs_ref)
             # the rows of stopped samples are exact zeros
             gone = stop <= n + 1
             assert np.all(Q[gone] == 0.0) and np.all(p_hat[gone] == 0.0)
-            assert np.all(q_norms[stop <= n] == 0.0)
+            assert np.all(Qq[stop <= n] == 0.0)
+
+    def test_post_exit_max_sees_a_nonzero_q_row(self, monkeypatch):
+        # the post-exit maximum bounds q_hat by the rows of its basis Qq: a q
+        # basis with a nonzero row on a stopped sample must show in it
+        cfg = self.small_cfg()
+        g = cfg.grid
+        rng = np.random.default_rng(5)
+        y0 = sp.random_field(g, rng, amplitude=0.8)
+        w0 = float(sp.w24_norm(g, y0))
+        cfg = make_cfg(n_max=3, dt=0.02, steps=24, M=1.3 * w0,
+                       model=nz.NoiseModel(K=5, family="linear", c0=0.3))
+        U = np.stack([sp.random_field(g, rng, amplitude=4.0 * w0)] * cfg.steps)
+        psi = np.stack([sp.random_field(g, rng) for _ in range(cfg.steps)])
+        y_d = sp.random_field(g, rng, amplitude=0.5)
+        args = (y0, U, psi, y_d, cfg, 40)
+        rep = adj.adapted_duality_check(*args)
+        assert np.any(rep["stop"] < cfg.steps) and rep["post_exit_max"] == 0.0
+        pair = adj.adapted_pair
+
+        def leaky(ens, *a):
+            for n, p_pair, (Qq, Bq) in pair(ens, *a):
+                Qq = Qq.copy()
+                Qq[ens.stop <= n] = 1e-3
+                yield n, p_pair, (Qq, Bq)
+
+        monkeypatch.setattr(adj, "adapted_pair", leaky)
+        leaked = adj.adapted_duality_check(*args)
+        assert leaked["post_exit_max"] > 0.0
+        assert leaked["gap_mean"] == rep["gap_mean"] and leaked["terminal_max"] == 0.0
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_features_probe_modes(self, dim):
@@ -431,7 +477,7 @@ class TestLiveCompaction:
         ref_ens = fw.EnsembleResult(fields=fields, stop=stop, w24=w24,
                                     aborted=np.zeros(len(stop), dtype=bool), dW=dW)
         ref = _freeze_adjoint(ref_ens, self.y_d, cfg)
-        for n, _, p in adj.costate_sweep(ref_ens, self.y_d, cfg):
+        for n, p in adj.costate_sweep(ref_ens, self.y_d, cfg):
             assert np.array_equal(p, ref[:, n + 1])
         ref = _freeze_tangent(self.psi, ref_ens, cfg)
         seen = []

@@ -179,9 +179,13 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("override", ["noise.co=5", "stopp.M=1", "target.kind=zer0",
-                                          "cost.variant=V"])
+                                          "cost.variant=V", "samples=0", "control.n_dirs=0",
+                                          "control.radius=-1", "control.radius=0", "samples=2.5",
+                                          "samples=abc", "samples=true", "steps=3.0",
+                                          "noise.K=2.0"])
     def test_unknown_config_input_exit_code(self, small_cfg, tmp_path, override):
-        # a misspelled key or an enum value outside its choices must not be ignored
+        # a misspelled key, an enum value outside its choices, or a value that
+        # cannot size a run (no NaN result, no silent truncation) must not be ignored
         rc = run_cli([
             "simulate", "--config", str(small_cfg),
             "--set", override, "--out", str(tmp_path / "x"), "--quiet",
@@ -252,6 +256,45 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == cli.EXIT_CONFIG
         assert "Traceback" not in proc.stderr and "argument --rhos" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rhos", ["1e-2", "1e-2,1e-2"])
+    def test_tangent_check_needs_two_rhos(self, small_cfg, tmp_path, rhos):
+        # the gateaux slope is a fit through the rhos: one distinct value
+        # is a configuration error, while stop-probe reports each rho alone
+        out = tmp_path / "x"
+        proc = subprocess.run([sys.executable, "-m", "stgflow.cli", "tangent-check", "--config",
+                               str(small_cfg), f"--rhos={rhos}", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in proc.stderr and "argument --rhos" in proc.stderr
+        assert not out.exists()
+        assert run_cli(["stop-probe", "--config", str(small_cfg), f"--rhos={rhos}", "--out",
+                        str(tmp_path / "y"), "--quiet"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "duality-check", "adapted-check",
+                                         "tangent-check", "optimize", "stability-probe",
+                                         "stop-probe"])
+    @pytest.mark.parametrize("override, key", [("samples=0", "samples"),
+                                               ("control.n_dirs=0", "control.n_dirs"),
+                                               ("control.radius=-1", "control.radius")])
+    def test_config_value_exit_code(self, small_cfg, tmp_path, capsys, command, override, key):
+        # every command fails such a value before any work: it once ran to a
+        # NaN result, an infinite residual or a traceback, depending on the command
+        out = tmp_path / "x"
+        argv = [command, "--config", str(small_cfg), "--set", override, "--out", str(out)]
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and repr(key) in err
+        assert not out.exists()
+
+    def test_config_value_exit_code_console(self, small_cfg, tmp_path):
+        # from the console: exit 2 and no traceback
+        out = tmp_path / "x"
+        proc = subprocess.run([sys.executable, "-m", "stgflow.cli", "optimize", "--config",
+                               str(small_cfg), "--set", "samples=abc", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_CONFIG and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_optimize_aborted_iterate_ends_search(self, tmp_path, capsys):

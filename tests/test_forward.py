@@ -147,6 +147,26 @@ class TestSimulate:
             for n in range(st, cfg.steps):
                 assert np.array_equal(res.fields[s, n + 1], res.fields[s, st])
 
+    @pytest.mark.parametrize("blowup", [10.0, 1.0])
+    @pytest.mark.parametrize("dim,n_max,m_rel", [(2, 8, 1.04), (3, 3, 1.15)])
+    def test_store_frozen_from_stop(self, dim, n_max, m_rel, blowup):
+        # energy_stats takes its sups over every n: y(n) must be y(stop) to
+        # the bit for n >= stop, after a stop and (blowup_factor = 1) an abort
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(21)
+        y0 = sp.random_field(g, rng, amplitude=0.3)
+        U = np.stack([sp.random_field(g, rng, amplitude=20.0)] * 16)
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=16, p_exp=10.0, blowup_factor=blowup,
+                       M=m_rel * float(sp.w24_norm(g, y0)),
+                       model=nz.NoiseModel(K=8, family="linear", c0=2.0))
+        res = fw.simulate_ensemble(y0, U, cfg.noise_bank(8), cfg)
+        assert np.count_nonzero(res.stop < cfg.steps) > 1
+        assert res.aborted.any() == (blowup == 1.0)
+        for s, st in enumerate(res.stop):
+            for n in range(st, cfg.steps + 1):
+                assert np.array_equal(res.y(n)[s], res.y(st)[s])
+                assert res.w24[s, n] == res.w24[s, st]
+
     def test_initial_state_beyond_threshold(self):
         cfg = make_cfg(M=0.1, steps=5)
         y0 = sp.random_field(cfg.grid, np.random.default_rng(5), amplitude=3.0)

@@ -91,13 +91,18 @@ class TestOperator:
             assert np.max(np.abs(cols[k] - ck * y)) < 1e-13
 
     def test_fused_increment_matches_columns(self):
-        y = rand_field(8)
+        # the smooth fused forms leave the Leray projection to the step that
+        # adds them: projected, they are the column sums of G and grad G
+        y, v = rand_field(8), rand_field(22)
         m = nz.NoiseModel(K=6, family="smooth", c0=0.3)
         dW = np.random.default_rng(2).standard_normal(6) * 0.1
         fused = nz.noise_increment(G2, 0.2, y, dW, m)
-        cols = nz.apply_G(G2, 0.2, y, m)
-        direct = np.tensordot(dW, cols, axes=(0, 0))
-        assert np.max(np.abs(fused - direct)) < 1e-13
+        direct = np.tensordot(dW, nz.apply_G(G2, 0.2, y, m), axes=(0, 0))
+        assert np.max(np.abs(sp.leray_project(G2, fused) - direct)) < 1e-13
+        assert sp.divergence_defect(G2, fused) > 1e-9  # unprojected
+        fused = nz.grad_noise_increment(G2, 0.2, y, v, dW, m)
+        direct = np.tensordot(dW, nz.apply_grad_G(G2, 0.2, y, v, m), axes=(0, 0))
+        assert np.max(np.abs(sp.leray_project(G2, fused) - direct)) < 1e-13
 
     def test_grad_G_is_directional_derivative(self):
         y = rand_field(9)
