@@ -194,8 +194,8 @@ def adapted_duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):
     sample's exit; p_hat_0, which no pairing reads, is not formed.  The
     terminal maximum is that of p_hat_N over all samples.  Both bound the
     fields by their basis rows (``_row_bound``): 0 only where those are 0.
-    The fields are stored as complex64 for the backward sweep; the rhs (its
-    tangent and g_n) reads the forward loop's unrounded complex128 y_n.
+    The fields are stored as complex64, and the forward loop runs on them
+    rounded, so the rhs (its tangent and g_n) and the sweep read one y_n.
     """
     base, rhs = _simulate_with_rhs(y0, U, psi, y_d, cfg, n_samples, store_fields=np.complex64)
     psi = np.asarray(psi)

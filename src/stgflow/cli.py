@@ -36,7 +36,6 @@ from . import control as ct
 from . import forward as fw
 from . import io as sio
 from . import spectral as sp
-from . import tangent as tg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,7 +171,7 @@ def cmd_adapted(args, tree, sim, y0, y_d):
 
 def cmd_tangent(args, tree, sim, y0, y_d):
     psi = _psi_bank(tree, sim)
-    rep = tg.gateaux_check(y0, None, psi, sim, args.rhos, n_samples=min(int(tree["samples"]), 4))
+    rep = fw.gateaux_check(y0, None, psi, sim, args.rhos, n_samples=min(int(tree["samples"]), 4))
     line = f"gateaux slope {rep['slope']:.3f} over rhos {rep['rhos']}"
     return Report("tangent.json", rep, [line])
 

@@ -53,6 +53,19 @@ DEFAULTS = {
 
 CHOICES = {("target", "kind"): ("random", "zero"), ("cost", "variant"): ("l2", "v")}
 
+# values that size a run: the test each passes after the integer check, and its wording
+POSITIVE = (lambda v: type(v) in (int, float) and v > 0, "a number > 0")  # a bool is no number
+KMAX = (lambda v: v is None or type(v) is int and v >= 1, "null or an integer >= 1")
+SIZING = (
+    ("samples", lambda v: v >= 1, ">= 1"),
+    ("control.n_dirs", lambda v: v >= 1, ">= 1"),
+    ("control.iters", lambda v: v >= 0, ">= 0"),
+    ("control.radius", *POSITIVE),
+    ("control.step0", *POSITIVE),
+    ("init.kmax", *KMAX),
+    ("target.kmax", *KMAX),
+)
+
 
 def _parse_value(text: str):
     text = text.strip()
@@ -118,7 +131,7 @@ def load(path=None, overrides=()) -> dict:
     """Merged mapping: defaults <- file <- key=value override strings.
 
     Raises ConfigError for a key not in DEFAULTS, a value outside CHOICES, a non-integer
-    where DEFAULTS holds an integer, and no sample, direction or positive radius.
+    where DEFAULTS holds an integer, and a value outside its SIZING range.
     """
     tree = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -135,12 +148,10 @@ def load(path=None, overrides=()) -> dict:
     for (section, key), allowed in CHOICES.items():
         if tree[section][key] not in allowed:
             raise ConfigError(f"{section}.{key} must be one of {allowed}, got {tree[section][key]!r}")
-    samples, n_dirs, radius = tree["samples"], tree["control"]["n_dirs"], tree["control"]["radius"]
-    for key, val, ok, want in (
-            ("samples", samples, samples >= 1, ">= 1"),
-            ("control.n_dirs", n_dirs, n_dirs >= 1, ">= 1"),
-            ("control.radius", radius, type(radius) in (int, float) and radius > 0, "a number > 0")):
-        if not ok:
+    for key, ok, want in SIZING:
+        section, _, name = key.rpartition(".")
+        val = tree[section][name] if section else tree[name]
+        if not ok(val):
             raise ConfigError(f"config key {key!r} must be {want}, got {val!r}")
     return tree
 
@@ -184,11 +195,10 @@ def build_sim(tree: dict) -> SimConfig:
 def _random_block(block: dict, cfg: SimConfig):
     """The random field of an ``init`` or ``target`` block: its seed, kmax
     (null: the dealiasing cutoff) and L2 amplitude."""
-    kmax = block["kmax"]
     return sp.random_field(
         cfg.grid,
         np.random.default_rng(int(block["seed"])),
-        kmax=None if kmax is None else int(kmax),
+        kmax=block["kmax"],
         amplitude=float(block["amplitude"]),
     )
 

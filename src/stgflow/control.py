@@ -196,14 +196,11 @@ def optimize(
     return {"U": U, "cost": J, "history": history}
 
 
-def sample_directions(grid, steps, admissible: AdmissibleSet, dt, rng, n_dirs, U=None):
+def sample_directions(grid, steps, admissible: AdmissibleSet, dt, rng, n_dirs, U):
     """Admissible candidate controls: random interior and boundary points of
     the ball, single-mode impulses, the origin, and U itself."""
-    dirs = []
     zero = grid.zeros((steps,))
-    dirs.append(zero)
-    if U is not None:
-        dirs.append(np.asarray(U, dtype=complex))
+    dirs = [zero, np.asarray(U, dtype=complex)]
     while len(dirs) < n_dirs:
         kind = len(dirs) % 3
         base = sp.random_field(grid, rng, amplitude=1.0, batch=(steps,))

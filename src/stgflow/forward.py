@@ -22,7 +22,9 @@ tangent z_n beside y_n, ``step`` and ``tangent.tangent_step`` reading one
 set of y_n's collocation pieces (``fused_step``).  The loop returns an
 ``EnsembleResult``, the one trajectory store that every backward sweep and
 probe reads: the noise bank, stop, aborted, and y_n kept in the dtype
-``store_fields`` picks and read as complex128 through ``y(n)``.
+``store_fields`` picks and read as complex128 through ``y(n)``.  The
+probes ``stability_probe``, ``stop_time_probe`` and ``gateaux_check`` (the
+tangent against finite differences) compare ensembles on one noise bank.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
     ``y0`` is a single field or a batch (S, dim, *spec_shape); ``U`` is a
     deterministic control array (steps, dim, *spec_shape) or None.
     ``store_fields`` keeps y_0 ... y_N as complex128 (True), not at all
-    (False), or in the complex dtype it names.
+    (False), or in the complex dtype it names, which the loop then runs on:
+    it rounds y_0 and each y_{n+1} to that dtype before the stop test.
 
     Given a direction ``psi`` of that shape too, the tangent z_n along it
     (z_0 = 0) advances next to y_n through ``fused_step`` and is rolled back
@@ -169,6 +172,9 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
         psi, state = _per_step("psi", psi, cfg), (y, g.zeros((S,)))
         read_to = cfg.steps - 1 if read_to is None else read_to
 
+    dtype = complex if store_fields is True or store_fields is False else store_fields
+    if dtype is not complex:  # the loop runs on the y_n a narrower store keeps
+        y[...] = y.astype(dtype)
     stop = np.full(S, cfg.steps, dtype=int)
     aborted = np.zeros(S, dtype=bool)
     w24 = np.empty((S, cfg.steps + 1))
@@ -177,13 +183,14 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
 
     fields = None
     if store_fields is not False:
-        dtype = complex if store_fields is True else store_fields
         fields = np.empty((S, cfg.steps + 1, g.dim) + g.spec_shape, dtype=dtype)
         fields[:, 0] = y
 
     def advance(n, y, dW_n, *z):
         t, u_n = n * cfg.dt, None if U is None else U[n]
         new = fused_step(y, *z, u_n, psi[n], dW_n, t, cfg) if z else (step(y, u_n, dW_n, t, cfg),)
+        if dtype is not complex:
+            new[0][...] = new[0].astype(dtype)
         w_next = sp.w24_norm(g, new[0])
         bad = ~np.isfinite(w_next) | (w_next > cfg.blowup_factor * cfg.M)
         if bad.any():  # an aborted sample keeps its last finite state
@@ -309,6 +316,44 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int):
         "eps": eps,
         "aborted": int(np.count_nonzero(r1.aborted) + np.count_nonzero(r2.aborted)),
     }
+
+
+def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
+    """Finite-difference convergence of the tangent representation.
+
+    For each rho compares (y(U + rho psi) - y(U)) / rho with z in the
+    sup-over-time V norm, averaged over samples, and fits the log-log
+    slope (2 is exact first-order consistency of the Jacobian, anything
+    well above 1 witnesses the quadratic remainder).  ``aborted`` counts the
+    aborted samples over the base and the perturbed runs.
+    """
+    g = cfg.grid
+    psi = np.asarray(psi)
+    dW = cfg.noise_bank(n_samples)
+    perts = []
+    for rho in rhos:
+        Up = psi * rho if U is None else np.asarray(U) + rho * psi
+        perts.append(simulate_ensemble(y0, Up, dW, cfg))
+    wv = sp.v_symbol(g, cfg.params)
+    worst = np.zeros((len(rhos), n_samples))
+    upto = np.ones(n_samples, dtype=bool)  # base stop >= n: live at step n - 1
+
+    def compare(n, live, y, z):
+        for i, (rho, pert) in enumerate(zip(rhos, perts)):
+            diff = (pert.y(n) - y) / rho - z
+            v2 = sp.sobolev_inner(g, diff, diff, wv)
+            both = upto & (pert.stop >= n)
+            worst[i] = np.where(both, np.maximum(worst[i], v2), worst[i])
+        upto[:] = live
+
+    base = simulate_ensemble(y0, U, dW, cfg, store_fields=False, psi=psi, read=compare,
+                             read_to=cfg.steps)
+    aborted = sum(np.count_nonzero(r.aborted) for r in (base, *perts))
+    errs = [float(np.mean(w)) for w in worst]
+    lr = np.log(np.asarray(rhos, dtype=float))
+    le = np.log(np.maximum(np.asarray(errs), 1e-300))
+    slope = float(np.polyfit(lr, le, 1)[0])
+    return {"rhos": list(map(float, rhos)), "errors": errs, "slope": slope, "aborted": int(aborted)}
 
 
 def stop_time_probe(y0, U, dU, cfg: SimConfig, n_samples: int, rhos):

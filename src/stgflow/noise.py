@@ -6,18 +6,17 @@ Leray-projected back onto the solenoidal space:
 
     G(t, y) dW = P sum_k sigma_k(y(x)) dW_k.
 
-Every family shares the structure sigma_k(lam) = c_k * f(lam) with a
+Both families share the structure sigma_k(lam) = c_k * f(lam) with a
 common profile f, so the time steppers need only the per-sample scalar
 s = sum_k c_k dW_k (times the time factor).  For the smooth family the
 fused forms transform once each way and leave out P, which the step kernels
 apply once to the sum (S = P D^-1 ends ``forward.step`` and ``tangent_step``,
-a final P ``transpose_step``); the linear and zero families have a
-constant f', and for a solenoidal field on the retained modes their fused
-forms are the spectral multiple s f' y of the field itself, with no
-transform at all.  The reference operators ``apply_G``, ``apply_grad_G``
-and ``apply_G_star`` keep the transform path for every family.  The
-channel weights decay as c_k = c0 / k^{3/2} so the series is summable in
-every norm used here.
+a final P ``transpose_step``); the linear family has f' = 1, and for a
+solenoidal field on the retained modes its fused forms are the spectral
+multiple s y of the field itself, with no transform at all.  The reference
+operators ``apply_G``, ``apply_grad_G`` and ``apply_G_star`` keep the
+transform path for both.  The weights c_k = c0 / k^{3/2} make the series
+summable in every norm used here; K = 0, no channel, is the noiseless model.
 
 Reproducibility: sample s of a run with seed ``seed`` draws all of its
 increments from ``default_rng(SeedSequence([seed, s]))`` and nothing
@@ -33,7 +32,7 @@ import numpy as np
 
 from .spectral import WaveGrid, leray_project, to_phys, to_spec
 
-FAMILIES = ("linear", "smooth", "zero")
+FAMILIES = ("linear", "smooth")
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,6 @@ class NoiseModel:
 
     @property
     def weights(self):
-        if self.K == 0 or self.family == "zero":
-            return np.zeros(max(self.K, 0))
         return self.c0 / np.arange(1, self.K + 1) ** 1.5
 
     def time_factor(self, t):
@@ -62,30 +59,15 @@ class NoiseModel:
 
     def profile(self, lam):
         """Common pointwise profile f with sigma_k = c_k f; f(0) = 0."""
-        if self.family == "linear":
-            return lam
-        if self.family == "smooth":
-            return np.sin(lam)
-        return np.zeros_like(lam)
+        return lam if self.family == "linear" else np.sin(lam)
 
     def profile_deriv(self, lam):
-        if self.family == "linear":
-            return np.ones_like(lam)
-        if self.family == "smooth":
-            return np.cos(lam)
-        return np.zeros_like(lam)
-
-    @property
-    def constant_deriv(self):
-        """f' when it does not depend on the state (linear: 1, zero: 0), else None."""
-        return None if self.family == "smooth" else float(self.profile_deriv(0.0))
+        return np.ones_like(lam) if self.family == "linear" else np.cos(lam)
 
     def profile_deriv_at(self, grid: WaveGrid, y):
-        """f'(y) at collocation points.  The linear and zero profiles have a
-        constant f', returned as a scalar without transforming y."""
-        if self.constant_deriv is None:
-            return self.profile_deriv(to_phys(grid, y))
-        return self.constant_deriv
+        """f'(y) at collocation points.  The linear profile's f' = 1 is
+        returned as a scalar without transforming y."""
+        return 1.0 if self.family == "linear" else self.profile_deriv(to_phys(grid, y))
 
 
 def sample_path(seed: int, sample: int, dt: float, steps: int, K: int):
@@ -160,19 +142,19 @@ def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel):
     """G(t, y) dW before P, one spectral field batched over samples, for a
     solenoidal y on the retained modes (every state the scheme makes).
 
-    With a constant f' this is s f' y: P s f' y = s f' y for such a y.
+    For the linear family this is s y: P s y = s y for such a y.
     """
     s = _scale(grid, t, dW, model)
-    if model.constant_deriv is not None:
-        return s * model.constant_deriv * y
+    if model.family == "linear":
+        return s * y
     return to_spec(grid, s * model.profile(to_phys(grid, y)))
 
 
 def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel):
     """(grad_y G)(t, y)[v] dW before P, for a solenoidal v on the retained modes;
-    its own transpose in v by diagonality.  With a constant f' it is s f' v."""
+    its own transpose in v by diagonality.  For the linear family it is s v."""
     s = _scale(grid, t, dW, model)
-    if model.constant_deriv is not None:
-        return s * model.constant_deriv * v
+    if model.family == "linear":
+        return s * v
     fp = model.profile_deriv(to_phys(grid, y))
     return to_spec(grid, s * (fp * to_phys(grid, v)))

@@ -382,6 +382,32 @@ class TestAdapted:
 # live-sample compaction against the np.where freeze it replaced
 
 
+class TestNarrowStore:
+    """Over a complex64 store the forward loop runs on the rounded y_n, so the
+    tangent, g_n and both sweeps read one trajectory."""
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 4), (3, 3)])
+    def test_noiseless_adapted_gap(self, dim, n_max):
+        # K = 0: every sample runs one path, so the se is rounding and so must the
+        # gap be; psi is scaled so that one complex64 rounding of y_n (rel ~1e-8)
+        # in the rhs but not in the sweep would show well above 1e-12
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=10, p_exp=10.0, model=nz.NoiseModel(K=0))
+        y0, _, psi, y_d = stopping_setup(cfg)
+        rep = adj.adapted_duality_check(y0, None, 100 * psi, y_d, cfg, n_samples=3)
+        assert abs(rep["gap_mean"]) <= 1e-12 and rep["within_3se"]
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_pathwise_duality_over_store(self, dim, n_max):
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=20, p_exp=10.0)
+        y0, U, psi, y_d = stopping_setup(cfg, force=3.0)
+        base, rhs = adj._simulate_with_rhs(y0, U, psi, y_d, cfg, 4, store_fields=np.complex64)
+        lhs = np.zeros(4)
+        for n, p in adj.costate_sweep(base, y_d, cfg):
+            lhs += adj._lhs_term(psi[n], p, cfg)
+        assert not base.aborted.any()
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+
+
 def _freeze_simulate(y0, U, dW, cfg):
     """Forward loop that steps every sample and discards the frozen ones'
     results with np.where: the reference for the compacted loop (no aborts)."""

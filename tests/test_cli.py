@@ -182,7 +182,8 @@ class TestCli:
                                           "cost.variant=V", "samples=0", "control.n_dirs=0",
                                           "control.radius=-1", "control.radius=0", "samples=2.5",
                                           "samples=abc", "samples=true", "steps=3.0",
-                                          "noise.K=2.0"])
+                                          "noise.K=2.0", "noise.family=zero",
+                                          "control.step0=true"])
     def test_unknown_config_input_exit_code(self, small_cfg, tmp_path, override):
         # a misspelled key, an enum value outside its choices, or a value that
         # cannot size a run (no NaN result, no silent truncation) must not be ignored
@@ -277,7 +278,12 @@ class TestCli:
                                          "stop-probe"])
     @pytest.mark.parametrize("override, key", [("samples=0", "samples"),
                                                ("control.n_dirs=0", "control.n_dirs"),
-                                               ("control.radius=-1", "control.radius")])
+                                               ("control.radius=-1", "control.radius"),
+                                               ("init.kmax=2.5", "init.kmax"),
+                                               ("init.kmax=0", "init.kmax"),
+                                               ("target.kmax=0", "target.kmax"),
+                                               ("control.step0=-1", "control.step0"),
+                                               ("control.iters=-3", "control.iters")])
     def test_config_value_exit_code(self, small_cfg, tmp_path, capsys, command, override, key):
         # every command fails such a value before any work: it once ran to a
         # NaN result, an infinite residual or a traceback, depending on the command
@@ -287,6 +293,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and repr(key) in err
         assert not out.exists()
+
+    def test_sizing_edges_stay_valid(self, small_cfg, tmp_path):
+        # zero iterations, the smallest kmax and an integer step0 are runs, not errors
+        out = tmp_path / "x"
+        argv = ["optimize", "--config", str(small_cfg), "--set", "control.iters=0", "--set",
+                "init.kmax=1", "--set", "target.kmax=null", "--set", "control.step0=2",
+                "--set", "control.n_dirs=2", "--out", str(out), "--quiet"]
+        assert run_cli(argv) == cli.EXIT_OK
+        assert len(json.loads((out / "optimize.json").read_text())["history"]) == 1
 
     def test_config_value_exit_code_console(self, small_cfg, tmp_path):
         # from the console: exit 2 and no traceback

@@ -151,7 +151,7 @@ class TestGradient:
 
     def test_penalty_gradient_alone(self):
         # zero tracking influence: lam term must be the H1-weighted field
-        cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"), steps=5)
+        cfg = make_cfg(model=nz.NoiseModel(K=0), steps=5)
         g = cfg.grid
         y0, _, U, psi = setup(cfg)
         lam = 0.4
@@ -163,7 +163,7 @@ class TestGradient:
 
     def test_gradient_zero_for_perfect_tracking(self):
         # target equals the noise-free trajectory of the zero control
-        cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"), steps=10)
+        cfg = make_cfg(model=nz.NoiseModel(K=0), steps=10)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(41), amplitude=0.5)
         res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)
@@ -262,7 +262,8 @@ class TestOptimize:
         g = cfg.grid
         adm = ct.AdmissibleSet(radius=1.5, p_exp=cfg.p_exp)
         rng = np.random.default_rng(6)
-        dirs = ct.sample_directions(g, cfg.steps, adm, cfg.dt, rng, 12)
-        assert len(dirs) == 12
+        U = adm.project(g, sp.random_field(g, rng, amplitude=5.0, batch=(cfg.steps,)), cfg.dt)
+        dirs = ct.sample_directions(g, cfg.steps, adm, cfg.dt, rng, 12, U)
+        assert len(dirs) == 12 and np.array_equal(dirs[1], U)
         for W in dirs:
             assert adm.contains(g, W, cfg.dt, tol=1e-9)

@@ -62,7 +62,7 @@ class TestStep:
     def test_stokes_decay_oracle(self):
         # zero noise, a single shear mode under a second-grade fluid stays a
         # single mode with the exact per-step factor (1+a1)/(1+a1+dt nu)
-        cfg = make_cfg(params=SECOND_GRADE, model=nz.NoiseModel(K=0, family="zero"))
+        cfg = make_cfg(params=SECOND_GRADE, model=nz.NoiseModel(K=0))
         g = cfg.grid
         x = 2 * np.pi * np.arange(g.N) / g.N
         X1 = x[:, None] + 0 * x[None, :]
@@ -72,7 +72,7 @@ class TestStep:
         assert np.max(np.abs(y1 - fac * y)) < 1e-13
 
     def test_control_enters_linearly(self):
-        cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"))
+        cfg = make_cfg(model=nz.NoiseModel(K=0))
         g = cfg.grid
         rng = np.random.default_rng(5)
         y = sp.random_field(g, rng)
@@ -89,7 +89,7 @@ class TestStep:
         y = sp.random_field(g, rng)
         dW = rng.standard_normal(8) * 0.1
         with_n = fw.step(y, None, dW, 0.0, cfg)
-        cfg0 = make_cfg(model=nz.NoiseModel(K=0, family="zero"))
+        cfg0 = make_cfg(model=nz.NoiseModel(K=0))
         without = fw.step(y, None, np.zeros(0), 0.0, cfg0)
         expect = sp.leray_project(
             g, nz.noise_increment(g, 0.0, y, dW, cfg.model) / cfg.implicit_denominator
@@ -246,7 +246,7 @@ class TestSimulate:
 class TestEnergy:
     def test_deterministic_dissipation(self):
         # no noise, no control: the discrete V-energy decays monotonically
-        cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"), dt=0.005, steps=100)
+        cfg = make_cfg(model=nz.NoiseModel(K=0), dt=0.005, steps=100)
         g = cfg.grid
         y0 = sp.random_field(g, np.random.default_rng(9), kmax=g.cubic_cut, amplitude=1.0)
         res = fw.simulate_ensemble(y0, None, cfg.noise_bank(1), cfg)

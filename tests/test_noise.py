@@ -139,15 +139,9 @@ class TestOperator:
         rhs = sp.l2_inner(G2, v, nz.grad_noise_increment(G2, 0.0, y, w, dW, m))
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
-    def test_zero_family(self):
-        y = rand_field(16)
-        m = nz.NoiseModel(K=4, family="zero")
-        dW = np.ones(4)
-        assert np.max(np.abs(nz.noise_increment(G2, 0.0, y, dW, m))) == 0.0
-
-    @pytest.mark.parametrize("fam", ["linear", "zero"])
+    @pytest.mark.parametrize("fam", ["linear"])
     def test_constant_derivative_skips_base_state(self, fam, monkeypatch):
-        # f' is constant: the fused forms transform nothing and return s f' v,
+        # f' = 1: the fused forms transform nothing and return s v,
         # while the references keep their transform formula and never transform y
         y, v = rand_field(19), rand_field(20)
         q = np.stack([rand_field(21 + k) for k in range(4)])
@@ -158,8 +152,8 @@ class TestOperator:
         w = m.weights[:, None, None, None]
         s = nz.weighted_increment(m, dW) * m.time_factor(t)
         expect = {
-            "noise_increment": s * m.constant_deriv * y,
-            "grad_noise_increment": s * m.constant_deriv * v,
+            "noise_increment": s * y,
+            "grad_noise_increment": s * v,
             "apply_grad_G": w * sp.leray_project(
                 G2, sp.to_spec(G2, fp * m.time_factor(t) * sp.to_phys(G2, v))),
             "apply_G_star": sp.leray_project(G2, sp.to_spec(G2, fp * m.time_factor(t) * sp.to_phys(
@@ -182,7 +176,7 @@ class TestOperator:
         for name in expect:
             assert np.array_equal(got[name], expect[name]), name
 
-    @pytest.mark.parametrize("fam", ["linear", "zero"])
+    @pytest.mark.parametrize("fam", ["linear"])
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
     def test_constant_derivative_matches_transform_formula(self, fam, dim, n_max):
         # on solenoidal fields the multiplier is the projected collocation product

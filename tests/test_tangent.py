@@ -1,6 +1,8 @@
 """Tests for the exact linearization and tangent recursion."""
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -20,6 +22,25 @@ DRIFT_CASES = [
     pytest.param(2, 8, NO_STRESS, id="2-8-no_stress"),
     pytest.param(3, 3, NO_STRESS, id="3-3-no_stress"),
 ]
+
+
+def test_tangent_imports_no_ensemble_code():
+    # tangent is a leaf: the forward loop imports it, and the Gateaux check
+    # that runs ensembles lives in forward; a TYPE_CHECKING import never runs
+    tree = ast.parse(inspect.getsource(tg))
+    typing_only = {id(n) for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+                   for stmt in node.body for n in ast.walk(stmt)}
+    imported = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert imported == {"noise", "spectral"}
+    assert callable(fw.gateaux_check) and not hasattr(tg, "gateaux_check")
 
 
 def make_cfg(**kw):
@@ -103,7 +124,7 @@ class TestStepPair:
             fw.step(y + eps * z, None, dW, 0.0, cfg)
             - fw.step(y - eps * z, None, dW, 0.0, cfg)
         ) / (2 * eps)
-        an = tg.tangent_step(y, z, None, dW, 0.0, cfg)
+        an = tg.tangent_step(y, z, g.zeros(), dW, 0.0, cfg)
         assert np.max(np.abs(fd - an)) < 1e-8
 
     def test_step_transpose(self):
@@ -114,13 +135,13 @@ class TestStepPair:
         z = sp.random_field(g, rng)
         p = sp.random_field(g, rng)
         dW = rng.standard_normal(5) * 0.15
-        lhs = sp.l2_inner(g, tg.tangent_step(y, z, None, dW, 0.2, cfg), p)
+        lhs = sp.l2_inner(g, tg.tangent_step(y, z, g.zeros(), dW, 0.2, cfg), p)
         rhs = sp.l2_inner(g, z, tg.transpose_step(y, p, dW, 0.2, cfg))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_control_injection_transpose(self):
         # the psi term enters as dt * S psi; S^T must be its exact transpose
-        cfg = make_cfg(model=nz.NoiseModel(K=0, family="zero"))
+        cfg = make_cfg(model=nz.NoiseModel(K=0))
         g = cfg.grid
         rng = np.random.default_rng(6)
         psi = sp.random_field(g, rng)
@@ -218,7 +239,7 @@ class TestTangentTrajectory:
         rng = np.random.default_rng(9)
         y0 = sp.random_field(g, rng, amplitude=0.8)
         psi = np.stack([sp.random_field(g, rng, amplitude=0.5)] * 40)
-        rep = tg.gateaux_check(y0, None, psi, cfg, rhos=[1e-2, 1e-3, 1e-4], n_samples=3)
+        rep = fw.gateaux_check(y0, None, psi, cfg, rhos=[1e-2, 1e-3, 1e-4], n_samples=3)
         assert rep["slope"] >= 1.8
         assert rep["errors"][0] > rep["errors"][-1]
         assert rep["aborted"] == 0
@@ -262,7 +283,7 @@ class TestFusedTangent:
                        model=nz.NoiseModel(K=6, family="linear", c0=1.5))
         cfg, y0, U, psi, _ = stopping_case(cfg, 4)
         rhos = [1e-2, 1e-3]
-        rep = tg.gateaux_check(y0, U, psi, cfg, rhos, n_samples=4)
+        rep = fw.gateaux_check(y0, U, psi, cfg, rhos, n_samples=4)
         assert rep["errors"] == gateaux_reference(y0, U, psi, cfg, rhos, 4)
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
