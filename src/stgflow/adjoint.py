@@ -85,7 +85,8 @@ def _simulate_with_rhs(y0, U, psi, y_d, cfg: SimConfig, n_samples: int, **kw):
         g_n = tracking_residual(y, y_d, n, live, cfg)
         rhs[:] += cfg.dt * sp.l2_inner(cfg.grid, g_n, z)  # g_n is 0 where not live
 
-    return simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, psi=psi, read=read, **kw), rhs
+    return simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, psi=psi, read=read, norms=False,
+                             **kw), rhs
 
 
 def duality_check(y0, U, psi, y_d, cfg: SimConfig, n_samples: int):

@@ -53,15 +53,15 @@ DEFAULTS = {
 
 CHOICES = {("target", "kind"): ("random", "zero"), ("cost", "variant"): ("l2", "v")}
 
-# values that size a run: the test each passes after the integer check, and its wording
-POSITIVE = (lambda v: type(v) in (int, float) and v > 0, "a number > 0")  # a bool is no number
+# values with a range: the test each passes after the integer and finiteness checks
+POSITIVE, NONNEGATIVE = (lambda v: v > 0, "> 0"), (lambda v: v >= 0, ">= 0")
 KMAX = (lambda v: v is None or type(v) is int and v >= 1, "null or an integer >= 1")
 SIZING = (
-    ("samples", lambda v: v >= 1, ">= 1"),
-    ("control.n_dirs", lambda v: v >= 1, ">= 1"),
-    ("control.iters", lambda v: v >= 0, ">= 0"),
-    ("control.radius", *POSITIVE),
-    ("control.step0", *POSITIVE),
+    *((key, *POSITIVE) for key in ("dt", "stop.M", "stop.blowup_factor", "control.radius",
+                                   "control.step0")),
+    *((key, *NONNEGATIVE) for key in ("init.amplitude", "target.amplitude", "seed", "init.seed",
+                                      "target.seed", "control.iters")),
+    *((key, lambda v: v >= 1, ">= 1") for key in ("samples", "control.n_dirs")),
     ("init.kmax", *KMAX),
     ("target.kmax", *KMAX),
 )
@@ -122,6 +122,8 @@ def _check_keys(tree: dict, defaults: dict, prefix: str = ""):
             raise ConfigError(f"config key {prefix + key!r} is a section, got {val!r}")
         if type(defaults[key]) is int and type(val) is not int:  # a bool is no int here
             raise ConfigError(f"config key {prefix + key!r} must be an integer, got {val!r}")
+        if type(defaults[key]) is float and not (type(val) in (int, float) and np.isfinite(val)):
+            raise ConfigError(f"config key {prefix + key!r} must be a finite number, got {val!r}")
         if isinstance(val, dict):
             sub = defaults[key] if isinstance(defaults[key], dict) else {}
             _check_keys(val, sub, prefix + key + ".")
@@ -131,7 +133,7 @@ def load(path=None, overrides=()) -> dict:
     """Merged mapping: defaults <- file <- key=value override strings.
 
     Raises ConfigError for a key not in DEFAULTS, a value outside CHOICES, a non-integer
-    where DEFAULTS holds an integer, and a value outside its SIZING range.
+    where DEFAULTS holds an integer, no finite number for a float and a value outside SIZING.
     """
     tree = copy.deepcopy(DEFAULTS)
     if path is not None:

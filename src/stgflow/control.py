@@ -71,7 +71,7 @@ def eval_cost(U, y0, y_d, cfg: SimConfig, n_samples: int, lam: float):
     the norm of ``cfg.tracking``.  An aborted sample leaves the tracking sum
     at its abort index; ``aborted`` counts them."""
     g = cfg.grid
-    base = simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg)
+    base = simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, norms=False)
     # the residual is the weighted misfit w (y_n - y_d), zero from the exit
     # on, so 1/2 ||y_n - y_d||_w^2 = 1/2 (res, res / w); one step at a time
     unweight = 1.0 / cfg.tracking_weight

@@ -10,21 +10,24 @@ the quadratic/cubic terms, the control and the noise stay explicit, and
 projects the solution once: y^+ = S(...), S = P D^-1 the Leray projection
 after the division by the implicit denominator (``tangent.control_to_state``).
 
-Each sample is stopped the first time its collocation W^{2,4} norm
-reaches the threshold M; the state is frozen from the crossing index on,
-matching the stopped process the cost functional integrates.  A sample
-whose norm overshoots ``blowup_factor * M`` (or goes non-finite) is
-marked aborted and frozen at its last finite state.  Stopped samples are
-not stepped: both ensemble loops (forward, costate) run their kernels on
+Each sample is stopped the first time its collocation W^{2,4} norm reaches the
+threshold M; the state is frozen from the crossing index on, matching the
+stopped process the cost functional integrates.  A sample whose norm overshoots
+``blowup_factor * M`` (or goes non-finite) is marked aborted and frozen at its
+last finite state.  The solves that read only stop and aborted
+(``control.eval_cost``, the duality checks, the probes) pass ``norms=False``: a
+sample the transform-free ``spectral.w24_bounds`` decide is not transformed and
+gets NaN for a norm, and stop, abort and fields stay bitwise.  Stopped samples
+are not stepped: both ensemble loops (forward, costate) run their kernels on
 the live samples only, through ``_on_live``, and leave the frozen ones
-untouched.  Given a direction psi, the forward loop also advances the
-tangent z_n beside y_n, ``step`` and ``tangent.tangent_step`` reading one
-set of y_n's collocation pieces (``fused_step``).  The loop returns an
-``EnsembleResult``, the one trajectory store that every backward sweep and
-probe reads: the noise bank, stop, aborted, and y_n kept in the dtype
-``store_fields`` picks and read as complex128 through ``y(n)``.  The
-probes ``stability_probe``, ``stop_time_probe`` and ``gateaux_check`` (the
-tangent against finite differences) compare ensembles on one noise bank.
+untouched.  Given a direction psi, the forward loop also advances the tangent
+z_n beside y_n, ``step`` and ``tangent.tangent_step`` reading one set of y_n's
+collocation pieces (``fused_step``).  The loop returns an ``EnsembleResult``,
+the one trajectory store that every backward sweep and probe reads: the noise
+bank, stop, aborted, and y_n kept in the dtype ``store_fields`` picks and read
+as complex128 through ``y(n)``.  The probes ``stability_probe``,
+``stop_time_probe`` and ``gateaux_check`` (the tangent against finite
+differences) compare ensembles on one noise bank.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class SimConfig:
             raise ValueError(
                 f"p_exp must exceed 2*(dim+1) = {2 * (self.dim + 1)}, got {self.p_exp}"
             )
-        if self.M <= 0:
-            raise ValueError("stopping threshold M must be positive")
+        if not (self.M > 0 and self.blowup_factor > 0):  # NaN would switch both tests off
+            raise ValueError("stopping threshold M and blowup_factor must be > 0, not NaN")
         if self.tracking not in ("l2", "v"):
             raise ValueError(f"tracking must be 'l2' or 'v', got {self.tracking!r}")
 
@@ -145,8 +148,24 @@ def _per_step(name, a, cfg: SimConfig):
     return np.asarray(a)
 
 
+STOP_MARGIN = 1e-12  # relative margin of the bound-decided stop test, far above rounding
+
+
+def _stop_test(y, cfg: SimConfig, norms: bool):
+    """(w24, reached M, aborted) per sample; unless ``norms``, w24 NaN where the bounds decide."""
+    M, guard, m = cfg.M, cfg.blowup_factor * cfg.M, STOP_MARGIN
+    exact, above, w = np.ones(len(y), dtype=bool), False, np.full(len(y), np.nan)
+    if not norms:
+        lo, hi = sp.w24_bounds(cfg.grid, y)
+        above = (lo > M * (1 + m)) & (hi < guard * (1 - m))
+        exact = ~(above | (hi < min(M, guard) * (1 - m)))
+    if exact.any():  # a full slice, no gather, when nothing is decided
+        w[exact] = sp.w24_norm(cfg.grid, y if exact.all() else y[exact])
+    return w, above | (w >= M), exact & (~np.isfinite(w) | (w > guard))
+
+
 def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, read=None,
-                      read_to=None):
+                      read_to=None, norms=True):
     """Run S coupled samples; dW has shape (S, steps, K).
 
     ``y0`` is a single field or a batch (S, dim, *spec_shape); ``U`` is a
@@ -160,7 +179,8 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
     with y on an aborted sample, and ``read(n, live, y_n, z_n)`` is called
     for n = 0 ... ``read_to`` (default steps - 1) once step n is settled,
     live = stop > n; z_{n+1} is formed for n < read_to only.  ``read`` gets
-    the loop's own arrays and copies what it keeps.
+    the loop's own arrays and copies what it keeps.  ``norms=False`` leaves
+    ``w24`` NaN where the bounds decide the stop test (``_stop_test``).
     """
     g = cfg.grid
     dW = np.asarray(dW)
@@ -178,8 +198,8 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
     stop = np.full(S, cfg.steps, dtype=int)
     aborted = np.zeros(S, dtype=bool)
     w24 = np.empty((S, cfg.steps + 1))
-    w24[:, 0] = sp.w24_norm(g, y)
-    stop[w24[:, 0] >= cfg.M] = 0
+    w24[:, 0], over, _ = _stop_test(y, cfg, norms)
+    stop[over] = 0
 
     fields = None
     if store_fields is not False:
@@ -191,25 +211,23 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
         new = fused_step(y, *z, u_n, psi[n], dW_n, t, cfg) if z else (step(y, u_n, dW_n, t, cfg),)
         if dtype is not complex:
             new[0][...] = new[0].astype(dtype)
-        w_next = sp.w24_norm(g, new[0])
-        bad = ~np.isfinite(w_next) | (w_next > cfg.blowup_factor * cfg.M)
+        w, over, bad = _stop_test(new[0], cfg, norms)
         if bad.any():  # an aborted sample keeps its last finite state
             for a_next, a in zip(new, (y,) + z):
                 a_next[bad] = a[bad]
-        return new, w_next, bad
+        return new, w, over, bad
 
     for n in range(cfg.steps):
         live, new = stop > n, ()
         w24[:, n + 1] = w24[:, n]
         if live.any():
             z = state[1:] if psi is not None and n < read_to else ()
-            rows, (new, w_next, bad) = _on_live(live, lambda *a: advance(n, *a), y, dW[:, n], *z)
+            rows, (new, w, over, bad) = _on_live(live, lambda *a: advance(n, *a), y, dW[:, n], *z)
             idx = np.flatnonzero(live)
             aborted[idx[bad]] = True
             stop[idx[bad]] = n
-            ok, w_ok = idx[~bad], w_next[~bad]
-            w24[ok, n + 1] = w_ok
-            stop[ok[w_ok >= cfg.M]] = n + 1
+            w24[idx[~bad], n + 1] = w[~bad]
+            stop[idx[over & ~bad]] = n + 1
         if psi is not None and n <= read_to:
             read(n, stop > n, *state)
         for i in range(len(new)):  # a loop variable would keep new[-1] alive into step n + 1
@@ -283,8 +301,8 @@ def stability_probe(y0, U1, U2, cfg: SimConfig, n_samples: int):
     the W norm with exponent 2 + eps, and the samples aborted in either run.
     """
     g, p, eps = cfg.grid, STABILITY_P, STABILITY_EPS
-    r1 = simulate_ensemble(y0, U1, cfg.noise_bank(n_samples), cfg)
-    r2 = simulate_ensemble(y0, U2, r1.dW, cfg)
+    r1 = simulate_ensemble(y0, U1, cfg.noise_bank(n_samples), cfg, norms=False)
+    r2 = simulate_ensemble(y0, U2, r1.dW, cfg, norms=False)
     taumin = np.minimum(r1.stop, r2.stop)
     wv = sp.v_symbol(g, cfg.params)
     dU = np.asarray(U1) - np.asarray(U2)
@@ -333,7 +351,7 @@ def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
     perts = []
     for rho in rhos:
         Up = psi * rho if U is None else np.asarray(U) + rho * psi
-        perts.append(simulate_ensemble(y0, Up, dW, cfg))
+        perts.append(simulate_ensemble(y0, Up, dW, cfg, norms=False))
     wv = sp.v_symbol(g, cfg.params)
     worst = np.zeros((len(rhos), n_samples))
     upto = np.ones(n_samples, dtype=bool)  # base stop >= n: live at step n - 1
@@ -347,7 +365,7 @@ def gateaux_check(y0, U, psi, cfg: SimConfig, rhos, n_samples: int):
         upto[:] = live
 
     base = simulate_ensemble(y0, U, dW, cfg, store_fields=False, psi=psi, read=compare,
-                             read_to=cfg.steps)
+                             read_to=cfg.steps, norms=False)
     aborted = sum(np.count_nonzero(r.aborted) for r in (base, *perts))
     errs = [float(np.mean(w)) for w in worst]
     lr = np.log(np.asarray(rhos, dtype=float))
@@ -363,11 +381,11 @@ def stop_time_probe(y0, U, dU, cfg: SimConfig, n_samples: int, rhos):
     reports P(stop differs) and P / rho in ``rows``; ``aborted`` counts the
     aborted samples over all the runs.
     """
-    base = simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, store_fields=False)
+    base = simulate_ensemble(y0, U, cfg.noise_bank(n_samples), cfg, store_fields=False, norms=False)
     rows, aborted = [], np.count_nonzero(base.aborted)
     for rho in rhos:
         Up = np.asarray(U) + rho * np.asarray(dU) if U is not None else rho * np.asarray(dU)
-        pert = simulate_ensemble(y0, Up, base.dW, cfg, store_fields=False)
+        pert = simulate_ensemble(y0, Up, base.dW, cfg, store_fields=False, norms=False)
         p = float(np.mean(pert.stop != base.stop))
         rows.append({"rho": float(rho), "prob": p, "prob_over_rho": p / rho})
         aborted += np.count_nonzero(pert.aborted)

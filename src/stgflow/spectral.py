@@ -178,6 +178,15 @@ class WaveGrid:
     def __repr__(self):
         return f"WaveGrid(dim={self.dim}, n_max={self.n_max})"
 
+    @cached_property
+    def w24_tables(self):
+        """``w24_bounds``' tables on the flattened half spectrum, made on first use."""
+        kabs, (a, b) = np.abs(self.k).reshape(self.dim, -1), self.sym_pairs
+        m = np.broadcast_to(self.herm_weight, self.spec_shape).reshape(-1)
+        mixed = np.sqrt(self.sym_weight.reshape(-1, 1)) * kabs[a] * kabs[b]  # squared: w_alpha
+        sup = m * np.concatenate([np.ones((1, self.nspec)), kabs, mixed])
+        return sup, m * self.k2.reshape(-1) ** np.arange(3)[:, None]
+
     # component accessor: component axis sits at -(dim+1)
     def c(self, arr, i):
         return arr[(Ellipsis, i) + (slice(None),) * self.dim]
@@ -406,6 +415,21 @@ def w24_norm(grid: WaveGrid, c):
         h2 = h2 + to_phys(grid, kk * np.expand_dims(grid.c(c, i), ci)) ** 2  # (..., pair, *sp)
     s2 = np.sum(grid.sym_weight * h2, axis=ci)
     return (total + quad_integral(grid, s2**2)) ** 0.25
+
+
+def w24_bounds(grid: WaveGrid, c):
+    """Bounds (lo, hi) on ``w24_norm`` with no transform, batched, for real fields on
+    the retained modes.  With s_j the weighted sum of the squared derivatives of order j,
+    w24^4 = vol sum_j mean_x s_j^2, and mean_x s_j = sum_k m_k |k|^(2j) |c(k)|^2 exactly
+    (s_j has band 2 n_max < N).  lo^4 = vol sum_j (mean s_j)^2, hi^4 = vol sum_j mean s_j
+    sup_j with max_x s_j <= sup_j = sum_(alpha of order j) w_alpha sum_a (sum_k m_k
+    |k^alpha| |c_a(k)|)^2.  A non-finite c makes hi inf or NaN, silently."""
+    sup, mean = grid.w24_tables
+    lead, a = c.shape[: -grid.dim - 1] + (grid.dim, -1), np.abs(c).reshape(-1, grid.nspec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_sup = np.add.reduceat(np.square(a @ sup.T), [0, 1, 1 + grid.dim], axis=-1)  # by order
+        s_mean, s_sup = (s.reshape(lead).sum(axis=-2) for s in (np.square(a) @ mean.T, s_sup))
+        return tuple((grid.vol * np.sum(s_mean * s, axis=-1)) ** 0.25 for s in (s_mean, s_sup))
 
 
 # ---------------------------------------------------------------------------

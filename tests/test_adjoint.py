@@ -515,3 +515,37 @@ class TestLiveCompaction:
 
         fw.simulate_ensemble(self.y0, self.U, dW, cfg, psi=self.psi, read=read, read_to=cfg.steps)
         assert seen == list(range(cfg.steps + 1))
+
+
+class TestNormsOptOut:
+    """The stop-only forward solves (``eval_cost``, the duality checks) take the
+    bound-decided stop test: every report is bitwise that of exact norms."""
+
+    @pytest.mark.parametrize("blowup", [10.0, 1.01])
+    def test_reports_match_exact_norms(self, monkeypatch, blowup):
+        from stgflow import control as ct
+
+        model = nz.NoiseModel(K=8, family="linear", c0=2.0)
+        cfg = make_cfg(steps=16, M=3.0, blowup_factor=blowup, model=model)
+        y0, U, psi, y_d = stopping_setup(cfg, amp=0.05, force=20.0)
+        S, solve, decided = 12, fw.simulate_ensemble, []
+
+        def run():
+            grad, rep = ct.cost_gradient(U, y0, y_d, cfg, S, 0.1)
+            ens = rep.ensemble
+            decided.append(np.isnan(ens.w24).mean())
+            return (grad, rep.total, rep.tracking, ens.stop, ens.aborted, ens.fields,
+                    adj.duality_check(y0, U, psi, y_d, cfg, S),
+                    adj.adapted_duality_check(y0, U, psi, y_d, cfg, S))
+
+        fast = run()
+        for mod in (ct, adj):
+            monkeypatch.setattr(mod, "simulate_ensemble", lambda *a, norms, **kw: solve(*a, **kw))
+        exact = run()
+        assert 0 < decided[0] < 1 and decided[1] == 0
+        stop = fast[3]
+        assert ((0 < stop) & (stop < cfg.steps)).any() and fast[4].any() == (blowup < 2)
+        for a, b in zip(fast[:6], exact[:6]):
+            assert np.array_equal(a, b)
+        for a, b in zip(fast[6:], exact[6:]):  # the duality reports, key by key
+            assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)

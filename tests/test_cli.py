@@ -183,7 +183,10 @@ class TestCli:
                                           "control.radius=-1", "control.radius=0", "samples=2.5",
                                           "samples=abc", "samples=true", "steps=3.0",
                                           "noise.K=2.0", "noise.family=zero",
-                                          "control.step0=true"])
+                                          "control.step0=true", "stop.M=NaN", "cost.lam=NaN",
+                                          "dt=NaN", "stop.blowup_factor=Infinity",
+                                          "init.amplitude=-1", "init.seed=-1", "seed=-1",
+                                          "noise.c0=NaN", "stop.M=abc"])
     def test_unknown_config_input_exit_code(self, small_cfg, tmp_path, override):
         # a misspelled key, an enum value outside its choices, or a value that
         # cannot size a run (no NaN result, no silent truncation) must not be ignored
@@ -283,10 +286,18 @@ class TestCli:
                                                ("init.kmax=0", "init.kmax"),
                                                ("target.kmax=0", "target.kmax"),
                                                ("control.step0=-1", "control.step0"),
-                                               ("control.iters=-3", "control.iters")])
+                                               ("control.iters=-3", "control.iters"),
+                                               ("stop.M=NaN", "stop.M"),
+                                               ("cost.lam=NaN", "cost.lam"),
+                                               ("dt=NaN", "dt"),
+                                               ("stop.blowup_factor=Infinity",
+                                                "stop.blowup_factor"),
+                                               ("init.amplitude=-1", "init.amplitude"),
+                                               ("init.seed=-1", "init.seed")])
     def test_config_value_exit_code(self, small_cfg, tmp_path, capsys, command, override, key):
         # every command fails such a value before any work: it once ran to a
-        # NaN result, an infinite residual or a traceback, depending on the command
+        # NaN result, an infinite residual, a traceback, a switched-off exit and
+        # guard (M = NaN) or numpy's message naming no key, depending on the command
         out = tmp_path / "x"
         argv = [command, "--config", str(small_cfg), "--set", override, "--out", str(out)]
         assert run_cli(argv) == cli.EXIT_CONFIG
@@ -295,11 +306,13 @@ class TestCli:
         assert not out.exists()
 
     def test_sizing_edges_stay_valid(self, small_cfg, tmp_path):
-        # zero iterations, the smallest kmax and an integer step0 are runs, not errors
+        # zero iterations, the smallest kmax, an integer step0, a zero target
+        # amplitude and seed 0 are runs, not errors
         out = tmp_path / "x"
         argv = ["optimize", "--config", str(small_cfg), "--set", "control.iters=0", "--set",
                 "init.kmax=1", "--set", "target.kmax=null", "--set", "control.step0=2",
-                "--set", "control.n_dirs=2", "--out", str(out), "--quiet"]
+                "--set", "control.n_dirs=2", "--set", "target.amplitude=0", "--set",
+                "init.seed=0", "--out", str(out), "--quiet"]
         assert run_cli(argv) == cli.EXIT_OK
         assert len(json.loads((out / "optimize.json").read_text())["history"]) == 1
 

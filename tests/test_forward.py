@@ -1,6 +1,7 @@
 """Tests for the semi-implicit Euler-Maruyama solver and stopping logic."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,21 @@ class TestConfig:
             make_cfg(dt=0.0)
         with pytest.raises(ValueError):
             make_cfg(M=-1.0)
+
+    @pytest.mark.parametrize("kw", [{"M": np.nan}, {"blowup_factor": np.nan},
+                                    {"blowup_factor": 0.0}, {"M": np.inf, "blowup_factor": 0.0}])
+    def test_stop_thresholds_not_nan(self, kw):
+        # M = NaN once switched off the exit and the guard: every comparison with it is false
+        with pytest.raises(ValueError):
+            make_cfg(**kw)
+
+    def test_infinite_threshold_never_stops(self):
+        # M = inf is a free run (the benchmark's pilot sets M from one), in both stop tests
+        cfg = make_cfg(M=np.inf, steps=5)
+        y0 = sp.random_field(cfg.grid, np.random.default_rng(4), amplitude=3.0)
+        for norms in (True, False):
+            res = fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, norms=norms)
+            assert (res.stop == cfg.steps).all() and not res.aborted.any()
 
     def test_horizon(self):
         cfg = make_cfg(dt=0.02, steps=50)
@@ -241,6 +257,104 @@ class TestSimulate:
             fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
         kw[arg] = np.stack([field] * steps)  # one field per step is accepted
         fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
+
+
+def banded_ensemble(dim, n_max, blowup, S=12, steps=20):
+    """A forced ensemble with M inside the band of ``sp.w24_bounds``: samples exit
+    mid-run, and sample 0 starts at 2.5 M, where the lower bound is above M."""
+    g = sp.WaveGrid(dim, n_max)
+    rng = np.random.default_rng(1)
+    y0 = sp.random_field(g, rng, amplitude=0.02, batch=(S,))
+    U = np.stack([sp.random_field(g, rng, amplitude=4.0)] * steps)
+    kw = dict(dim=dim, n_max=n_max, dt=0.05, steps=steps, p_exp=10.0,
+              model=nz.NoiseModel(K=4, family="linear", c0=1.0))
+    free = make_cfg(M=1e9, **kw)
+    M = float(np.median(fw.simulate_ensemble(y0, U, free.noise_bank(S), free).w24[:, -1]))
+    y0[0] *= 2.5 * M / sp.w24_norm(g, y0[0])
+    return y0, U, make_cfg(M=M, blowup_factor=blowup, **kw)
+
+
+def bound_decided(cfg, c):
+    """Where the bounds decide the stop test of the states c, by the rule of ``fw._stop_test``."""
+    lo, hi = sp.w24_bounds(cfg.grid, c)
+    M, guard, m = cfg.M, cfg.blowup_factor * cfg.M, fw.STOP_MARGIN
+    return (hi < min(M, guard) * (1 - m)) | ((lo > M * (1 + m)) & (hi < guard * (1 - m)))
+
+
+class TestStopTest:
+    @pytest.mark.parametrize("blowup", [10.0, 1.1])
+    @pytest.mark.parametrize("dim,n_max", [(2, 3), (2, 4), (2, 8), (3, 3)])
+    def test_norms_opt_out_bitwise(self, dim, n_max, blowup):
+        y0, U, cfg = banded_ensemble(dim, n_max, blowup)
+        dW = cfg.noise_bank(len(y0))
+        exact = fw.simulate_ensemble(y0, U, dW, cfg)
+        fast = fw.simulate_ensemble(y0, U, dW, cfg, norms=False)
+        for key in ("stop", "aborted", "fields"):
+            assert np.array_equal(getattr(fast, key), getattr(exact, key))
+        # NaN exactly where the bounds decide the state the loop tested (the
+        # frozen rows repeat it), the exact norm everywhere else
+        decided = bound_decided(cfg, exact.fields)
+        assert np.array_equal(np.isnan(fast.w24), decided)
+        assert np.array_equal(fast.w24[~decided], exact.w24[~decided])
+        assert decided.any() and not decided.all()
+        # on every evolved state the bounds bracket the norm
+        lo, hi = sp.w24_bounds(cfg.grid, exact.fields)
+        assert np.all(lo <= exact.w24 * (1 + 1e-13)) and np.all(exact.w24 <= hi * (1 + 1e-13))
+        assert exact.stop[0] == 0 and ((0 < exact.stop) & (exact.stop < cfg.steps)).any()
+        assert np.isnan(fast.w24[0]).all() == (blowup == 10.0)  # decided above M, not aborted
+        if (dim, n_max, blowup) == (2, 4, 1.1):
+            assert exact.aborted.any()
+
+    def test_margin_leaves_near_ties_to_the_exact_norm(self):
+        # a bound within the margin of M or of the guard decides nothing
+        cfg = make_cfg(steps=2)
+        y = sp.random_field(cfg.grid, np.random.default_rng(9), batch=(1,))
+        (lo,), (hi,) = sp.w24_bounds(cfg.grid, y)
+        w = sp.w24_norm(cfg.grid, y)
+        # (M, blowup_factor, decided): below M, then above it with the guard above hi
+        for M, blowup, decided in ((2 * hi, 10.0, True), (hi / (1 - 1e-13), 10.0, False),
+                                   (2 * hi, 0.5 / (1 - 1e-13), False), (lo / 2, 4 * hi / lo, True),
+                                   (lo / (1 + 1e-13), 10.0, False),
+                                   (lo / 2, 2 * hi / lo / (1 - 1e-13), False)):
+            c = make_cfg(steps=2, M=M, blowup_factor=blowup)
+            got, over, bad = fw._stop_test(y, c, norms=False)
+            assert np.array_equal(got, [np.nan] if decided else w, equal_nan=True)
+            assert over[0] == (w[0] >= M) and bad[0] == (w[0] > blowup * M)
+
+    def test_non_finite_state_aborts(self):
+        # NaN bounds decide nothing: the exact norm is NaN and the sample aborts, silently
+        cfg = make_cfg(steps=2)
+        y = sp.random_field(cfg.grid, np.random.default_rng(9), batch=(2,))
+        y[0, 0, 1, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, over, bad = fw._stop_test(y, cfg, norms=False)
+        assert np.isnan(w).all() and list(bad) == [True, False] and not over.any()
+
+    def test_probes_match_exact_norms(self, monkeypatch):
+        # the probes opt out of the exact norms: their reports are bitwise those
+        # of runs that compute every norm
+        y0, U, cfg = banded_ensemble(2, 4, 1.1, S=6)
+        rng = np.random.default_rng(2)
+        psi = np.stack([sp.random_field(cfg.grid, rng)] * cfg.steps)
+        solve, opted = fw.simulate_ensemble, []
+
+        def run():
+            return (fw.gateaux_check(y0[1], U, psi, cfg, [0.2, 0.1], 6),
+                    fw.stability_probe(y0[1], U, U + 0.1 * psi, cfg, 6),
+                    fw.stop_time_probe(y0[1], U, psi, cfg, 6, [0.5, 0.2]))
+
+        def spy(*a, **kw):
+            res = solve(*a, **kw)
+            opted.append(np.isnan(res.w24).any())
+            return res
+
+        monkeypatch.setattr(fw, "simulate_ensemble", spy)
+        fast = run()
+        assert len(opted) == 8 and all(opted)
+        monkeypatch.setattr(fw, "simulate_ensemble", lambda *a, norms, **kw: solve(*a, **kw))
+        exact = run()
+        assert repr(fast) == repr(exact)
 
 
 class TestEnergy:

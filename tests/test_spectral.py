@@ -5,6 +5,8 @@ oracles: closed-form single-mode fields, dense oversampled quadrature,
 and finite differences where a closed form is unavailable.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -614,6 +616,71 @@ class TestNorms:
         curlsq = sp.quad_integral(g, w**2)
         wv = 1.0 + PARAMS.alpha1 * g.k2
         assert abs(sp.sobolev_inner(g, c, c, g.k2 * wv**2) - curlsq) < 1e-10
+
+
+def _w24_orders(g, c):
+    """Collocation values of s_0, s_1, s_2, the squared derivatives of each order
+    summed over components and over every (also mixed) derivative, stacked first."""
+    ci = -g.dim - 1
+    hess = -g.k[:, None] * g.k[None] * c.reshape(c.shape[:-g.dim] + (1, 1) + g.spec_shape)
+    return np.stack([np.sum(sp.to_phys(g, c) ** 2, axis=ci),
+                     np.sum(sp.jacobian_phys(g, c) ** 2, axis=(ci, ci - 1)),
+                     np.sum(sp.to_phys(g, hess) ** 2, axis=(ci, ci - 1, ci - 2))])
+
+
+class TestW24Bounds:
+    GRIDS = [(2, 3), (2, 4), (2, 8), (3, 3)]
+
+    @pytest.mark.parametrize("dim,n_max", GRIDS)
+    def test_bracket_the_norm(self, dim, n_max):
+        # random fields of several bands and sizes; forward's TestStopTest checks
+        # the evolved states of ensembles on the same grids
+        g = sp.WaveGrid(dim, n_max)
+        rng = np.random.default_rng(10 * dim + n_max)
+        c = np.concatenate([sp.random_field(g, rng, kmax=kmax, amplitude=amp, batch=(5,))
+                            for kmax in (1, None, n_max) for amp in (1e-3, 1.0, 40.0)])
+        w, (lo, hi) = sp.w24_norm(g, c), sp.w24_bounds(g, c)
+        assert np.all(lo <= w * (1 + 1e-13)) and np.all(w <= hi * (1 + 1e-13))
+        assert np.all(lo < w) and np.all(w < hi)  # neither is tight on these
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 3), (3, 3)])
+    def test_formulas(self, dim, n_max):
+        # lo: the Parseval mean of each s_j is its collocation mean, exactly
+        g = sp.WaveGrid(dim, n_max)
+        c = sp.random_field(g, np.random.default_rng(3), amplitude=1.7, batch=(4,))
+        mean = _w24_orders(g, c).mean(axis=g.axes)
+        lo, hi = sp.w24_bounds(g, c)
+        assert np.allclose(lo**4, g.vol * np.sum(mean**2, axis=0), rtol=1e-13, atol=0)
+        # hi: on u = e cos(k . x), e . k = 0, the |d^alpha u_a| of one order peak
+        # together, at grid points (N = 8), so the bound on each max_x s_j is
+        # attained; k has mixed second derivatives
+        k, e = ((1, 2), (2, -1)) if dim == 2 else ((1, 2, 1), (2, -1, 0))
+        x = np.stack(np.meshgrid(*[2 * np.pi * np.arange(g.N) / g.N] * dim, indexing="ij"))
+        u = 0.7 * np.asarray(e, float).reshape((dim,) + (1,) * dim) * np.cos(np.tensordot(k, x, 1))
+        c = sp.to_spec(g, u)
+        s = _w24_orders(g, c)
+        lo, hi = sp.w24_bounds(g, c)
+        want = g.vol * np.sum(s.max(axis=g.axes) * s.mean(axis=g.axes))
+        assert abs(hi**4 - want) <= 1e-12 * want
+
+    def test_non_finite_decides_nothing(self):
+        # no warning even under -W error, and hi is inf or NaN, so no bound test passes
+        g = sp.WaveGrid(2, 4)
+        c = sp.random_field(g, np.random.default_rng(5), batch=(4,))
+        c[0] = np.nan
+        c[1, 0, 1, 2] = np.inf
+        c[2] *= 1e200  # finite, but its squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = sp.w24_bounds(g, c)
+        assert not np.isfinite(hi[:3]).any() and np.isfinite(hi[3]) and np.isfinite(lo[3])
+
+    def test_tables_made_on_first_use(self):
+        # a grid that never bounds a norm builds nothing for it
+        g = sp.WaveGrid(3, 3)
+        assert "w24_tables" not in vars(g)
+        sp.w24_bounds(g, g.zeros((1,)))
+        assert "w24_tables" in vars(g)
 
 
 class TestDrift:
