@@ -149,6 +149,21 @@ def _per_step(name, a, cfg: SimConfig):
 
 
 STOP_MARGIN = 1e-12  # relative margin of the bound-decided stop test, far above rounding
+Y0_TOL = 1e-12  # relative defect of y0 that ``_check_y0`` lets pass, far above rounding
+
+
+def _check_y0(g: sp.WaveGrid, y0):
+    """Raise ``ValueError`` unless y0 is divergence-free and the half of a Hermitian
+    array (its plane k_d = 0), to rounding of its size: ``spectral.w24_bounds`` reads
+    the half spectrum of a real field, and the 2D drift (``spectral.stress_terms``)
+    holds on divergence-free fields."""
+    size = np.max(np.abs(y0), initial=0.0)
+    herm = np.max(np.abs(y0[..., 0] - np.conj(y0[g.mirror + (0,)])), initial=0.0)
+    for defect, d, scale in (("divergence defect max |k . c|", sp.divergence_defect(g, y0),
+                              g.n_max * size),
+                             ("Hermitian defect of the plane k_d = 0", herm, size)):
+        if d > Y0_TOL * scale:
+            raise ValueError(f"y0 has {defect} = {d:.3g}, {d / scale:.3g} of its size")
 
 
 def _stop_test(y, cfg: SimConfig, norms: bool):
@@ -181,12 +196,16 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
     live = stop > n; z_{n+1} is formed for n < read_to only.  ``read`` gets
     the loop's own arrays and copies what it keeps.  ``norms=False`` leaves
     ``w24`` NaN where the bounds decide the stop test (``_stop_test``).
+    A y0 that is not divergence-free or whose plane k_d = 0 is not Hermitian
+    raises ``ValueError`` (``_check_y0``).
     """
     g = cfg.grid
     dW = np.asarray(dW)
     U = None if U is None else _per_step("U", U, cfg)
     S = dW.shape[0]
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), (S, g.dim) + g.spec_shape).copy()
+    y0 = np.asarray(y0, dtype=complex)
+    _check_y0(g, y0)
+    y = np.broadcast_to(y0, (S, g.dim) + g.spec_shape).copy()
     state = (y,)  # what the loop advances: y, and z given a direction
     if psi is not None:
         psi, state = _per_step("psi", psi, cfg), (y, g.zeros((S,)))

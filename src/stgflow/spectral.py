@@ -44,10 +44,14 @@ All quadratic products are dealiased by the 2/3 rule, cubic products by
 the 1/2 rule; the collocation grid has N = 2*(n_max+1) points per axis,
 which makes every masked product alias-free.  The drift is assembled from
 per-field collocation pieces (``Collocation``) fed to a bilinear
-convective form and the two stress forms; the tangent module reuses the
-same forms for the exact Jacobian and reads them the other way for its
-transpose.  ``drift_terms`` is not projected: the step's one Leray
-projection, after the implicit solve, eliminates the pressure.
+convective form and the two stress forms, beta div(|A|^2 A) and, in 3D,
+(alpha1 + alpha2) div(A^2); the tangent module reuses the same forms for
+the exact Jacobian and reads them the other way for its transpose.
+``drift_terms`` is not projected: the step's one Leray projection, after
+the implicit solve, eliminates the pressure.  In 2D it takes the second
+stress form too: the deformation of a divergence-free field is traceless,
+so A^2 = |A|^2 I / 2 is isotropic (``WaveGrid.square_is_isotropic``) and
+its divergence a gradient, and the 2D drift is N(y) minus that gradient.
 
 The convective form is the rotational one, B(a, b) = -curl v(b) x a,
 evaluated as ``rotate`` of the packed rotation W_ab = d_b v_a - d_a v_b.
@@ -177,6 +181,16 @@ class WaveGrid:
 
     def __repr__(self):
         return f"WaveGrid(dim={self.dim}, n_max={self.n_max})"
+
+    @property
+    def square_is_isotropic(self):
+        """Whether A^2 and A_y A_z + A_z A_y are multiples of I for traceless
+        symmetric A, A_y, A_z: true for d = 2, where A^2 = |A|^2 I / 2 and
+        A_y A_z + A_z A_y = (A_y : A_z) I.  The deformation of a divergence-free
+        field is traceless, so there the (alpha1 + alpha2) div(A^2) stress is a
+        gradient, which the step's Leray projection removes; ``stress_terms``
+        leaves it out."""
+        return self.dim == 2
 
     @cached_property
     def w24_tables(self):
@@ -439,7 +453,8 @@ def w24_bounds(grid: WaveGrid, c):
 class Collocation:
     """Collocation pieces of one field for the drift forms: u, W = the packed
     rotation of v(u) and A = the packed deformation of the mask2-dealiased
-    field, and A3 = the packed deformation of the mask3-dealiased one.
+    field, and A3 = the packed deformation of the mask3-dealiased one.  A is
+    read only where ``WaveGrid.square_is_isotropic`` is false, in 3D.
 
     Each form reads each piece once, so to keep a step's peak memory low the
     pieces are transformed on access and freed after use.
@@ -493,7 +508,10 @@ def convective(a: Collocation, b: Collocation):
 def stress_terms(y: Collocation, z: Collocation = None):
     """Spectral beta div(|A|^2 A) on mask3 plus (alpha1+alpha2) div(A^2) on
     mask2 at y; given z, their derivative at y in direction z, which is
-    self-adjoint in z."""
+    self-adjoint in z.  Where ``WaveGrid.square_is_isotropic`` (d = 2) the
+    second term is left out: on divergence-free y and z it is a gradient,
+    which the Leray projection ending every step kernel removes, so the
+    projected drift, tangent and transpose are unchanged to rounding."""
     grid, params = y.grid, y.params
     ci, w = -grid.dim - 1, grid.sym_weight
     out = 0.0
@@ -508,7 +526,7 @@ def stress_terms(y: Collocation, z: Collocation = None):
             S = 2.0 * np.sum(w * Ay * Az, axis=ci, keepdims=True) * Ay + norm2 * Az
         out = params.beta * div_sym_spec(grid, S, grid.mask3)
     a12 = params.alpha1 + params.alpha2
-    if a12 != 0.0:
+    if a12 != 0.0 and not grid.square_is_isotropic:
         S = sym_product(grid, y.A, None if z is None else z.A)
         out = out + a12 * div_sym_spec(grid, S, grid.mask2)
     return out
@@ -516,7 +534,9 @@ def stress_terms(y: Collocation, z: Collocation = None):
 
 def drift_terms(y: Collocation, z: Collocation = None):
     """Nonlinear drift N(y), or, given z, its derivative N'(y)[z] =
-    B(y, z) + B(z, y) + stress derivatives; spectral, dealiased, not projected."""
+    B(y, z) + B(z, y) + stress derivatives; spectral, dealiased, not projected.
+    In 2D it is N(y) minus the gradient (alpha1 + alpha2) div(A^2) on
+    divergence-free y (``stress_terms``), the same once projected."""
     # stress first: its deformations are then taken while the fewest arrays are live
     out = stress_terms(y, z)
     conv = convective(y, y) if z is None else convective(y, z) + convective(z, y)

@@ -14,7 +14,13 @@ tensor), while the stress derivative is self-adjoint and is reused as it
 stands.  Neither form is projected: the three step kernels share one
 implicit solve, ``control_to_state``, S = P D^-1 (the Leray projection
 after the division by the implicit denominator), which is self-adjoint
-because both act mode by mode.
+because both act mode by mode.  In 2D the stress forms leave out the
+(alpha1 + alpha2) term, a gradient on divergence-free fields
+(``spectral.stress_terms``); the drift, its Jacobian and its transpose all
+leave it out, so the tangent stays the literal Jacobian of the step and the
+transpose its literal transpose.  The fields they read are divergence-free:
+``forward.simulate_ensemble`` checks y_0, every later y_n and z_n comes out
+of a projection, and ``transpose_step`` feeds the forms q = S p.
 
 The tangent recursion runs inside the forward loop: given a direction,
 ``forward.simulate_ensemble`` advances z_n next to y_n on the same live

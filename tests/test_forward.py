@@ -258,6 +258,25 @@ class TestSimulate:
         kw[arg] = np.stack([field] * steps)  # one field per step is accepted
         fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
 
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    @pytest.mark.parametrize("defect", ["divergence", "Hermitian"])
+    def test_bad_y0_rejected(self, dim, n_max, defect):
+        # the stop test's bounds read the half spectrum of a real field, and the 2D
+        # drift holds on divergence-free fields: y0 must be both, to rounding
+        cfg = make_cfg(dim=dim, n_max=n_max, steps=2, p_exp=10.0)
+        g = cfg.grid
+        y0 = sp.random_field(g, np.random.default_rng(10), batch=(2,))
+        dW = cfg.noise_bank(2)
+        fw.simulate_ensemble(y0, None, dW, cfg)
+        bad, size = y0.copy(), 1e-6 * np.max(np.abs(y0))
+        if defect == "divergence":  # mode (0, ..., 0, 1), off the plane k_d = 0, along k
+            bad[(1, dim - 1) + (0,) * (dim - 1) + (1,)] += size
+        else:  # mode (1, 0, ..., 0) on the plane k_d = 0, across k, but not its mirror
+            bad[(1, 1, 1) + (0,) * (dim - 1)] += size
+        assert (sp.divergence_defect(g, bad) > 1e-3 * size) == (defect == "divergence")
+        with pytest.raises(ValueError, match=f"y0 has {defect} defect"):
+            fw.simulate_ensemble(bad, None, dW, cfg)
+
 
 def banded_ensemble(dim, n_max, blowup, S=12, steps=20):
     """A forced ensemble with M inside the band of ``sp.w24_bounds``: samples exit

@@ -43,6 +43,23 @@ def test_tangent_imports_no_ensemble_code():
     assert callable(fw.gateaux_check) and not hasattr(tg, "gateaux_check")
 
 
+def count_components(monkeypatch):
+    """Patch ``to_phys`` and ``to_spec`` to count the components they transform;
+    returns components(run), the count of one call of ``run``."""
+    seen = []
+    for name in ("to_phys", "to_spec"):
+        transform = getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda g, c, *a, f=transform:
+                            seen.append(int(np.prod(c.shape[:-g.dim]))) or f(g, c, *a))
+
+    def components(run):
+        seen.clear()
+        run()
+        return sum(seen)
+
+    return components
+
+
 def make_cfg(**kw):
     base = dict(
         dim=2, n_max=8, dt=0.01, steps=30, params=PARAMS,
@@ -297,29 +314,26 @@ class TestFusedTangent:
         assert np.array_equal(y_next, fw.step(y, u, dW, 0.3, cfg))
         assert np.array_equal(z_next, tg.tangent_step(y, z, psi, dW, 0.3, cfg))
 
-    @pytest.mark.parametrize("dim,n_max,saved", [(2, 8, 9), (3, 3, 18)])
-    def test_fused_step_transforms_base_pieces_once(self, dim, n_max, saved, monkeypatch):
-        # u, W, A and A3 of y: 2 + 1 + 3 + 3 components in 2D, 3 + 3 + 6 + 6 in 3D
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_fused_step_transforms_base_pieces_once(self, dim, n_max, monkeypatch):
+        # fusing saves the pieces of y the drift reads: u, W and A3 (2 + 1 + 3 components)
+        # in 2D, where the projection takes the (alpha1 + alpha2) stress and A is not
+        # read (WaveGrid.square_is_isotropic), and u, W, A and A3 (3 + 3 + 6 + 6) in 3D
         cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
         g = cfg.grid
         rng = np.random.default_rng(11)
         y, z, psi = (sp.random_field(g, rng) for _ in range(3))
         dW = rng.standard_normal(8) * 0.1
-        seen = []
-        for name in ("to_phys", "to_spec"):
-            transform = getattr(sp, name)
-            monkeypatch.setattr(sp, name, lambda g, c, *a, f=transform:
-                                seen.append(int(np.prod(c.shape[:-g.dim]))) or f(g, c, *a))
-
-        def components(run):
-            seen.clear()
-            run()
-            return sum(seen)
+        components = count_components(monkeypatch)
+        made, cached = [], sp.CachedCollocation
+        monkeypatch.setattr(sp, "CachedCollocation", lambda *a: made.append(cached(*a)) or made[-1])
 
         separate = components(lambda: (fw.step(y, None, dW, 0.0, cfg),
                                        tg.tangent_step(y, z, psi, dW, 0.0, cfg)))
         fused = components(lambda: fw.fused_step(y, z, None, psi, dW, 0.0, cfg))
-        assert separate - fused == saved
+        pieces = {name: piece for name, piece in vars(made[0]).items() if name in ("u", "W", "A", "A3")}
+        assert set(pieces) == ({"u", "W", "A3"} if dim == 2 else {"u", "W", "A", "A3"})
+        assert separate - fused == sum(piece.shape[-dim - 1] for piece in pieces.values())
         assert fused > 0
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
@@ -347,3 +361,76 @@ class TestFusedTangent:
         for fam in ("linear", "smooth"):
             c = dataclasses.replace(cfg, model=nz.NoiseModel(K=8, family=fam, c0=0.3))
             assert sp.divergence_defect(g, tg.transpose_step(y, p, dW, 0.2, c)) < 1e-12
+
+
+def stress_terms_with_square(y, z=None):
+    """``spectral.stress_terms`` with the (alpha1 + alpha2) div(A^2) stress kept in
+    every dimension: the reference the step kernels are compared against."""
+    grid, params = y.grid, y.params
+    ci, w = -grid.dim - 1, grid.sym_weight
+    out = 0.0
+    if params.beta != 0.0:
+        Ay = y.A3
+        norm2 = np.sum(w * Ay**2, axis=ci, keepdims=True)
+        if z is None:
+            S = norm2 * Ay
+        else:
+            Az = z.A3
+            S = 2.0 * np.sum(w * Ay * Az, axis=ci, keepdims=True) * Ay + norm2 * Az
+        out = params.beta * sp.div_sym_spec(grid, S, grid.mask3)
+    a12 = params.alpha1 + params.alpha2
+    if a12 != 0.0:
+        S = sp.sym_product(grid, y.A, None if z is None else z.A)
+        out = out + a12 * sp.div_sym_spec(grid, S, grid.mask2)
+    return out
+
+
+class TestIsotropicSquare:
+    """In 2D the (alpha1 + alpha2) div(A^2) stress of a divergence-free field is a
+    gradient, so the kernels leave it to the Leray projection; in 3D they keep it."""
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_projection_removes_square_in_2d_only(self, dim, n_max):
+        g = sp.WaveGrid(dim, n_max)
+        assert g.square_is_isotropic == (dim == 2)
+        rng = np.random.default_rng(13)
+        y, z = (sp.Collocation(g, sp.random_field(g, rng, batch=(4,)), PARAMS) for _ in range(2))
+        for S in (sp.sym_product(g, y.A), sp.sym_product(g, y.A, z.A)):
+            term = sp.div_sym_spec(g, S, g.mask2)
+            rel = np.max(np.abs(sp.leray_project(g, term))) / np.max(np.abs(term))
+            assert rel <= 1e-14 if dim == 2 else rel > 0.1
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
+    def test_kernels_match_reference_with_square(self, dim, n_max, monkeypatch):
+        cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
+        rng = np.random.default_rng(14)
+        y, z, p, psi = (sp.random_field(cfg.grid, rng, batch=(3,)) for _ in range(4))
+        dW = rng.standard_normal((3, 8)) * 0.1
+
+        def kernels():
+            return (fw.step(y, psi, dW, 0.1, cfg), tg.tangent_step(y, z, psi, dW, 0.1, cfg),
+                    tg.transpose_step(y, p, dW, 0.1, cfg))
+
+        got, calls = kernels(), []
+        monkeypatch.setattr(sp, "stress_terms",
+                            lambda *a: calls.append(1) or stress_terms_with_square(*a))
+        refs = kernels()
+        assert len(calls) == 3
+        for a, ref in zip(got, refs):
+            if dim == 2:
+                assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+            else:
+                assert np.array_equal(a, ref)
+
+    @pytest.mark.parametrize("dim,n_max,table", [(2, 8, (11, 22, 17)), (3, 3, (33, 66, 51))])
+    def test_transform_table(self, dim, n_max, table, monkeypatch):
+        # components per call of step, fused_step and transpose_step; the linear
+        # noise forms transform nothing
+        cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
+        rng = np.random.default_rng(15)
+        y, z, p, psi = (sp.random_field(cfg.grid, rng) for _ in range(4))
+        dW = rng.standard_normal(8) * 0.1
+        components = count_components(monkeypatch)
+        assert (components(lambda: fw.step(y, psi, dW, 0.0, cfg)),
+                components(lambda: fw.fused_step(y, z, psi, psi, dW, 0.0, cfg)),
+                components(lambda: tg.transpose_step(y, p, dW, 0.0, cfg))) == table
