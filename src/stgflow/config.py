@@ -11,7 +11,8 @@ assignments:
 Values are parsed as JSON where possible (numbers, booleans, null,
 quoted strings) and fall back to bare strings.  The same ``a.b = v``
 grammar drives command-line overrides.  Keys outside ``DEFAULTS`` and
-values outside ``CHOICES`` are rejected with ConfigError.
+values outside ``CHOICES`` are rejected with ConfigError.  A config that
+sets no ``p_exp`` gets ``default_p_exp(dim)``: 8.0 in 2D, 10.0 in 3D.
 
 ``config_hash`` digests the canonical JSON form of the merged mapping,
 so manifests identify runs without embedding timestamps or paths.
@@ -41,7 +42,7 @@ DEFAULTS = {
     "steps": 100,
     "seed": 0,
     "samples": 16,
-    "p_exp": 8.0,
+    "p_exp": 8.0,  # the 2D value of default_p_exp, which load() sets for the config's dim
     "params": {"nu": 0.5, "alpha1": 0.4, "alpha2": -0.1, "beta": 0.3},
     "noise": {"K": 8, "family": "linear", "c0": 0.1, "modulation": 0.0},
     "stop": {"M": 10.0, "blowup_factor": 10.0},
@@ -65,6 +66,12 @@ SIZING = (
     ("init.kmax", *KMAX),
     ("target.kmax", *KMAX),
 )
+
+
+def default_p_exp(dim: int) -> float:
+    """p_exp where the config sets none: 2 (dim + 1) + 2, above the bound
+    2 (dim + 1) that ``SimConfig`` requires."""
+    return 2.0 * (dim + 1) + 2.0
 
 
 def _parse_value(text: str):
@@ -130,12 +137,14 @@ def _check_keys(tree: dict, defaults: dict, prefix: str = ""):
 
 
 def load(path=None, overrides=()) -> dict:
-    """Merged mapping: defaults <- file <- key=value override strings.
+    """Merged mapping: defaults <- file <- key=value override strings; ``p_exp``,
+    unless set, is ``default_p_exp`` of the merged dim.
 
     Raises ConfigError for a key not in DEFAULTS, a value outside CHOICES, a non-integer
     where DEFAULTS holds an integer, no finite number for a float and a value outside SIZING.
     """
     tree = copy.deepcopy(DEFAULTS)
+    del tree["p_exp"]  # set below from the merged dim unless the file or an override sets it
     if path is not None:
         with open(path) as f:
             tree = _merge(tree, parse_text(f.read()))
@@ -147,6 +156,7 @@ def load(path=None, overrides=()) -> dict:
         _set_dotted(patch, key, _parse_value(val))
         tree = _merge(tree, patch)
     _check_keys(tree, DEFAULTS)
+    tree.setdefault("p_exp", default_p_exp(tree["dim"]))
     for (section, key), allowed in CHOICES.items():
         if tree[section][key] not in allowed:
             raise ConfigError(f"{section}.{key} must be one of {allowed}, got {tree[section][key]!r}")

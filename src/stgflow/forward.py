@@ -119,7 +119,7 @@ def step(y, u_n, dW_n, t, cfg: SimConfig, yc=None):
         ex = ex + u_n
     rhs = sp.v_apply(g, y, cfg.params) + cfg.dt * ex
     if cfg.model.K > 0:
-        rhs = rhs + nz.noise_increment(g, t, y, dW_n, cfg.model)
+        rhs = rhs + nz.noise_increment(g, t, y, dW_n, cfg.model, yc)
     return tg.control_to_state(rhs, cfg)
 
 
@@ -155,8 +155,8 @@ Y0_TOL = 1e-12  # relative defect of y0 that ``_check_y0`` lets pass, far above 
 def _check_y0(g: sp.WaveGrid, y0):
     """Raise ``ValueError`` unless y0 is divergence-free and the half of a Hermitian
     array (its plane k_d = 0), to rounding of its size: ``spectral.w24_bounds`` reads
-    the half spectrum of a real field, and the 2D drift (``spectral.stress_terms``)
-    holds on divergence-free fields."""
+    the half spectrum of a real field, and the stress forms (``spectral.stress_terms``),
+    which pack the deformation traceless in 2D and 3D, hold on divergence-free fields."""
     size = np.max(np.abs(y0), initial=0.0)
     herm = np.max(np.abs(y0[..., 0] - np.conj(y0[g.mirror + (0,)])), initial=0.0)
     for defect, d, scale in (("divergence defect max |k . c|", sp.divergence_defect(g, y0),
@@ -294,7 +294,7 @@ def energy_stats(res: EnsembleResult, cfg: SimConfig):
             # 2 ||D y||^2 = ||grad y||^2 for solenoidal fields
             grad2 = 0.5 * sp.sobolev_inner(g, yn, yn, g.k2)
             A = sp.deformation_packed(g, yn * g.mask3)
-            a4 = sp.quad_integral(g, np.sum(g.sym_weight * A**2, axis=-g.dim - 1) ** 2)
+            a4 = sp.quad_integral(g, g.c(sp.sym_inner(g, A), 0) ** 2)
             int_grad2 += np.where(live, cfg.dt * grad2, 0.0)
             int_a4 += np.where(live, cfg.dt * a4, 0.0)
     counts = np.bincount(res.stop, minlength=cfg.steps + 1)

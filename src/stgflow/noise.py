@@ -11,7 +11,9 @@ common profile f, so the time steppers need only the per-sample scalar
 s = sum_k c_k dW_k (times the time factor).  For the smooth family the
 fused forms transform once each way and leave out P, which the step kernels
 apply once to the sum (S = P D^-1 ends ``forward.step`` and ``tangent_step``,
-a final P ``transpose_step``); the linear family has f' = 1, and for a
+a final P ``transpose_step``), and they read y's collocation values from the
+step's ``spectral.Collocation``, so ``forward.fused_step`` transforms y once
+for both; the linear family has f' = 1, and for a
 solenoidal field on the retained modes its fused forms are the spectral
 multiple s y of the field itself, with no transform at all.  The reference
 operators ``apply_G``, ``apply_grad_G`` and ``apply_G_star`` keep the
@@ -138,23 +140,31 @@ def _scale(grid: WaveGrid, t, dW, model: NoiseModel):
     return s[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
 
-def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel):
+def _values(grid: WaveGrid, y, yc):
+    """Collocation values of y: those ``yc``, a ``spectral.Collocation`` of y, holds
+    (a cached one transforms y once for every form that reads it), or made here."""
+    return to_phys(grid, y) if yc is None else yc.values
+
+
+def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel, yc=None):
     """G(t, y) dW before P, one spectral field batched over samples, for a
-    solenoidal y on the retained modes (every state the scheme makes).
+    solenoidal y on the retained modes (every state the scheme makes); the
+    smooth family reads y's collocation values through ``yc`` when given.
 
     For the linear family this is s y: P s y = s y for such a y.
     """
     s = _scale(grid, t, dW, model)
     if model.family == "linear":
         return s * y
-    return to_spec(grid, s * model.profile(to_phys(grid, y)))
+    return to_spec(grid, s * model.profile(_values(grid, y, yc)))
 
 
-def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel):
+def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel, yc=None):
     """(grad_y G)(t, y)[v] dW before P, for a solenoidal v on the retained modes;
-    its own transpose in v by diagonality.  For the linear family it is s v."""
+    its own transpose in v by diagonality; ``yc`` as in ``noise_increment``.
+    For the linear family it is s v."""
     s = _scale(grid, t, dW, model)
     if model.family == "linear":
         return s * v
-    fp = model.profile_deriv(to_phys(grid, y))
+    fp = model.profile_deriv(_values(grid, y, yc))
     return to_spec(grid, s * (fp * to_phys(grid, v)))

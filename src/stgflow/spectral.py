@@ -30,10 +30,13 @@ contiguous copy with its axis last (on small batches faster than numpy's
 strided n-D passes), in ``WaveGrid.irfft_axes`` order: their outputs are
 bitwise those of ``irfftn`` and of numpy 2's ``rfftn``.
 Every transform in the package goes through these two functions;
-symmetric tensors (the Hessian in ``w24_norm``, the deformation tensor,
-the stress) are transformed in their entries a <= b only, antisymmetric
-ones (the rotation of v(u), the wedge products of the convective
-transpose) in their entries a < b only: 1 component in 2D, 3 in 3D.
+symmetric tensors (the Hessian in ``w24_norm``) are transformed in their
+entries a <= b only, traceless symmetric ones (the deformation tensor of a
+divergence-free field, the stresses) in those entries but the last
+diagonal one, which is minus the sum of the others (``last_diagonal``): 2
+components in 2D, 5 in 3D.  Antisymmetric ones (the rotation of v(u), the
+wedge products of the convective transpose) are transformed in their
+entries a < b only: 1 component in 2D, 3 in 3D.
 
 Contractions of coefficient (or collocation) arrays go through one
 helper that merges the d trailing axes into a single index ``x``, so one
@@ -48,10 +51,17 @@ convective form and the two stress forms, beta div(|A|^2 A) and, in 3D,
 (alpha1 + alpha2) div(A^2); the tangent module reuses the same forms for
 the exact Jacobian and reads them the other way for its transpose.
 ``drift_terms`` is not projected: the step's one Leray projection, after
-the implicit solve, eliminates the pressure.  In 2D it takes the second
-stress form too: the deformation of a divergence-free field is traceless,
-so A^2 = |A|^2 I / 2 is isotropic (``WaveGrid.square_is_isotropic``) and
-its divergence a gradient, and the 2D drift is N(y) minus that gradient.
+the implicit solve, eliminates the pressure, and it takes every gradient
+the traceless packing leaves in the stresses.  Their pointwise pairings
+A : B are the kept entries with their multiplicities plus the product of
+the last diagonal ones (``sym_inner``); the packed divergence
+``div_sym_spec`` is minus half the transpose of the packed deformation in
+that pairing and differs from the divergence of the full tensor by a
+gradient; of A^2 only the traceless part is transformed, its trace part
+being a gradient too.  In 2D that part is zero, A^2 = |A|^2 I / 2
+(``WaveGrid.square_is_isotropic``), and the second stress form is left out.
+The drift is N(y) minus these gradients on divergence-free y, the same once
+projected.
 
 The convective form is the rotational one, B(a, b) = -curl v(b) x a,
 evaluated as ``rotate`` of the packed rotation W_ab = d_b v_a - d_a v_b.
@@ -152,18 +162,29 @@ class WaveGrid:
         # sym_pairs lists them, sym_unpack[a, b] is the packed index of (a, b)
         # and (b, a), sym_weight (broadcast over the grid) counts each packed
         # entry's multiplicity in the full tensor.
-        # sym_grad[p, e] maps coefficients c to the packed deformation
-        # A_ab = i (k_b c_a + k_a c_b), and sym_div[p, e] maps a packed symmetric
-        # S to div S: minus half the L2 transpose of sym_grad, each packed entry
-        # counted with its multiplicity (sym_grad is purely imaginary).
         self.sym_pairs = np.triu_indices(dim)
         a, b = self.sym_pairs
         self.sym_unpack = np.zeros((dim, dim), dtype=int)
         self.sym_unpack[a, b] = self.sym_unpack[b, a] = np.arange(len(a))
         self.sym_weight = np.where(a == b, 1.0, 2.0).reshape((-1,) + (1,) * dim)
+        # A traceless symmetric tensor (the deformation of a divergence-free
+        # field, the stresses made of it) is packed by the same entries but the
+        # last, (d-1, d-1), which is minus the sum of the kept diagonal entries
+        # tl_diag: tl_size = 2 entries in 2D, 5 in 3D.  E rebuilds the full
+        # packing and G = E^T diag(sym_weight) E is the Gram matrix of A : B
+        # (2 I in 2D; in 3D one cross term between the kept diagonal entries).
+        # sym_grad_tl[p, e] maps coefficients c to the packed deformation
+        # A_ab = i (k_b c_a + k_a c_b), and sym_div_tl[q, e] maps a packed
+        # traceless S to div S up to a gradient: minus half the L2 transpose of
+        # sym_grad_tl in the pairing G (sym_grad_tl is purely imaginary).
+        self.tl_size = len(a) - 1
+        self.tl_diag = np.flatnonzero(a[:-1] == b[:-1])
+        E = np.vstack([np.eye(self.tl_size), -np.eye(self.tl_size)[self.tl_diag].sum(axis=0)])
+        self.sym_gram = E.T @ (self.sym_weight.reshape(-1, 1) * E)
         eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
-        self.sym_grad = 1j * (self.k[b, None] * eye[a] + self.k[a, None] * eye[b])
-        self.sym_div = 0.5 * self.sym_weight[:, None] * self.sym_grad
+        a, b = a[:-1], b[:-1]
+        self.sym_grad_tl = 1j * (self.k[b, None] * eye[a] + self.k[a, None] * eye[b])
+        self.sym_div_tl = 0.5 * np.einsum("pq,p...->q...", self.sym_gram, self.sym_grad_tl)
 
         # Entries a < b of an antisymmetric d x d tensor, packed along one axis
         # (1 in 2D, 3 in 3D): asym_grad[p, e] maps coefficients c to the packed
@@ -186,7 +207,8 @@ class WaveGrid:
     def square_is_isotropic(self):
         """Whether A^2 and A_y A_z + A_z A_y are multiples of I for traceless
         symmetric A, A_y, A_z: true for d = 2, where A^2 = |A|^2 I / 2 and
-        A_y A_z + A_z A_y = (A_y : A_z) I.  The deformation of a divergence-free
+        A_y A_z + A_z A_y = (A_y : A_z) I, so their traceless parts
+        (``sym_product``) are zero.  The deformation of a divergence-free
         field is traceless, so there the (alpha1 + alpha2) div(A^2) stress is a
         gradient, which the step's Leray projection removes; ``stress_terms``
         leaves it out."""
@@ -320,16 +342,37 @@ def jacobian_phys(grid: WaveGrid, c):
 
 
 def deformation_packed(grid: WaveGrid, c):
-    """Entries a <= b of the deformation tensor A = grad u + (grad u)^T at
-    collocation points, packed along one axis; only these are transformed."""
-    return to_phys(grid, _contract(grid, "pex,...ex->...px", grid.sym_grad, c))
+    """The deformation tensor A = grad u + (grad u)^T at collocation points in
+    the traceless packing (``WaveGrid.tl_size`` entries); only these are
+    transformed.  With ``last_diagonal`` it is the full tensor for a
+    divergence-free u."""
+    return to_phys(grid, _contract(grid, "pex,...ex->...px", grid.sym_grad_tl, c))
+
+
+def last_diagonal(grid: WaveGrid, A):
+    """The entry (d-1, d-1) of traceless symmetric tensors given by their packed
+    entries: minus the sum of the kept diagonal ones, with the packed axis kept."""
+    return -np.sum(grid.c(A, grid.tl_diag), axis=-grid.dim - 1, keepdims=True)
+
+
+def sym_inner(grid: WaveGrid, A, B=None):
+    """Pointwise A : B = sum_ab A_ab B_ab of traceless symmetric tensors given by
+    their packed entries (|A|^2 without B), with the packed axis kept: the kept
+    entries with their multiplicities plus the product of the last diagonal ones,
+    which is that of the kept diagonal sums."""
+    ci = -grid.dim - 1
+    tr = np.sum(grid.c(A, grid.tl_diag), axis=ci, keepdims=True)
+    tr_B = tr if B is None else np.sum(grid.c(B, grid.tl_diag), axis=ci, keepdims=True)
+    B = A if B is None else B
+    return np.sum(grid.sym_weight[:-1] * A * B, axis=ci, keepdims=True) + tr * tr_B
 
 
 def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
-    """Spectral divergence out_a = sum_j d_j S[a, j] of a symmetric collocation
-    tensor S given by its packed entries a <= b, masked like ``to_spec``; only
-    these are transformed.  Its symbol is ``WaveGrid.sym_div``."""
-    return _contract(grid, "pex,...px->...ex", grid.sym_div, to_spec(grid, S_packed, mask))
+    """Spectral divergence out_a = sum_j d_j S[a, j] of a traceless symmetric
+    collocation tensor S given by its packed entries, up to a gradient, masked
+    like ``to_spec``; only the packed entries are transformed.  Its symbol is
+    ``WaveGrid.sym_div_tl``; the projected result is that of the full tensor."""
+    return _contract(grid, "pex,...px->...ex", grid.sym_div_tl, to_spec(grid, S_packed, mask))
 
 
 def rotation_packed(grid: WaveGrid, c):
@@ -452,9 +495,11 @@ def w24_bounds(grid: WaveGrid, c):
 
 class Collocation:
     """Collocation pieces of one field for the drift forms: u, W = the packed
-    rotation of v(u) and A = the packed deformation of the mask2-dealiased
-    field, and A3 = the packed deformation of the mask3-dealiased one.  A is
-    read only where ``WaveGrid.square_is_isotropic`` is false, in 3D.
+    rotation of v(u) and A = the deformation of the mask2-dealiased field, and
+    A3 = the deformation of the mask3-dealiased one, both in the traceless
+    packing.  A is read only where ``WaveGrid.square_is_isotropic`` is false,
+    in 3D.  ``values``, the field itself at collocation points, is read by the
+    smooth noise family.
 
     Each form reads each piece once, so to keep a step's peak memory low the
     pieces are transformed on access and freed after use.
@@ -463,37 +508,49 @@ class Collocation:
     def __init__(self, grid: WaveGrid, c, params: PhysicalParams):
         self.grid = grid
         self.params = params
+        self.field = c
         self.c = c * grid.mask2
 
     u = property(lambda self: to_phys(self.grid, self.c))
     W = property(lambda self: rotation_packed(self.grid, v_apply(self.grid, self.c, self.params)))
     A = property(lambda self: deformation_packed(self.grid, self.c))
     A3 = property(lambda self: deformation_packed(self.grid, self.c * self.grid.mask3))
+    values = property(lambda self: to_phys(self.grid, self.field))
 
 
 class CachedCollocation(Collocation):
     """Collocation whose pieces are transformed once, on first access, and
     kept: one base state read by both the forward step and the tangent step."""
 
-    u, W, A, A3 = (cached_property(getattr(Collocation, p).fget) for p in ("u", "W", "A", "A3"))
+    u, W, A, A3, values = (cached_property(getattr(Collocation, p).fget)
+                           for p in ("u", "W", "A", "A3", "values"))
 
 
 def sym_product(grid: WaveGrid, A, B=None):
-    """Packed entries a <= b of the pointwise square A A of a symmetric
-    collocation tensor given by its packed entries, or, given B, of
-    A B + B A = P + P^T with P = A B.  P_ab = sum_c A_ac B_cb reads the
-    packed entries through ``sym_unpack``; no full d x d tensor is built."""
+    """The traceless part of the pointwise square A A of a traceless symmetric
+    collocation tensor, or, given B, of A B + B A = P + P^T with P = A B, all in
+    the traceless packing.  P_ab = sum_c A_ac B_cb reads the packed entries
+    through ``sym_unpack``, the last diagonal one rebuilt; the trace, |A|^2 or
+    2 A : B, is taken off the kept diagonal entries.  No full d x d tensor is built."""
     u, symmetrize = grid.sym_unpack, B is not None
     B = A if B is None else B
+
+    def entries(X):  # the entries a <= b, the last one rebuilt
+        return [grid.c(X, p) for p in range(grid.tl_size)] + [grid.c(last_diagonal(grid, X), 0)]
+
+    Ae = entries(A)
+    Be = entries(B) if symmetrize else Ae
     out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
-    for p, (a, b) in enumerate(zip(*grid.sym_pairs)):
+    for p, (a, b) in enumerate(zip(*(ab[:-1] for ab in grid.sym_pairs))):
         o = grid.c(out, p)
         # (B A)_ab = P_ba for symmetric factors, so a diagonal entry of P + P^T is 2 P_aa
         for i, j in ((a, b), (b, a)) if symmetrize and a != b else ((a, b),):
             for c in range(grid.dim):
-                o += grid.c(A, u[i, c]) * grid.c(B, u[c, j])
+                o += Ae[u[i, c]] * Be[u[c, j]]
         if symmetrize and a == b:
             o *= 2.0
+    trace = sym_inner(grid, A, B) * 2.0 if symmetrize else sym_inner(grid, A)
+    out[(Ellipsis, grid.tl_diag) + (slice(None),) * grid.dim] -= trace / grid.dim
     return out
 
 
@@ -508,22 +565,25 @@ def convective(a: Collocation, b: Collocation):
 def stress_terms(y: Collocation, z: Collocation = None):
     """Spectral beta div(|A|^2 A) on mask3 plus (alpha1+alpha2) div(A^2) on
     mask2 at y; given z, their derivative at y in direction z, which is
-    self-adjoint in z.  Where ``WaveGrid.square_is_isotropic`` (d = 2) the
-    second term is left out: on divergence-free y and z it is a gradient,
-    which the Leray projection ending every step kernel removes, so the
-    projected drift, tangent and transpose are unchanged to rounding."""
+    self-adjoint in z.  Every tensor is in the traceless packing, which holds
+    the deformation of a divergence-free field; in 2D and 3D alike the forms
+    rely on divergence-free y and z.  Of A^2 only the traceless part is sent
+    through ``to_spec`` (``sym_product``), and where
+    ``WaveGrid.square_is_isotropic`` (d = 2) that part is zero and the term is
+    left out.  The parts dropped are gradients, as is the difference between
+    ``div_sym_spec`` and the divergence of the full tensor; the Leray
+    projection ending every step kernel removes them, so the projected drift,
+    tangent and transpose are unchanged to rounding."""
     grid, params = y.grid, y.params
-    ci, w = -grid.dim - 1, grid.sym_weight
     out = 0.0
     if params.beta != 0.0:
-        # packed entries a <= b throughout: |A|^2 = sum of w A_p^2
         Ay = y.A3
-        norm2 = np.sum(w * Ay**2, axis=ci, keepdims=True)
+        norm2 = sym_inner(grid, Ay)
         if z is None:
             S = norm2 * Ay
         else:
             Az = z.A3
-            S = 2.0 * np.sum(w * Ay * Az, axis=ci, keepdims=True) * Ay + norm2 * Az
+            S = 2.0 * sym_inner(grid, Ay, Az) * Ay + norm2 * Az
         out = params.beta * div_sym_spec(grid, S, grid.mask3)
     a12 = params.alpha1 + params.alpha2
     if a12 != 0.0 and not grid.square_is_isotropic:
@@ -535,8 +595,8 @@ def stress_terms(y: Collocation, z: Collocation = None):
 def drift_terms(y: Collocation, z: Collocation = None):
     """Nonlinear drift N(y), or, given z, its derivative N'(y)[z] =
     B(y, z) + B(z, y) + stress derivatives; spectral, dealiased, not projected.
-    In 2D it is N(y) minus the gradient (alpha1 + alpha2) div(A^2) on
-    divergence-free y (``stress_terms``), the same once projected."""
+    On divergence-free y it is N(y) minus the gradients ``stress_terms``
+    leaves out (in 2D all of (alpha1 + alpha2) div(A^2)), the same once projected."""
     # stress first: its deformations are then taken while the fewest arrays are live
     out = stress_terms(y, z)
     conv = convective(y, y) if z is None else convective(y, z) + convective(z, y)

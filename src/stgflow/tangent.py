@@ -14,11 +14,12 @@ tensor), while the stress derivative is self-adjoint and is reused as it
 stands.  Neither form is projected: the three step kernels share one
 implicit solve, ``control_to_state``, S = P D^-1 (the Leray projection
 after the division by the implicit denominator), which is self-adjoint
-because both act mode by mode.  In 2D the stress forms leave out the
-(alpha1 + alpha2) term, a gradient on divergence-free fields
-(``spectral.stress_terms``); the drift, its Jacobian and its transpose all
-leave it out, so the tangent stays the literal Jacobian of the step and the
-transpose its literal transpose.  The fields they read are divergence-free:
+because both act mode by mode.  The stress forms pack the deformation
+traceless and leave out gradients on divergence-free fields, the whole
+(alpha1 + alpha2) term in 2D (``spectral.stress_terms``); the drift, its
+Jacobian and its transpose all read the one ``stress_terms``, so the tangent
+stays the literal Jacobian of the step and the transpose its literal
+transpose.  The fields they read are divergence-free:
 ``forward.simulate_ensemble`` checks y_0, every later y_n and z_n comes out
 of a projection, and ``transpose_step`` feeds the forms q = S p.
 
@@ -71,7 +72,7 @@ def tangent_step(y, z, psi_n, dW_n, t, cfg, yc=None):
     ex = sp.drift_terms(yc or sp.Collocation(g, y, cfg.params), sp.Collocation(g, z, cfg.params))
     rhs = sp.v_apply(g, z, cfg.params) + cfg.dt * (ex + psi_n)
     if cfg.model.K > 0:
-        rhs = rhs + nz.grad_noise_increment(g, t, y, z, dW_n, cfg.model)
+        rhs = rhs + nz.grad_noise_increment(g, t, y, z, dW_n, cfg.model, yc)
     return control_to_state(rhs, cfg)
 
 

@@ -66,6 +66,18 @@ class TestConfig:
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.build_sim(tree)
 
+    def test_p_exp_default_follows_dim(self, tmp_path):
+        # 2 (dim + 1) + 2 where no file or override sets it: 8.0 in 2D, the value
+        # (and so the hash) of DEFAULTS, and 10.0 in 3D, above its bound 8
+        assert cfgmod.load()["p_exp"] == 8.0
+        assert cfgmod.config_hash(cfgmod.load()) == cfgmod.config_hash(cfgmod.DEFAULTS)
+        tree = cfgmod.load(overrides=["dim=3"])
+        assert tree["p_exp"] == 10.0 and cfgmod.build_sim(tree).p_exp == 10.0
+        p = tmp_path / "run.cfg"
+        p.write_text("dim = 3\np_exp = 12.5\n")
+        assert cfgmod.load(p)["p_exp"] == 12.5
+        assert cfgmod.load(p, ["dim=2", "p_exp=9"])["p_exp"] == 9
+
     def test_hash_stable_and_sensitive(self):
         a = cfgmod.config_hash(cfgmod.load())
         b = cfgmod.config_hash(cfgmod.load())
@@ -170,6 +182,14 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(small_cfg), "--out", str(b), "--quiet"]) == 0
         for name in ("trajectory.bin", "norms.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_simulate_3d_default_p_exp(self, small_cfg, tmp_path, capsys):
+        # a 3D run that sets no p_exp gets its dim's default and runs
+        out = tmp_path / "run3"
+        rc = run_cli(["simulate", "--config", str(small_cfg), "--out", str(out), "--quiet",
+                      "--set", "dim=3", "--set", "n_max=2", "--set", "steps=3"])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["config"]["p_exp"] == 10.0
 
     def test_config_error_exit_code(self, small_cfg, tmp_path):
         rc = run_cli([

@@ -121,9 +121,28 @@ def _div_matrix_spec(g, M_phys, mask=None):
     return np.sum(1j * g.k * sp.to_spec(g, M_phys, mask), axis=-g.dim - 1)
 
 
+def _rebuilt(g, A):
+    """The full packing (entries a <= b) of traceless packed tensors: the kept
+    entries and the last diagonal one rebuilt."""
+    return np.concatenate([A, sp.last_diagonal(g, A)], axis=-g.dim - 1)
+
+
 def _deformation_full(g, c):
-    """The full d x d deformation tensor from its packed entries."""
-    return np.take(sp.deformation_packed(g, c), g.sym_unpack, axis=-g.dim - 1)
+    """The full d x d deformation tensor from its traceless packed entries."""
+    return np.take(_rebuilt(g, sp.deformation_packed(g, c)), g.sym_unpack, axis=-g.dim - 1)
+
+
+def _full_matrix(g, X):
+    """(..., *grid, d, d) full tensors of packed entries a <= b."""
+    ci = -g.dim - 1
+    return np.moveaxis(np.take(X, g.sym_unpack, axis=ci), (ci - 1, ci), (-2, -1))
+
+
+def _traceless_packed(g, M):
+    """The traceless packing of the traceless part of (..., *grid, d, d) tensors M."""
+    a, b = g.sym_pairs
+    M = M - np.trace(M, axis1=-2, axis2=-1)[..., None, None] * np.eye(g.dim) / g.dim
+    return np.moveaxis(M[..., a[:-1], b[:-1]], -1, -g.dim - 1)
 
 
 def _mirror(g, c):
@@ -313,34 +332,68 @@ class TestSymmetricKernels:
         assert _rel(_deformation_full(g, c), full) <= 1e-12
 
     @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_traceless_deformation_rebuilds_full(self, dim, n_max):
+        # the kept entries and the rebuilt last diagonal one are the full packed
+        # deformation of a divergence-free field
+        g = sp.WaveGrid(dim, n_max)
+        c = sp.random_field(g, np.random.default_rng(68), batch=(3,))
+        J = sp.jacobian_phys(g, c)
+        a, b = g.sym_pairs
+        full = (J[(Ellipsis, a, b) + (slice(None),) * dim] + J[(Ellipsis, b, a) + (slice(None),) * dim])
+        A = sp.deformation_packed(g, c)
+        assert A.shape[-dim - 1] == g.tl_size == {2: 2, 3: 5}[dim]
+        assert _rel(_rebuilt(g, A), full) <= 1e-14
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
+    def test_traceless_divergence_is_gram_adjoint_of_gradient(self, dim, n_max):
+        # sym_div_tl = G sym_grad_tl / 2 with G = E^T diag(sym_weight) E, E the map
+        # that rebuilds the full packing: exactly, mode by mode
+        g = sp.WaveGrid(dim, n_max)
+        n = g.tl_size
+        E = np.zeros((n + 1, n))
+        E[:n] = np.eye(n)
+        E[n, [p for p, (a, b) in enumerate(zip(*g.sym_pairs)) if a == b and p < n]] = -1.0
+        G = E.T @ np.diag(g.sym_weight.ravel()) @ E
+        assert np.array_equal(G, g.sym_gram)
+        assert np.array_equal(G, 2.0 * np.eye(n)) == (dim == 2)
+        want = -0.5 * np.einsum("pq,pe...->qe...", G, np.conj(g.sym_grad_tl))
+        assert np.array_equal(g.sym_div_tl, want)
+        # the fast pairing is the full contraction of the rebuilt tensors
+        A, B = (np.random.default_rng(69 + i).standard_normal((2, n) + g.shape) for i in range(2))
+        full = np.sum(_full_matrix(g, _rebuilt(g, A)) * _full_matrix(g, _rebuilt(g, B)), axis=(-2, -1))
+        assert _rel(g.c(sp.sym_inner(g, A, B), 0), full) <= 1e-14
+        assert _rel(sp.sym_inner(g, A), sp.sym_inner(g, A, A)) == 0.0
+
+    @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
     @pytest.mark.parametrize("mask", ["mask2", "mask3"])
     def test_symmetric_divergence_against_full(self, dim, n_max, mask):
+        # the packed divergence of a traceless tensor and that of the full tensor
+        # differ by a gradient: equal once projected
         g = sp.WaveGrid(dim, n_max)
-        M = np.random.default_rng(66).standard_normal((2, dim, dim) + g.shape)
-        S = M + np.swapaxes(M, -dim - 1, -dim - 2)
+        M = np.random.default_rng(66).standard_normal((2,) + g.shape + (dim, dim))
+        M = M + np.swapaxes(M, -1, -2)
+        packed = _traceless_packed(g, M)
+        S = np.take(_rebuilt(g, packed), g.sym_unpack, axis=-dim - 1)  # (2, d, d, *grid)
         m = getattr(g, mask)
-        a, b = g.sym_pairs
-        packed = S[(Ellipsis, a, b) + (slice(None),) * dim]
-        assert _rel(sp.div_sym_spec(g, packed, m), _div_matrix_spec(g, S, m)) <= 1e-12
+        got = sp.leray_project(g, sp.div_sym_spec(g, packed, m))
+        want = sp.leray_project(g, _div_matrix_spec(g, S, m))
+        assert _rel(got, want) <= 1e-14
 
 
 @pytest.mark.parametrize("dim,n_max", SEAM_GRIDS)
 def test_sym_product_against_full_tensors(dim, n_max):
-    # packed A A and A B + B A against the full d x d matrix products
+    # packed A A and A B + B A against the traceless parts of the full d x d
+    # matrix products; in 2D those parts vanish (WaveGrid.square_is_isotropic)
     g = sp.WaveGrid(dim, n_max)
     rng = np.random.default_rng(67)
     A, B = (sp.deformation_packed(g, sp.random_field(g, rng, batch=(2,))) for _ in range(2))
-    ci, (a, b) = -dim - 1, g.sym_pairs
-
-    def full(X):  # (..., *grid, d, d)
-        return np.moveaxis(np.take(X, g.sym_unpack, axis=ci), (ci - 1, ci), (-2, -1))
-
-    def packed(M):
-        return np.moveaxis(M[..., a, b], -1, ci)
-
-    AB = full(A) @ full(B)
-    assert _rel(sp.sym_product(g, A), packed(full(A) @ full(A))) <= 1e-13
-    assert _rel(sp.sym_product(g, A, B), packed(AB + np.swapaxes(AB, -1, -2))) <= 1e-13
+    fA, fB = (_full_matrix(g, _rebuilt(g, X)) for X in (A, B))
+    AB = fA @ fB
+    scale = np.max(np.abs(fA)) * np.max(np.abs(fB))
+    for got, want in ((sp.sym_product(g, A), _traceless_packed(g, fA @ fA)),
+                      (sp.sym_product(g, A, B), _traceless_packed(g, AB + np.swapaxes(AB, -1, -2)))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert (np.max(np.abs(got)) <= 1e-13 * scale) == g.square_is_isotropic
 
 
 def _advective(g, a, b, params):
