@@ -16,9 +16,9 @@ it then prints the blow-up line to stderr and exits 3 before any stdout
 line, so no verdict comes from aborted samples; otherwise it prints the
 stdout lines, then the command's stderr note, if any.
 
-Exit codes: 0 success, 2 configuration error, 3 a sample aborted
-(non-finite, or W^{2,4} norm above blowup_factor * M), 4 verification
-failure.
+Exit codes: 0 success, 2 configuration error (also an --out that cannot
+be made a directory), 3 a sample aborted (non-finite, or W^{2,4} norm
+above blowup_factor * M), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -223,10 +223,10 @@ def main(argv=None):
         sim = cfgmod.build_sim(tree)
         y0 = cfgmod.initial_field(tree, sim)
         y_d = cfgmod.target_field(tree, sim)
+        os.makedirs(args.out, exist_ok=True)  # for the commands' side files too
     except (cfgmod.ConfigError, ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)  # for the commands' side files too
     rep = args.run(args, tree, sim, y0, y_d)
     path = os.path.join(args.out, rep.name)
     sio.write_json(path, {**rep.payload, "config_hash": cfgmod.config_hash(tree)})

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import noise as nz
 from . import spectral as sp
-from .forward import SimConfig
+from .forward import SimConfig, default_p_exp
 
 
 class ConfigError(ValueError):
@@ -66,12 +66,6 @@ SIZING = (
     ("init.kmax", *KMAX),
     ("target.kmax", *KMAX),
 )
-
-
-def default_p_exp(dim: int) -> float:
-    """p_exp where the config sets none: 2 (dim + 1) + 2, above the bound
-    2 (dim + 1) that ``SimConfig`` requires."""
-    return 2.0 * (dim + 1) + 2.0
 
 
 def _parse_value(text: str):

@@ -40,9 +40,6 @@ class AdmissibleSet:
         """|| U ||_{L^p(0,T; H1)} = (sum_n dt ||U_n||_{H1}^p)^{1/p}."""
         return float(np.sum(dt * sp.h1_norm(grid, U) ** self.p_exp) ** (1.0 / self.p_exp))
 
-    def contains(self, grid, U, dt, tol=1e-12):
-        return self.norm(grid, U, dt) <= self.radius * (1 + tol)
-
     def project(self, grid, U, dt):
         n = self.norm(grid, U, dt)
         if n <= self.radius or n == 0.0:
@@ -154,6 +151,11 @@ def optimize(
     accepted = False
     rep = eval_cost(U, y0, y_d, cfg, n_samples, lam)
     J, aborted = rep.total, rep.aborted
+
+    def entry(grad_norm):  # the history entry of the state now; its index is len(history)
+        return {"iter": len(history), "cost": J, "step": step, "grad_norm": grad_norm,
+                "accepted": accepted, "aborted": aborted}
+
     for it in range(0 if aborted else iters):
         grad = _gradient(rep, lam, cfg)
         del rep  # free the iterate's ensemble before the trials
@@ -168,18 +170,7 @@ def optimize(
                 break
             del trial  # free its ensemble before the next solve
             step *= SHRINK
-        history.append(
-            {
-                "iter": it,
-                "cost": J,
-                "step": step,
-                "grad_norm": float(
-                    np.sqrt(np.sum(cfg.dt * sp.l2_inner(g, grad, grad)))
-                ),
-                "accepted": accepted,
-                "aborted": aborted,
-            }
-        )
+        history.append(entry(float(np.sqrt(np.sum(cfg.dt * sp.l2_inner(g, grad, grad))))))
         if verbose:
             print(f"iter {it:3d}  J = {J:.8e}  step = {step:.2e}")
         if not accepted:
@@ -189,10 +180,7 @@ def optimize(
         if tol > 0.0 and np.sqrt(gmap2) * step <= tol:
             break
         step = min(step / SHRINK, step0)
-    history.append(
-        {"iter": len(history), "cost": J, "step": step, "grad_norm": None,
-         "accepted": accepted, "aborted": aborted}
-    )
+    history.append(entry(None))
     return {"U": U, "cost": J, "history": history}
 
 

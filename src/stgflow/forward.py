@@ -42,6 +42,12 @@ from . import spectral as sp
 from . import tangent as tg
 
 
+def default_p_exp(dim: int) -> float:
+    """p_exp where none is given: 2 (dim + 1) + 2, above the bound 2 (dim + 1)
+    that ``SimConfig`` requires; 8.0 in 2D, 10.0 in 3D."""
+    return 2.0 * (dim + 1) + 2.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dim: int
@@ -51,7 +57,7 @@ class SimConfig:
     params: sp.PhysicalParams
     model: nz.NoiseModel
     M: float = 10.0
-    p_exp: float = 8.0
+    p_exp: float | None = None  # default_p_exp(dim) when None
     seed: int = 0
     blowup_factor: float = 10.0
     tracking: str = "l2"
@@ -59,6 +65,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.steps < 1:
             raise ValueError("need dt > 0 and steps >= 1")
+        if self.p_exp is None:
+            object.__setattr__(self, "p_exp", default_p_exp(self.dim))
         if self.p_exp <= 2 * (self.dim + 1):
             raise ValueError(
                 f"p_exp must exceed 2*(dim+1) = {2 * (self.dim + 1)}, got {self.p_exp}"

@@ -34,22 +34,39 @@ VERSION = 1
 _HEADER = "<4s5id"
 
 
+def _check_header(path, dim, n_max, steps, stop_index, dt):
+    """ValueError naming the first header field out of range: dim 2 or 3,
+    n_max >= 1, steps >= 0, 0 <= stop_index <= steps and a finite dt > 0."""
+    for name, value, ok, want in (
+        ("dim", dim, dim in (2, 3), "2 or 3"),
+        ("n_max", n_max, n_max >= 1, ">= 1"),
+        ("steps", steps, steps >= 0, ">= 0"),
+        ("stop_index", stop_index, 0 <= stop_index <= steps, f"in 0..{steps}"),
+        ("dt", dt, math.isfinite(dt) and dt > 0, "finite and > 0"),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: header field {name} must be {want}, got {value}")
+
+
 def write_trajectory(path, fields, dim, n_max, dt, stop_index):
     """Write full-spectrum ``fields`` (steps+1, dim, N, ..., N); ValueError
-    for any other trailing shape, such as the stored half spectrum."""
+    for any other trailing shape, such as the stored half spectrum, or a
+    header ``_check_header`` rejects."""
     fields = np.ascontiguousarray(np.asarray(fields, dtype="<c16"))
+    steps, stop_index = fields.shape[0] - 1, int(stop_index)
+    _check_header(path, dim, n_max, steps, stop_index, dt)
     want = (dim,) + (2 * (n_max + 1),) * dim
     if fields.shape[1:] != want:
         raise ValueError(f"{path}: trajectory snapshots must have shape {want}, got {fields.shape[1:]}")
-    steps = fields.shape[0] - 1
     with open(path, "wb") as f:
-        f.write(struct.pack(_HEADER, MAGIC, VERSION, dim, n_max, steps, int(stop_index), dt))
+        f.write(struct.pack(_HEADER, MAGIC, VERSION, dim, n_max, steps, stop_index, dt))
         f.write(fields.tobytes())
 
 
 def read_trajectory(path):
-    """Decode a trajectory file; ValueError unless its size is exactly the
-    header plus the payload the header describes."""
+    """Decode a trajectory file; ValueError for a header ``_check_header``
+    rejects, or unless its size is exactly the header plus the payload the
+    header describes."""
     with open(path, "rb") as f:
         raw = f.read()
     head = struct.calcsize(_HEADER)
@@ -60,6 +77,7 @@ def read_trajectory(path):
         raise ValueError(f"{path}: not a trajectory file")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    _check_header(path, dim, n_max, steps, stop_index, dt)
     N = 2 * (n_max + 1)
     shape = (steps + 1, dim) + (N,) * dim
     expected = head + 16 * math.prod(shape)

@@ -358,13 +358,11 @@ def last_diagonal(grid: WaveGrid, A):
 def sym_inner(grid: WaveGrid, A, B=None):
     """Pointwise A : B = sum_ab A_ab B_ab of traceless symmetric tensors given by
     their packed entries (|A|^2 without B), with the packed axis kept: the kept
-    entries with their multiplicities plus the product of the last diagonal ones,
-    which is that of the kept diagonal sums."""
-    ci = -grid.dim - 1
-    tr = np.sum(grid.c(A, grid.tl_diag), axis=ci, keepdims=True)
-    tr_B = tr if B is None else np.sum(grid.c(B, grid.tl_diag), axis=ci, keepdims=True)
+    entries with their multiplicities plus the product of the last diagonal ones."""
+    last = last_diagonal(grid, A)
+    last_B = last if B is None else last_diagonal(grid, B)
     B = A if B is None else B
-    return np.sum(grid.sym_weight[:-1] * A * B, axis=ci, keepdims=True) + tr * tr_B
+    return np.sum(grid.sym_weight[:-1] * A * B, axis=-grid.dim - 1, keepdims=True) + last * last_B
 
 
 def div_sym_spec(grid: WaveGrid, S_packed, mask=None):
@@ -622,11 +620,6 @@ def random_field(grid: WaveGrid, rng, kmax=None, amplitude=1.0, batch=()):
     return c * scale[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
 
-def curl_cross_phys(grid: WaveGrid, y, u, params: PhysicalParams):
-    """Collocation values of curl v(y) x u, by the drift's own rotation kernels."""
-    return rotate(grid, rotation_packed(grid, v_apply(grid, y, params)), to_phys(grid, u))
-
-
 def curl_v_of_cross(grid: WaveGrid, y, p, params: PhysicalParams):
     """Collocation values of curl v(y x p): the divergence of the packed
     wedge y_i p_j - y_j p_i, which is y x p (a scalar in 2D) in packed form."""
@@ -669,8 +662,10 @@ def verify_identities(seed: int, params: PhysicalParams, grid: WaveGrid, n_tripl
         vY, vU, vPHI = (v_apply(big, f, params) for f in (Y, U, PHI))
         phi_p = to_phys(big, PHI)
         sides = (  # (lhs, rhs) of each identity, in the order of IDENTITIES
-            # (curl v(y) x u, phi) = b(phi, u, v(y)) - b(u, phi, v(y))
-            (pairing(curl_cross_phys(big, Y, U, params), phi_p), b(PHI, U, vY) - b(U, PHI, vY)),
+            # (curl v(y) x u, phi) = b(phi, u, v(y)) - b(u, phi, v(y)), with curl v(y) x u
+            # the drift's own -B(u, y); big's mask2 keeps every embedded mode
+            (pairing(-convective(Collocation(big, U, params), Collocation(big, Y, params)), phi_p),
+             b(PHI, U, vY) - b(U, PHI, vY)),
             # (curl v(y x p), phi) = b(p, y, v(phi)) - b(y, p, v(phi))
             (pairing(curl_v_of_cross(big, Y, U, params), phi_p), b(U, Y, vPHI) - b(Y, U, vPHI)),
             # antisymmetry b(y, z, phi) = -b(y, phi, z)

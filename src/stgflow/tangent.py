@@ -36,22 +36,18 @@ from . import noise as nz
 from . import spectral as sp
 
 
-def _convective_T(y, w):
-    """Transpose in z of B(y, z) + B(z, y), applied to w; y, w Collocation pieces."""
+def drift_terms_T(y, w):
+    """Transpose in z of ``spectral.drift_terms(y, z)``, applied to w; y, w
+    Collocation pieces.  Not projected, like the forms it transposes."""
     g, m = y.grid, y.grid.mask2
+    out = sp.stress_terms(y, w)  # first, as in ``spectral.drift_terms``
     wu = w.u
     # B(y, z) = -rotate(W(v(z)), y) pairs with w through the wedge of w and y;
     # the rotation symbol's transpose is minus the divergence of a packed tensor
     through_v = sp.div_asym_spec(g, sp.wedge(g, wu, y.u), m)
     # B(z, y) = -rotate(y.W, z): y.W is antisymmetric, so -rotate transposes to rotate
     direct = sp.to_spec(g, sp.rotate(g, y.W, wu), m)
-    return sp.v_apply(g, through_v, y.params) + direct
-
-
-def drift_terms_T(y, w):
-    """Transpose in z of ``spectral.drift_terms(y, z)``, applied to w; y, w
-    Collocation pieces.  Not projected, like the forms it transposes."""
-    return sp.stress_terms(y, w) + _convective_T(y, w)
+    return out + (sp.v_apply(g, through_v, y.params) + direct)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -124,6 +125,48 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="must have shape"):
             sio.write_trajectory(tmp_path / "traj.bin", g.zeros((3,)), 2, 4, 0.02, 2)
 
+    # each header the format cannot hold, and the field named for it
+    BAD_HEADERS = [
+        pytest.param("dim", dict(dim=1), id="dim_1"),
+        pytest.param("dim", dict(dim=0, steps=-1), id="dim_0_empty"),
+        pytest.param("n_max", dict(n_max=-1), id="n_max_-1_empty"),
+        pytest.param("n_max", dict(n_max=0), id="n_max_0"),
+        pytest.param("steps", dict(steps=-1, stop_index=0), id="steps_-1"),
+        pytest.param("stop_index", dict(stop_index=99), id="stop_past_steps"),
+        pytest.param("stop_index", dict(stop_index=-5), id="stop_negative"),
+        pytest.param("dt", dict(dt=0.0), id="dt_0"),
+        pytest.param("dt", dict(dt=-0.02), id="dt_negative"),
+        pytest.param("dt", dict(dt=float("nan")), id="dt_nan"),
+        pytest.param("dt", dict(dt=float("inf")), id="dt_inf"),
+    ]
+
+    @staticmethod
+    def _header(**kw):
+        h = dict(dim=2, n_max=4, steps=2, stop_index=2, dt=0.02)
+        h.update(kw)
+        N = 2 * (h["n_max"] + 1)
+        # the snapshots the header describes, empty where a size is not positive
+        shape = (h["steps"] + 1, h["dim"]) + (N,) * h["dim"]
+        return h, np.zeros(tuple(max(n, 0) for n in shape), dtype=complex)
+
+    @pytest.mark.parametrize("field,kw", BAD_HEADERS)
+    def test_reader_rejects_bad_header(self, tmp_path, field, kw):
+        h, fields = self._header(**kw)
+        path = tmp_path / "traj.bin"
+        path.write_bytes(struct.pack(sio._HEADER, sio.MAGIC, sio.VERSION, h["dim"], h["n_max"],
+                                     h["steps"], h["stop_index"], h["dt"]) + fields.tobytes())
+        with pytest.raises(ValueError, match=rf"traj\.bin: header field {field} must be"):
+            sio.read_trajectory(path)
+
+    @pytest.mark.parametrize("field,kw", BAD_HEADERS)
+    def test_writer_rejects_bad_header(self, tmp_path, field, kw):
+        # the writer takes steps from the snapshots it is given
+        h, fields = self._header(**kw)
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=rf"traj\.bin: header field {field} must be"):
+            sio.write_trajectory(path, fields, h["dim"], h["n_max"], h["dt"], h["stop_index"])
+        assert not path.exists()
+
     def test_json_writer_handles_numpy(self, tmp_path):
         path = tmp_path / "out.json"
         sio.write_json(path, {"a": np.int64(3), "b": np.array([1.5, 2.5]), "c": np.bool_(True)})
@@ -190,6 +233,15 @@ class TestCli:
                       "--set", "dim=3", "--set", "n_max=2", "--set", "steps=3"])
         assert rc == 0, capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["config"]["p_exp"] == 10.0
+
+    def test_out_not_a_directory_exit_code(self, small_cfg, tmp_path, capsys):
+        # an --out that exists as a file is a configuration error, not a traceback
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        rc = run_cli(["simulate", "--config", str(small_cfg), "--out", str(out), "--quiet"])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert out.read_text() == "a file\n"
 
     def test_config_error_exit_code(self, small_cfg, tmp_path):
         rc = run_cli([

@@ -41,6 +41,16 @@ class TestConfig:
                 model=nz.NoiseModel(K=2), p_exp=8.0,
             )
 
+    @pytest.mark.parametrize("dim,n_max,p_exp", [(2, 8, 8.0), (3, 3, 10.0)])
+    def test_p_exp_default_follows_dim(self, dim, n_max, p_exp):
+        # 2 (dim + 1) + 2 where none is given; an explicit value at or below the
+        # bound 2 (dim + 1) still raises
+        cfg = make_cfg(dim=dim, n_max=n_max)
+        assert cfg.p_exp == p_exp == fw.default_p_exp(dim)
+        for bad in (2.0 * (dim + 1), 2.0 * dim):
+            with pytest.raises(ValueError, match=r"p_exp must exceed"):
+                make_cfg(dim=dim, n_max=n_max, p_exp=bad)
+
     def test_basic_validation(self):
         with pytest.raises(ValueError):
             make_cfg(dt=0.0)

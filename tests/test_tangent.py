@@ -485,12 +485,16 @@ class TestIsotropicSquare:
     @pytest.mark.parametrize("dim,n_max,table", [(2, 8, (9, 18, 14)), (3, 3, (29, 58, 45))])
     def test_transform_table(self, dim, n_max, table, monkeypatch):
         # components per call of step, fused_step and transpose_step; the linear
-        # noise forms transform nothing
+        # noise forms transform nothing.  The rows are printed for the CI log
+        # (pytest -rP).
         cfg = make_cfg(dim=dim, n_max=n_max, p_exp=10.0)
         rng = np.random.default_rng(15)
         y, z, p, psi = (sp.random_field(cfg.grid, rng) for _ in range(4))
         dW = rng.standard_normal(8) * 0.1
         components = count_components(monkeypatch)
-        assert (components(lambda: fw.step(y, psi, dW, 0.0, cfg)),
-                components(lambda: fw.fused_step(y, z, psi, psi, dW, 0.0, cfg)),
-                components(lambda: tg.transpose_step(y, p, dW, 0.0, cfg))) == table
+        rows = {"step": components(lambda: fw.step(y, psi, dW, 0.0, cfg)),
+                "fused_step": components(lambda: fw.fused_step(y, z, psi, psi, dW, 0.0, cfg)),
+                "transpose_step": components(lambda: tg.transpose_step(y, p, dW, 0.0, cfg))}
+        for kernel, count in rows.items():
+            print(f"components per call, {dim}D n_max={n_max}: {kernel:<15} {count:>3}")
+        assert tuple(rows.values()) == table
