@@ -63,8 +63,8 @@ def costate_sweep(ens: EnsembleResult, y_d, cfg: SimConfig):
         live = ens.stop > n
         if n > 0 and live.any():
             y_n = ens.y(n)
-            rows, p_n = _on_live(live, lambda *a: transpose_step(*a, n * cfg.dt, cfg),
-                                 y_n, p, ens.dW[:, n])
+            rows, p_n = _on_live(live, lambda y, *a: transpose_step(
+                sp.Collocation(cfg.grid, y, cfg.params), *a, n * cfg.dt, cfg), y_n, p, ens.dW[:, n])
             p_n += cfg.dt * tracking_residual(y_n[rows], y_d, n, live[rows], cfg)
             p[rows] = p_n
             del p_n  # freed before the reader resumes

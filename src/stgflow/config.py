@@ -168,32 +168,14 @@ def config_hash(tree: dict) -> str:
 
 
 def build_sim(tree: dict) -> SimConfig:
+    """The run's ``SimConfig`` from a mapping ``load`` returned: ``PhysicalParams``
+    and ``NoiseModel`` from their sections as they stand, whose types ``load`` checked."""
     try:
-        params = sp.PhysicalParams(
-            nu=float(tree["params"]["nu"]),
-            alpha1=float(tree["params"]["alpha1"]),
-            alpha2=float(tree["params"]["alpha2"]),
-            beta=float(tree["params"]["beta"]),
-        )
-        model = nz.NoiseModel(
-            K=int(tree["noise"]["K"]),
-            family=str(tree["noise"]["family"]),
-            c0=float(tree["noise"]["c0"]),
-            modulation=float(tree["noise"]["modulation"]),
-        )
         return SimConfig(
-            dim=int(tree["dim"]),
-            n_max=int(tree["n_max"]),
-            dt=float(tree["dt"]),
-            steps=int(tree["steps"]),
-            params=params,
-            model=model,
-            M=float(tree["stop"]["M"]),
-            p_exp=float(tree["p_exp"]),
-            seed=int(tree["seed"]),
-            blowup_factor=float(tree["stop"]["blowup_factor"]),
-            tracking=str(tree["cost"]["variant"]),
-        )
+            dim=tree["dim"], n_max=tree["n_max"], dt=tree["dt"], steps=tree["steps"],
+            params=sp.PhysicalParams(**tree["params"]), model=nz.NoiseModel(**tree["noise"]),
+            M=tree["stop"]["M"], p_exp=tree["p_exp"], seed=tree["seed"],
+            blowup_factor=tree["stop"]["blowup_factor"], tracking=tree["cost"]["variant"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 

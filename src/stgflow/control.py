@@ -119,6 +119,13 @@ def gradient_pairing(grid, grad, psi, dt):
     return float(np.sum(dt * sp.l2_inner(grid, np.asarray(grad), np.asarray(psi))))
 
 
+def _check_ball(admissible: AdmissibleSet, cfg: SimConfig):
+    """Raise ``ValueError`` unless the ball and the penalty share one exponent: the
+    ball and its projection read ``admissible.p_exp``, the cost and its gradient ``cfg.p_exp``."""
+    if admissible.p_exp != cfg.p_exp:
+        raise ValueError(f"admissible.p_exp = {admissible.p_exp} is not cfg.p_exp = {cfg.p_exp}")
+
+
 def optimize(
     y0,
     y_d,
@@ -142,8 +149,10 @@ def optimize(
 
     The history holds one entry per iteration made, then a final entry
     with the last cost, the number of iterations made and whether the
-    last line search was accepted (False when none ran).
+    last line search was accepted (False when none ran).  A ball whose p_exp is
+    not cfg.p_exp raises ``ValueError`` (``_check_ball``).
     """
+    _check_ball(admissible, cfg)
     g = cfg.grid
     U = g.zeros((cfg.steps,))
     history = []
@@ -213,8 +222,10 @@ def optimality_residual(
     """min over sampled admissible W of sum_n dt (grad_n, W_n - U_n).
 
     Nonnegative (up to tolerance) exactly when U satisfies the first
-    order condition of the projected problem over the sampled set.
+    order condition of the projected problem over the sampled set.  A ball whose
+    p_exp is not cfg.p_exp raises ``ValueError`` (``_check_ball``).
     """
+    _check_ball(admissible, cfg)
     g = cfg.grid
     grad, rep = cost_gradient(U, y0, y_d, cfg, n_samples, lam)
     rng = np.random.default_rng(seed)

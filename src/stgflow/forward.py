@@ -63,14 +63,13 @@ class SimConfig:
     tracking: str = "l2"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1:
-            raise ValueError("need dt > 0 and steps >= 1")
+        if not (0 < self.dt < np.inf and self.steps >= 1):  # NaN fails, as for M below
+            raise ValueError(f"need a finite dt > 0 and steps >= 1, got {self.dt}, {self.steps}")
         if self.p_exp is None:
             object.__setattr__(self, "p_exp", default_p_exp(self.dim))
-        if self.p_exp <= 2 * (self.dim + 1):
-            raise ValueError(
-                f"p_exp must exceed 2*(dim+1) = {2 * (self.dim + 1)}, got {self.p_exp}"
-            )
+        if not (2 * (self.dim + 1) < self.p_exp < np.inf):
+            raise ValueError(f"p_exp must exceed 2*(dim+1) = {2 * (self.dim + 1)} and be finite,"
+                             f" got {self.p_exp}")
         if not (self.M > 0 and self.blowup_factor > 0):  # NaN would switch both tests off
             raise ValueError("stopping threshold M and blowup_factor must be > 0, not NaN")
         if self.tracking not in ("l2", "v"):
@@ -118,16 +117,14 @@ class EnsembleResult:
         return np.asarray(self.fields[:, n], dtype=complex)
 
 
-def step(y, u_n, dW_n, t, cfg: SimConfig, yc=None):
-    """One scheme step, batched over any leading sample axes of ``y``;
-    ``yc``, the collocation pieces of y, is made here when not given."""
-    g = cfg.grid
-    ex = sp.drift_terms(yc or sp.Collocation(g, y, cfg.params))
+def step(yc: sp.Collocation, u_n, dW_n, t, cfg: SimConfig):
+    """One scheme step from y = ``yc.field``, batched over any leading sample axes."""
+    ex = sp.drift_terms(yc)
     if u_n is not None:
         ex = ex + u_n
-    rhs = sp.v_apply(g, y, cfg.params) + cfg.dt * ex
+    rhs = sp.v_apply(cfg.grid, yc.field, cfg.params) + cfg.dt * ex
     if cfg.model.K > 0:
-        rhs = rhs + nz.noise_increment(g, t, y, dW_n, cfg.model, yc)
+        rhs = rhs + nz.noise_increment(t, yc, dW_n, cfg.model)
     return tg.control_to_state(rhs, cfg)
 
 
@@ -135,8 +132,8 @@ def fused_step(y, z, u_n, psi_n, dW_n, t, cfg: SimConfig):
     """``step`` and ``tangent.tangent_step`` at y, reading one set of y's collocation
     pieces.  The tangent goes first and makes them as it reads them: fewer are held at its peak."""
     yc = sp.CachedCollocation(cfg.grid, y, cfg.params)
-    z_next = tg.tangent_step(y, z, psi_n, dW_n, t, cfg, yc)
-    return step(y, u_n, dW_n, t, cfg, yc), z_next
+    z_next = tg.tangent_step(yc, z, psi_n, dW_n, t, cfg)
+    return step(yc, u_n, dW_n, t, cfg), z_next
 
 
 def _on_live(live, kernel, *per_sample):
@@ -205,8 +202,13 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
     the loop's own arrays and copies what it keeps.  ``norms=False`` leaves
     ``w24`` NaN where the bounds decide the stop test (``_stop_test``).
     A y0 that is not divergence-free or whose plane k_d = 0 is not Hermitian
-    raises ``ValueError`` (``_check_y0``).
+    raises ``ValueError`` (``_check_y0``), as do ``psi`` without ``read`` or
+    ``read`` without ``psi``, and a ``read_to`` without them or outside 0..steps.
     """
+    if (psi is None) != (read is None):
+        raise ValueError("psi and read are given together or not at all")
+    if read_to is not None and (psi is None or not 0 <= read_to <= cfg.steps):
+        raise ValueError(f"read_to must lie in 0..{cfg.steps}, with psi and read, got {read_to}")
     g = cfg.grid
     dW = np.asarray(dW)
     U = None if U is None else _per_step("U", U, cfg)
@@ -235,7 +237,8 @@ def simulate_ensemble(y0, U, dW, cfg: SimConfig, store_fields=True, psi=None, re
 
     def advance(n, y, dW_n, *z):
         t, u_n = n * cfg.dt, None if U is None else U[n]
-        new = fused_step(y, *z, u_n, psi[n], dW_n, t, cfg) if z else (step(y, u_n, dW_n, t, cfg),)
+        new = (fused_step(y, *z, u_n, psi[n], dW_n, t, cfg) if z
+               else (step(sp.Collocation(g, y, cfg.params), u_n, dW_n, t, cfg),))
         if dtype is not complex:
             new[0][...] = new[0].astype(dtype)
         w, over, bad = _stop_test(new[0], cfg, norms)

@@ -29,6 +29,8 @@ import struct
 
 import numpy as np
 
+from .spectral import MIN_N_MAX
+
 MAGIC = b"STGF"
 VERSION = 1
 _HEADER = "<4s5id"
@@ -36,10 +38,10 @@ _HEADER = "<4s5id"
 
 def _check_header(path, dim, n_max, steps, stop_index, dt):
     """ValueError naming the first header field out of range: dim 2 or 3,
-    n_max >= 1, steps >= 0, 0 <= stop_index <= steps and a finite dt > 0."""
+    n_max >= ``spectral.MIN_N_MAX``, steps >= 0, 0 <= stop_index <= steps and a finite dt > 0."""
     for name, value, ok, want in (
         ("dim", dim, dim in (2, 3), "2 or 3"),
-        ("n_max", n_max, n_max >= 1, ">= 1"),
+        ("n_max", n_max, n_max >= MIN_N_MAX, f">= {MIN_N_MAX}"),
         ("steps", steps, steps >= 0, ">= 0"),
         ("stop_index", stop_index, 0 <= stop_index <= steps, f"in 0..{steps}"),
         ("dt", dt, math.isfinite(dt) and dt > 0, "finite and > 0"),

@@ -140,31 +140,24 @@ def _scale(grid: WaveGrid, t, dW, model: NoiseModel):
     return s[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
 
-def _values(grid: WaveGrid, y, yc):
-    """Collocation values of y: those ``yc``, a ``spectral.Collocation`` of y, holds
-    (a cached one transforms y once for every form that reads it), or made here."""
-    return to_phys(grid, y) if yc is None else yc.values
-
-
-def noise_increment(grid: WaveGrid, t, y, dW, model: NoiseModel, yc=None):
-    """G(t, y) dW before P, one spectral field batched over samples, for a
-    solenoidal y on the retained modes (every state the scheme makes); the
-    smooth family reads y's collocation values through ``yc`` when given.
-
-    For the linear family this is s y: P s y = s y for such a y.
+def noise_increment(t, yc, dW, model: NoiseModel):
+    """G(t, y) dW before P, one spectral field batched over samples, for the
+    base state y = ``yc.field`` of a ``spectral.Collocation``, solenoidal on the
+    retained modes (every state the scheme makes); the smooth family reads
+    ``yc.values``.  For the linear family this is s y: P s y = s y for such a y.
     """
-    s = _scale(grid, t, dW, model)
+    s = _scale(yc.grid, t, dW, model)
     if model.family == "linear":
-        return s * y
-    return to_spec(grid, s * model.profile(_values(grid, y, yc)))
+        return s * yc.field
+    return to_spec(yc.grid, s * model.profile(yc.values))
 
 
-def grad_noise_increment(grid: WaveGrid, t, y, v, dW, model: NoiseModel, yc=None):
-    """(grad_y G)(t, y)[v] dW before P, for a solenoidal v on the retained modes;
-    its own transpose in v by diagonality; ``yc`` as in ``noise_increment``.
-    For the linear family it is s v."""
-    s = _scale(grid, t, dW, model)
+def grad_noise_increment(t, yc, v, dW, model: NoiseModel):
+    """(grad_y G)(t, y)[v] dW before P at y = ``yc.field``, for a solenoidal v on
+    the retained modes; its own transpose in v by diagonality.  For the linear
+    family it is s v."""
+    s = _scale(yc.grid, t, dW, model)
     if model.family == "linear":
         return s * v
-    fp = model.profile_deriv(_values(grid, y, yc))
-    return to_spec(grid, s * (fp * to_phys(grid, v)))
+    fp = model.profile_deriv(yc.values)
+    return to_spec(yc.grid, s * (fp * to_phys(yc.grid, v)))

@@ -108,6 +108,9 @@ class PhysicalParams:
             )
 
 
+MIN_N_MAX = 2  # the least n_max whose 2/3 cut, (2 n_max) // 3, keeps a mode
+
+
 class WaveGrid:
     """Wavenumber bookkeeping for the box [0, 2*pi)^d, d in {2, 3}.
 
@@ -120,8 +123,8 @@ class WaveGrid:
     def __init__(self, dim: int, n_max: int):
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if n_max < MIN_N_MAX:
+            raise ValueError(f"n_max must be >= {MIN_N_MAX}, got {n_max}")
         self.dim = dim
         self.n_max = n_max
         self.N = 2 * (n_max + 1)

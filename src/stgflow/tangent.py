@@ -61,24 +61,24 @@ def control_to_state(p, cfg):
     return sp.leray_project(cfg.grid, p / cfg.implicit_denominator)
 
 
-def tangent_step(y, z, psi_n, dW_n, t, cfg, yc=None):
-    """Jacobian of the forward step at base state y, applied to z, plus the
-    control injection of psi_n; ``yc`` as in ``forward.step``."""
+def tangent_step(yc, z, psi_n, dW_n, t, cfg):
+    """Jacobian of the forward step at base state y = ``yc.field``, applied to z,
+    plus the control injection of psi_n."""
     g = cfg.grid
-    ex = sp.drift_terms(yc or sp.Collocation(g, y, cfg.params), sp.Collocation(g, z, cfg.params))
+    ex = sp.drift_terms(yc, sp.Collocation(g, z, cfg.params))
     rhs = sp.v_apply(g, z, cfg.params) + cfg.dt * (ex + psi_n)
     if cfg.model.K > 0:
-        rhs = rhs + nz.grad_noise_increment(g, t, y, z, dW_n, cfg.model, yc)
+        rhs = rhs + nz.grad_noise_increment(t, yc, z, dW_n, cfg.model)
     return control_to_state(rhs, cfg)
 
 
-def transpose_step(y, p, dW_n, t, cfg):
-    """F_n^T p for the tangent propagator F_n at base state y."""
+def transpose_step(yc, p, dW_n, t, cfg):
+    """F_n^T p for the tangent propagator F_n at base state y = ``yc.field``."""
     g = cfg.grid
     q = control_to_state(p, cfg)
     out = sp.v_apply(g, q, cfg.params) + cfg.dt * drift_terms_T(
-        sp.Collocation(g, y, cfg.params), sp.Collocation(g, q, cfg.params))
+        yc, sp.Collocation(g, q, cfg.params))
     if cfg.model.K > 0:
-        out = out + nz.grad_noise_increment(g, t, y, q, dW_n, cfg.model)
+        out = out + nz.grad_noise_increment(t, yc, q, dW_n, cfg.model)
     return sp.leray_project(g, out)
 

@@ -23,6 +23,11 @@ def make_cfg(**kw):
     return fw.SimConfig(**base)
 
 
+def yc_of(cfg, y):
+    """The base state y as the ``spectral.Collocation`` the step kernels take."""
+    return sp.Collocation(cfg.grid, y, cfg.params)
+
+
 def stopping_setup(cfg, amp=0.8, force=None, seed=21):
     """Initial state, forcing and target sized so some samples exit mid-run."""
     g = cfg.grid
@@ -86,7 +91,8 @@ def adjoint_weak_residual(ens, y_d, p_traj, cfg):
     for n in range(1, cfg.steps):
         live = ens.stop > n
         gn = adj.tracking_residual(ens.y(n), y_d, n, live, cfg)
-        pred = tg.transpose_step(ens.y(n), p_traj[:, n + 1], ens.dW[:, n], n * cfg.dt, cfg)
+        pred = tg.transpose_step(yc_of(cfg, ens.y(n)), p_traj[:, n + 1], ens.dW[:, n], n * cfg.dt,
+                                 cfg)
         pred = pred + cfg.dt * gn
         pred = np.where(live[BSEL], pred, p_traj[:, n + 1])
         worst = max(worst, float(np.max(np.abs(p_traj[:, n] - pred))) / pmax)
@@ -419,7 +425,7 @@ def _freeze_simulate(y0, U, dW, cfg):
     fields = [y]
     for n in range(cfg.steps):
         live = stop > n
-        y_next = fw.step(y, U[n], dW[:, n], n * cfg.dt, cfg)
+        y_next = fw.step(yc_of(cfg, y), U[n], dW[:, n], n * cfg.dt, cfg)
         w_next = sp.w24_norm(g, y_next)
         y = np.where(live[BSEL], y_next, y)
         stop[live & (w_next >= cfg.M)] = n + 1
@@ -434,7 +440,8 @@ def _freeze_adjoint(ens, y_d, cfg):
     traj = np.zeros_like(fields)
     for n in range(cfg.steps - 1, -1, -1):
         gn = adj.tracking_residual(fields[:, n], y_d, n, stop > n, cfg)
-        p_prev = tg.transpose_step(fields[:, n], p, dW[:, n], n * cfg.dt, cfg) + cfg.dt * gn
+        p_prev = (tg.transpose_step(yc_of(cfg, fields[:, n]), p, dW[:, n], n * cfg.dt, cfg)
+                  + cfg.dt * gn)
         p = np.where((stop > n)[BSEL], p_prev, p)
         traj[:, n] = p
     return traj
@@ -445,7 +452,7 @@ def _freeze_tangent(psi, ens, cfg):
     z = np.zeros_like(fields[:, 0])
     traj = np.zeros_like(fields)
     for n in range(cfg.steps):
-        z_next = tg.tangent_step(fields[:, n], z, psi[n], dW[:, n], n * cfg.dt, cfg)
+        z_next = tg.tangent_step(yc_of(cfg, fields[:, n]), z, psi[n], dW[:, n], n * cfg.dt, cfg)
         z = np.where((stop > n)[BSEL], z_next, z)
         traj[:, n + 1] = z
     return traj
@@ -463,9 +470,9 @@ class TestLiveCompaction:
         sizes = []
 
         def recorder(f):
-            def rec(y, *args):
-                sizes.append(y.shape[0])
-                return f(y, *args)
+            def rec(yc, *args):
+                sizes.append(yc.field.shape[0])
+                return f(yc, *args)
             return rec
 
         monkeypatch.setattr(fw, "step", recorder(fw.step))

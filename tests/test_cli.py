@@ -131,6 +131,7 @@ class TestBinaryFormat:
         pytest.param("dim", dict(dim=0, steps=-1), id="dim_0_empty"),
         pytest.param("n_max", dict(n_max=-1), id="n_max_-1_empty"),
         pytest.param("n_max", dict(n_max=0), id="n_max_0"),
+        pytest.param("n_max", dict(n_max=1), id="n_max_1"),
         pytest.param("steps", dict(steps=-1, stop_index=0), id="steps_-1"),
         pytest.param("stop_index", dict(stop_index=99), id="stop_past_steps"),
         pytest.param("stop_index", dict(stop_index=-5), id="stop_negative"),
@@ -375,6 +376,15 @@ class TestCli:
         assert run_cli(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and repr(key) in err
+        assert not out.exists()
+
+    def test_grid_without_modes_exit_code(self, tmp_path, capsys):
+        # at n_max = 1 every field is zero: verify once printed five 0.000e+00
+        # defects, then "all checks passed", and exited 0
+        out = tmp_path / "x"
+        assert run_cli(["verify", "--set", "n_max=1", "--set", "steps=5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "n_max" in err
         assert not out.exists()
 
     def test_sizing_edges_stay_valid(self, small_cfg, tmp_path):

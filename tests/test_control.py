@@ -184,6 +184,17 @@ class TestOptimize:
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
         assert adm.norm(g, out["U"], cfg.dt) <= adm.radius * (1 + 1e-12)
 
+    def test_ball_exponent_must_be_penalty_exponent(self):
+        # the ball and its projection read admissible.p_exp, the penalty and its
+        # gradient cfg.p_exp: a mismatch once ran silently
+        cfg = make_cfg(steps=3)
+        y0, y_d, U, _ = setup(cfg)
+        adm = ct.AdmissibleSet(radius=2.0, p_exp=20.0)
+        with pytest.raises(ValueError, match="admissible.p_exp = 20.0 is not cfg.p_exp = 8.0"):
+            ct.optimize(y0, y_d, cfg, lam=0.05, admissible=adm, n_samples=2, iters=1)
+        with pytest.raises(ValueError, match="admissible.p_exp"):
+            ct.optimality_residual(U, y0, y_d, cfg, 0.05, adm, 2, n_dirs=2)
+
     def test_optimality_residual_after_descent(self):
         cfg = make_cfg(steps=15)
         y0, y_d, _, _ = setup(cfg)

@@ -30,6 +30,11 @@ def make_cfg(**kw):
     return fw.SimConfig(**base)
 
 
+def yc_of(cfg, y):
+    """The base state y as the ``spectral.Collocation`` the step kernels take."""
+    return sp.Collocation(cfg.grid, y, cfg.params)
+
+
 class TestConfig:
     def test_p_exp_bound(self):
         with pytest.raises(ValueError):
@@ -64,6 +69,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(**kw)
 
+    @pytest.mark.parametrize("key,value", [("dt", np.nan), ("dt", np.inf), ("p_exp", np.nan)])
+    def test_step_size_and_exponent_finite(self, key, value):
+        # each once constructed: only config.load turned such values away
+        with pytest.raises(ValueError, match=key):
+            make_cfg(**{key: value})
+
     def test_infinite_threshold_never_stops(self):
         # M = inf is a free run (the benchmark's pilot sets M from one), in both stop tests
         cfg = make_cfg(M=np.inf, steps=5)
@@ -94,7 +105,7 @@ class TestStep:
         X1 = x[:, None] + 0 * x[None, :]
         y = sp.to_spec(g, np.stack([0 * X1, np.cos(X1)]))
         fac = (1 + 0.4) / (1 + 0.4 + cfg.dt * 0.5)
-        y1 = fw.step(y, None, np.zeros(0), 0.0, cfg)
+        y1 = fw.step(yc_of(cfg, y), None, np.zeros(0), 0.0, cfg)
         assert np.max(np.abs(y1 - fac * y)) < 1e-13
 
     def test_control_enters_linearly(self):
@@ -103,8 +114,8 @@ class TestStep:
         rng = np.random.default_rng(5)
         y = sp.random_field(g, rng)
         u = sp.random_field(g, rng)
-        a = fw.step(y, None, np.zeros(0), 0.0, cfg)
-        b = fw.step(y, u[None].repeat(1, axis=0)[0], np.zeros(0), 0.0, cfg)
+        a = fw.step(yc_of(cfg, y), None, np.zeros(0), 0.0, cfg)
+        b = fw.step(yc_of(cfg, y), u[None].repeat(1, axis=0)[0], np.zeros(0), 0.0, cfg)
         expect = cfg.dt * sp.leray_project(g, u / cfg.implicit_denominator)
         assert np.max(np.abs(b - a - expect)) < 1e-13
 
@@ -114,11 +125,11 @@ class TestStep:
         rng = np.random.default_rng(6)
         y = sp.random_field(g, rng)
         dW = rng.standard_normal(8) * 0.1
-        with_n = fw.step(y, None, dW, 0.0, cfg)
+        with_n = fw.step(yc_of(cfg, y), None, dW, 0.0, cfg)
         cfg0 = make_cfg(model=nz.NoiseModel(K=0))
-        without = fw.step(y, None, np.zeros(0), 0.0, cfg0)
+        without = fw.step(yc_of(cfg0, y), None, np.zeros(0), 0.0, cfg0)
         expect = sp.leray_project(
-            g, nz.noise_increment(g, 0.0, y, dW, cfg.model) / cfg.implicit_denominator
+            g, nz.noise_increment(0.0, yc_of(cfg, y), dW, cfg.model) / cfg.implicit_denominator
         )
         assert np.max(np.abs(with_n - without - expect)) < 1e-13
 
@@ -127,7 +138,7 @@ class TestStep:
         g = cfg.grid
         y = sp.random_field(g, np.random.default_rng(7), amplitude=2.0)
         dW = np.random.default_rng(8).standard_normal(8) * 0.1
-        assert sp.divergence_defect(g, fw.step(y, None, dW, 0.0, cfg)) < 1e-12
+        assert sp.divergence_defect(g, fw.step(yc_of(cfg, y), None, dW, 0.0, cfg)) < 1e-12
 
 
 class TestSimulate:
@@ -267,6 +278,22 @@ class TestSimulate:
             fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
         kw[arg] = np.stack([field] * steps)  # one field per step is accepted
         fw.simulate_ensemble(y0, dW=dW, cfg=cfg, **kw)
+
+    @pytest.mark.parametrize("given,read_to", [(("read",), None), (("psi",), None), ((), 2),
+                                               (("psi", "read"), 7), (("psi", "read"), -1)])
+    def test_tangent_arguments_checked_before_any_step(self, given, read_to, monkeypatch):
+        # read without psi was never called, psi without read died after a step's
+        # work with a TypeError, and read_to = 7 at steps = 3 skipped the final read
+        cfg = make_cfg(steps=3)
+        rng = np.random.default_rng(11)
+        y0, psi = sp.random_field(cfg.grid, rng), sp.random_field(cfg.grid, rng, batch=(3,))
+        kw = {k: v for k, v in (("psi", psi), ("read", lambda *a: None)) if k in given}
+        stepped = []
+        for kernel in ("step", "fused_step"):
+            monkeypatch.setattr(fw, kernel, lambda *a: stepped.append(a))
+        with pytest.raises(ValueError, match="psi and read" if read_to is None else "read_to"):
+            fw.simulate_ensemble(y0, None, cfg.noise_bank(2), cfg, read_to=read_to, **kw)
+        assert stepped == []
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
     @pytest.mark.parametrize("defect", ["divergence", "Hermitian"])

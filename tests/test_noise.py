@@ -8,6 +8,12 @@ from stgflow import spectral as sp
 
 
 G2 = sp.WaveGrid(2, 8)
+PARAMS = sp.PhysicalParams(nu=0.5, alpha1=0.4, alpha2=-0.1, beta=0.3)
+
+
+def yc_of(y, grid=G2):
+    """The base state y as the ``spectral.Collocation`` the noise forms take."""
+    return sp.Collocation(grid, y, PARAMS)
 
 
 def rand_field(seed, grid=G2, amp=1.0):
@@ -96,11 +102,11 @@ class TestOperator:
         y, v = rand_field(8), rand_field(22)
         m = nz.NoiseModel(K=6, family="smooth", c0=0.3)
         dW = np.random.default_rng(2).standard_normal(6) * 0.1
-        fused = nz.noise_increment(G2, 0.2, y, dW, m)
+        fused = nz.noise_increment(0.2, yc_of(y), dW, m)
         direct = np.tensordot(dW, nz.apply_G(G2, 0.2, y, m), axes=(0, 0))
         assert np.max(np.abs(sp.leray_project(G2, fused) - direct)) < 1e-13
         assert sp.divergence_defect(G2, fused) > 1e-9  # unprojected
-        fused = nz.grad_noise_increment(G2, 0.2, y, v, dW, m)
+        fused = nz.grad_noise_increment(0.2, yc_of(y), v, dW, m)
         direct = np.tensordot(dW, nz.apply_grad_G(G2, 0.2, y, v, m), axes=(0, 0))
         assert np.max(np.abs(sp.leray_project(G2, fused) - direct)) < 1e-13
 
@@ -135,8 +141,8 @@ class TestOperator:
         w = rand_field(15)
         m = nz.NoiseModel(K=5, family="smooth", c0=0.4)
         dW = np.random.default_rng(3).standard_normal(5) * 0.2
-        lhs = sp.l2_inner(G2, nz.grad_noise_increment(G2, 0.0, y, v, dW, m), w)
-        rhs = sp.l2_inner(G2, v, nz.grad_noise_increment(G2, 0.0, y, w, dW, m))
+        lhs = sp.l2_inner(G2, nz.grad_noise_increment(0.0, yc_of(y), v, dW, m), w)
+        rhs = sp.l2_inner(G2, v, nz.grad_noise_increment(0.0, yc_of(y), w, dW, m))
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("fam", ["linear"])
@@ -165,8 +171,8 @@ class TestOperator:
             monkeypatch.setattr(nz, name, lambda g, c, *a, f=transform, n=name:
                                 seen.append((n, c)) or f(g, c, *a))
         got = {
-            "noise_increment": nz.noise_increment(G2, t, y, dW, m),
-            "grad_noise_increment": nz.grad_noise_increment(G2, t, y, v, dW, m),
+            "noise_increment": nz.noise_increment(t, yc_of(y), dW, m),
+            "grad_noise_increment": nz.grad_noise_increment(t, yc_of(y), v, dW, m),
         }
         assert seen == []
         got["apply_grad_G"] = nz.apply_grad_G(G2, t, y, v, m)
@@ -190,8 +196,9 @@ class TestOperator:
         s = (nz.weighted_increment(m, dW) * m.time_factor(t))[(Ellipsis,) + (None,) * (dim + 1)]
         yp = sp.to_phys(g, y)
         pairs = [
-            (nz.noise_increment(g, t, y, dW, m), s * m.profile(yp)),
-            (nz.grad_noise_increment(g, t, y, v, dW, m), s * (m.profile_deriv(yp) * sp.to_phys(g, v))),
+            (nz.noise_increment(t, yc_of(y, g), dW, m), s * m.profile(yp)),
+            (nz.grad_noise_increment(t, yc_of(y, g), v, dW, m),
+             s * (m.profile_deriv(yp) * sp.to_phys(g, v))),
         ]
         for got, colloc in pairs:
             ref = sp.leray_project(g, sp.to_spec(g, colloc))

@@ -58,6 +58,13 @@ class TestGrid:
         assert g.k.shape == (2, 18, 10)
         assert g.zeros((3,)).shape == (3, 2, 18, 10)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grid_holds_a_field(self, dim):
+        # at n_max = 1 the 2/3 cut (2 n_max) // 3 is 0: no mode survives dealiasing
+        assert sp.WaveGrid(dim, sp.MIN_N_MAX).mask2.sum() > 1
+        with pytest.raises(ValueError, match=rf"n_max must be >= {sp.MIN_N_MAX}, got 1"):
+            sp.WaveGrid(dim, 1)
+
     def test_nyquist_excluded(self):
         g = grid2()
         # the retain mask must kill the Nyquist plane index N//2

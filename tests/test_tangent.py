@@ -71,6 +71,11 @@ def make_cfg(**kw):
     return fw.SimConfig(**base)
 
 
+def yc_of(cfg, y):
+    """The base state y as the ``spectral.Collocation`` the step kernels take."""
+    return sp.Collocation(cfg.grid, y, cfg.params)
+
+
 class TestLinearizedDrift:
     """The unprojected drift forms: drift_terms(y, z) is the Jacobian of
     drift_terms(y) and drift_terms_T its transpose."""
@@ -140,10 +145,10 @@ class TestStepPair:
         dW = rng.standard_normal(8) * 0.1
         eps = 1e-6
         fd = (
-            fw.step(y + eps * z, None, dW, 0.0, cfg)
-            - fw.step(y - eps * z, None, dW, 0.0, cfg)
+            fw.step(yc_of(cfg, y + eps * z), None, dW, 0.0, cfg)
+            - fw.step(yc_of(cfg, y - eps * z), None, dW, 0.0, cfg)
         ) / (2 * eps)
-        an = tg.tangent_step(y, z, g.zeros(), dW, 0.0, cfg)
+        an = tg.tangent_step(yc_of(cfg, y), z, g.zeros(), dW, 0.0, cfg)
         assert np.max(np.abs(fd - an)) < 1e-8
 
     def test_step_transpose(self):
@@ -154,8 +159,8 @@ class TestStepPair:
         z = sp.random_field(g, rng)
         p = sp.random_field(g, rng)
         dW = rng.standard_normal(5) * 0.15
-        lhs = sp.l2_inner(g, tg.tangent_step(y, z, g.zeros(), dW, 0.2, cfg), p)
-        rhs = sp.l2_inner(g, z, tg.transpose_step(y, p, dW, 0.2, cfg))
+        lhs = sp.l2_inner(g, tg.tangent_step(yc_of(cfg, y), z, g.zeros(), dW, 0.2, cfg), p)
+        rhs = sp.l2_inner(g, z, tg.transpose_step(yc_of(cfg, y), p, dW, 0.2, cfg))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_control_injection_transpose(self):
@@ -167,7 +172,7 @@ class TestStepPair:
         p = sp.random_field(g, rng)
         y = sp.random_field(g, rng)
         z0 = np.zeros_like(psi)
-        with_psi = tg.tangent_step(y, z0, psi, np.zeros(0), 0.0, cfg)
+        with_psi = tg.tangent_step(yc_of(cfg, y), z0, psi, np.zeros(0), 0.0, cfg)
         lhs = sp.l2_inner(g, with_psi, p) / cfg.dt
         rhs = sp.l2_inner(g, psi, tg.control_to_state(p, cfg))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
@@ -184,7 +189,8 @@ def tangent_sweep(ens, psi, cfg):
         if live.any():
             rows = np.flatnonzero(live)
             y = ens.y(n)[rows]
-            z[rows] = tg.tangent_step(y, z[rows], psi[n], ens.dW[rows, n], n * cfg.dt, cfg)
+            z[rows] = tg.tangent_step(yc_of(cfg, y), z[rows], psi[n], ens.dW[rows, n], n * cfg.dt,
+                                      cfg)
 
 
 def gateaux_reference(y0, U, psi, cfg, rhos, n_samples):
@@ -313,8 +319,8 @@ class TestFusedTangent:
         y, z, u, psi = (sp.random_field(cfg.grid, rng, batch=(3,)) for _ in range(4))
         dW = rng.standard_normal((3, 5)) * 0.1
         y_next, z_next = fw.fused_step(y, z, u, psi, dW, 0.3, cfg)
-        assert np.array_equal(y_next, fw.step(y, u, dW, 0.3, cfg))
-        assert np.array_equal(z_next, tg.tangent_step(y, z, psi, dW, 0.3, cfg))
+        assert np.array_equal(y_next, fw.step(yc_of(cfg, y), u, dW, 0.3, cfg))
+        assert np.array_equal(z_next, tg.tangent_step(yc_of(cfg, y), z, psi, dW, 0.3, cfg))
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 3)])
     def test_fused_step_transforms_base_pieces_once(self, dim, n_max, monkeypatch):
@@ -331,8 +337,8 @@ class TestFusedTangent:
         made, cached = [], sp.CachedCollocation
         monkeypatch.setattr(sp, "CachedCollocation", lambda *a: made.append(cached(*a)) or made[-1])
 
-        separate = components(lambda: (fw.step(y, None, dW, 0.0, cfg),
-                                       tg.tangent_step(y, z, psi, dW, 0.0, cfg)))
+        separate = components(lambda: (fw.step(yc_of(cfg, y), None, dW, 0.0, cfg),
+                                       tg.tangent_step(yc_of(cfg, y), z, psi, dW, 0.0, cfg)))
         fused = components(lambda: fw.fused_step(y, z, None, psi, dW, 0.0, cfg))
         pieces = {name: piece for name, piece in vars(made[0]).items() if name in ("u", "W", "A", "A3")}
         assert set(pieces) == ({"u", "W", "A3"} if dim == 2 else {"u", "W", "A", "A3"})
@@ -359,8 +365,8 @@ class TestFusedTangent:
 
         assert fused(smooth) - fused(cfg) == 4 * dim
         assert "values" in vars(made[0]) and "values" not in vars(made[1])
-        separate = components(lambda: (fw.step(y, None, dW, 0.3, smooth),
-                                       tg.tangent_step(y, z, psi, dW, 0.3, smooth)))
+        separate = components(lambda: (fw.step(yc_of(smooth, y), None, dW, 0.3, smooth),
+                                       tg.tangent_step(yc_of(smooth, y), z, psi, dW, 0.3, smooth)))
         pieces = sum(vars(made[0])[name].shape[-dim - 1] for name in ("u", "W", "A", "A3", "values")
                      if name in vars(made[0]))
         assert separate - fused(smooth) == pieces
@@ -383,13 +389,13 @@ class TestFusedTangent:
             run()
             return len(calls)
 
-        assert projections(lambda: fw.step(y, psi, dW, 0.0, cfg)) == 1
-        assert projections(lambda: tg.tangent_step(y, z, psi, dW, 0.0, cfg)) == 1
+        assert projections(lambda: fw.step(yc_of(cfg, y), psi, dW, 0.0, cfg)) == 1
+        assert projections(lambda: tg.tangent_step(yc_of(cfg, y), z, psi, dW, 0.0, cfg)) == 1
         assert projections(lambda: fw.fused_step(y, z, psi, psi, dW, 0.0, cfg)) == 2
-        assert projections(lambda: tg.transpose_step(y, p, dW, 0.0, cfg)) == 2
+        assert projections(lambda: tg.transpose_step(yc_of(cfg, y), p, dW, 0.0, cfg)) == 2
         for fam in ("linear", "smooth"):
             c = dataclasses.replace(cfg, model=nz.NoiseModel(K=8, family=fam, c0=0.3))
-            assert sp.divergence_defect(g, tg.transpose_step(y, p, dW, 0.2, c)) < 1e-12
+            assert sp.divergence_defect(g, tg.transpose_step(yc_of(c, y), p, dW, 0.2, c)) < 1e-12
 
 
 def _full_deformation(grid, c):
@@ -471,8 +477,9 @@ class TestIsotropicSquare:
         dW = rng.standard_normal((3, 8)) * 0.1
 
         def kernels():
-            return (fw.step(y, psi, dW, 0.1, cfg), tg.tangent_step(y, z, psi, dW, 0.1, cfg),
-                    tg.transpose_step(y, p, dW, 0.1, cfg))
+            yc = yc_of(cfg, y)
+            return (fw.step(yc, psi, dW, 0.1, cfg), tg.tangent_step(yc, z, psi, dW, 0.1, cfg),
+                    tg.transpose_step(yc, p, dW, 0.1, cfg))
 
         got, calls = kernels(), []
         monkeypatch.setattr(sp, "stress_terms",
@@ -492,9 +499,10 @@ class TestIsotropicSquare:
         y, z, p, psi = (sp.random_field(cfg.grid, rng) for _ in range(4))
         dW = rng.standard_normal(8) * 0.1
         components = count_components(monkeypatch)
-        rows = {"step": components(lambda: fw.step(y, psi, dW, 0.0, cfg)),
+        rows = {"step": components(lambda: fw.step(yc_of(cfg, y), psi, dW, 0.0, cfg)),
                 "fused_step": components(lambda: fw.fused_step(y, z, psi, psi, dW, 0.0, cfg)),
-                "transpose_step": components(lambda: tg.transpose_step(y, p, dW, 0.0, cfg))}
+                "transpose_step": components(
+                    lambda: tg.transpose_step(yc_of(cfg, y), p, dW, 0.0, cfg))}
         for kernel, count in rows.items():
             print(f"components per call, {dim}D n_max={n_max}: {kernel:<15} {count:>3}")
         assert tuple(rows.values()) == table
